@@ -102,7 +102,6 @@ def build_archive(root):
                 "seed": seed,
                 "scenario": "disk-slow" if slow else "baseline",
             },
-            codec="v2",
         )
     return bank
 

@@ -65,9 +65,7 @@ Commands:
 ``store ingest|ls|query|dfg|verify|gc``
     The TraceBank trace archive: ingest trace files or whole sweeps
     (``--store`` on ``figure``/``figures``/``chaos`` auto-archives every
-    traced bundle; ``--codec v2`` stores columnar segments that queries
-    scan by column projection), list runs, run filtered/aggregated
-    queries and
+    traced bundle), list runs, run filtered/aggregated queries and
     directly-follows graphs over the archive (``--jobs`` fans shard scans
     over processes with byte-identical output), verify end-to-end
     integrity, and garbage-collect unreferenced segments.
@@ -293,7 +291,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         telemetry=args.telemetry,
         progress=_make_progress(args),
         store=args.store,
-        store_codec=args.codec,
     )
     print(render_figure(series), end="")
     _report_archived(series.measurements)
@@ -327,7 +324,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         telemetry=args.telemetry,
         progress=_make_progress(args),
         store=args.store,
-        store_codec=args.codec,
     )
     _report_archived(
         m for figno in sorted(sweep.series) for m in sweep.series[figno].measurements
@@ -414,7 +410,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         cache=_make_cache(args),
         progress=_make_progress(args),
         store=args.store,
-        store_codec=args.codec,
     )
     print(render_chaos_report(report), end="")
     archived = sorted(
@@ -490,7 +485,6 @@ def _run_zoo(args: argparse.Namespace, scenarios) -> int:
         progress=_make_progress(args),
         framework=args.framework,
         store=args.store,
-        store_codec=args.codec,
         replay_check=args.replay_check,
     )
     print(render_zoo_report(report), end="")
@@ -960,7 +954,7 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
         key, sep, value = item.partition("=")
         if sep and key:
             meta[key] = value
-    result = bank.ingest_bundle(bundle, meta=meta, codec=args.codec)
+    result = bank.ingest_bundle(bundle, meta=meta)
     print(
         "ingested run %s: %d segment(s) (%d new, %d deduped), %d event(s)"
         % (
@@ -1332,13 +1326,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="archive every traced bundle into a TraceBank at DIR "
             "(default .repro-store when the flag is given bare)",
         )
-        p.add_argument(
-            "--codec",
-            choices=("v1", "v2"),
-            default="v1",
-            help="segment codec for --store ingests: v1 row-major, "
-            "v2 columnar (fast projected scans); default v1",
-        )
 
     p = sub.add_parser("figure", help="regenerate Figure 2, 3 or 4")
     p.add_argument("number", type=int, choices=(2, 3, 4))
@@ -1639,9 +1626,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("traces", nargs="+", help="trace files (text or binary)")
     sp.add_argument("--meta", nargs="*", default=None, metavar="K=V",
                     help="extra run metadata (queryable via --where)")
-    sp.add_argument("--codec", choices=("v1", "v2"), default="v1",
-                    help="segment codec: v1 row-major, v2 columnar "
-                    "(fast projected scans); default v1")
     sp.set_defaults(fn=_cmd_store_ingest)
 
     sp = store_sub.add_parser("ls", help="list archived runs + archive stats")

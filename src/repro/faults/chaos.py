@@ -529,7 +529,6 @@ def build_chaos_specs(
     frameworks: Sequence[str] = CHAOS_FRAMEWORKS,
     seed: int = 0,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> List[RunSpec]:
     """One spec per (framework, scenario), framework-major order.
 
@@ -553,7 +552,6 @@ def build_chaos_specs(
             sim_timeout=sc.horizon,
             retries=sc.retries,
             store=store,
-            store_codec=store_codec,
         )
         for fw in frameworks
         for sc in scenarios
@@ -568,7 +566,6 @@ def run_chaos_matrix(
     cache: Optional[Any] = None,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> Dict[str, Any]:
     """Run a named matrix and assemble the survival/overhead report.
 
@@ -579,10 +576,7 @@ def run_chaos_matrix(
     ``store_run_id`` (content-derived, so still byte-stable).
     """
     scenarios = _chaos_matrix(matrix)
-    specs = build_chaos_specs(
-        matrix, frameworks=frameworks, seed=seed, store=store,
-        store_codec=store_codec,
-    )
+    specs = build_chaos_specs(matrix, frameworks=frameworks, seed=seed, store=store)
     result = run_sweep(specs, jobs=jobs, cache=cache, progress=progress)
 
     rows: List[Dict[str, Any]] = []

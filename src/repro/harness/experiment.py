@@ -201,7 +201,6 @@ def sweep_block_sizes(
     telemetry: bool = False,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> List[Any]:
     """Measure overhead across block sizes at constant bytes per rank.
 
@@ -237,7 +236,6 @@ def sweep_block_sizes(
             seed=seed,
             telemetry=telemetry,
             store=store,
-            store_codec=store_codec,
         )
         return run_sweep(specs, jobs=jobs, cache=cache, progress=progress).points
     if isinstance(workload, str):

@@ -152,7 +152,6 @@ def figure_series(
     telemetry: bool = False,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> FigureSeries:
     """Regenerate Figure 2, 3 or 4.
 
@@ -186,7 +185,6 @@ def figure_series(
         telemetry=telemetry,
         progress=progress,
         store=store,
-        store_codec=store_codec,
     )
     return FigureSeries(
         figure_number=figure_number,
@@ -223,7 +221,6 @@ def run_figures(
     telemetry: bool = False,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> FigureSweep:
     """Regenerate several figures as one flat sweep (maximum parallelism).
 
@@ -253,7 +250,6 @@ def run_figures(
                 seed=seed,
                 telemetry=telemetry,
                 store=store,
-                store_codec=store_codec,
             )
         )
         owners.extend([figno] * len(sizes))

@@ -147,10 +147,6 @@ class RunSpec:
     #: run's bundle after measuring and records the run id on the result.
     #: Part of the cache key (archived and plain points never alias).
     store: Optional[str] = None
-    #: Segment codec for ``store`` ingests ("v1" row-major, "v2"
-    #: columnar).  Part of the cache key only when non-default, so
-    #: pre-columnar cache entries keep their keys.
-    store_codec: str = "v1"
 
     @staticmethod
     def create(
@@ -165,7 +161,6 @@ class RunSpec:
         sim_timeout: Optional[float] = None,
         retries: int = 0,
         store: Optional[str] = None,
-        store_codec: str = "v1",
     ) -> "RunSpec":
         """Construct a spec from plain arguments (dict args, name or spec)."""
         return RunSpec(
@@ -180,7 +175,6 @@ class RunSpec:
             sim_timeout=sim_timeout,
             retries=retries,
             store=store,
-            store_codec=store_codec,
         )
 
     def args_dict(self) -> Dict[str, Any]:
@@ -394,7 +388,6 @@ def build_sweep_specs(
     seed: Optional[int] = None,
     telemetry: bool = False,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> List[RunSpec]:
     """Specs for a constant-bytes-per-rank block-size sweep (one per size)."""
     fw = as_framework_spec(framework)
@@ -409,7 +402,6 @@ def build_sweep_specs(
             seed=seed,
             telemetry=telemetry,
             store=store,
-            store_codec=store_codec,
         )
         for bs in block_sizes
     ]
@@ -454,8 +446,7 @@ def ingest_spec_bundle(
     meta = spec_store_meta(spec)
     if extra:
         meta.update(dict(extra))
-    codec = getattr(spec, "store_codec", "v1")
-    return TraceBank(spec.store).ingest_bundle(bundle, meta=meta, codec=codec).run_id
+    return TraceBank(spec.store).ingest_bundle(bundle, meta=meta).run_id
 
 
 def execute_spec(spec: RunSpec) -> PointResult:

@@ -26,12 +26,11 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import repro
+from repro.atomicfile import atomic_write
 from repro.harness.parallel import PointResult, RunSpec, RunStats
 
 __all__ = ["DEFAULT_CACHE_DIR", "RunCache", "spec_key"]
@@ -102,13 +101,8 @@ def spec_key(spec: RunSpec) -> str:
         material["retries"] = spec.retries
     # Archived specs widen the key too (a flag, not the store path: the
     # run id is content-derived, so it is valid for any archive location).
-    # The segment codec joins the key only when non-default, so every
-    # pre-columnar archived entry keeps its key.
     if getattr(spec, "store", None) is not None:
         material["store"] = True
-        codec = getattr(spec, "store_codec", "v1")
-        if codec != "v1":
-            material["store_codec"] = codec
     return hashlib.sha256(_dumps(material).encode("utf-8")).hexdigest()
 
 
@@ -251,19 +245,13 @@ class RunCache:
                 _dumps(payload).encode("utf-8")
             ).hexdigest(),
         }
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # Entries are rebuildable, and this write sits inside every timed
+        # sweep point: atomic, but never fsynced.
+        atomic_write(
+            self._path_for(key),
+            json.dumps(entry, sort_keys=True).encode("utf-8"),
+            durable=False,
+        )
         self.stores += 1
         return key
 

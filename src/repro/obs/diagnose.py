@@ -7,8 +7,8 @@ like their peers, and explain each with a causal slice
 
 1. **Fingerprint** each run by its DFG shape (the directly-follows edge
    set over per-``(run, rank)`` op sequences) plus its per-layer
-   self-time vector, read with column-projected scans where the archive
-   is columnar — runs never re-execute.
+   self-time vector, read as column projections of the archived
+   segments — runs never re-execute.
 2. **Group** runs by their workload identity (framework, workload, args,
    nprocs) — only peers are comparable — and **cluster** them globally
    by fingerprint distance (edge-set Jaccard + normalized layer-vector
@@ -81,26 +81,14 @@ MIN_GROUP = 3
 
 
 def _segment_seq(bank, sha: str) -> List[Tuple[str, str, float, float]]:
-    """One segment's ``(name, layer, ts, dur)`` sequence, capture order.
-
-    Columnar segments project just the four columns the fingerprint
-    needs; v1 segments fall back to a full row decode.
-    """
-    from repro.store.segments import decode_segment
-    from repro.trace.columnar import is_columnar, read_columns
-
-    blob = bank.read_segment_blob(sha)
-    if is_columnar(blob):
-        cols = read_columns(blob, ("name", "layer", "timestamp", "duration"))
-        return [
-            (cols["name"][i], cols["layer"][i],
-             cols["timestamp"][i] or 0.0, cols["duration"][i] or 0.0)
-            for i in range(len(cols["name"]))
-        ]
-    tf = decode_segment(blob, expected_sha=sha)
+    """One segment's ``(name, layer, ts, dur)`` sequence, capture order,
+    projected from the four columns the fingerprint needs."""
+    cols = bank.read_columns(sha, ("name", "layer", "timestamp", "duration"))
     return [
-        (e.name, e.layer.value, e.timestamp or 0.0, e.duration or 0.0)
-        for e in tf.events
+        (name, layer, ts or 0.0, dur or 0.0)
+        for name, layer, ts, dur in zip(
+            cols["name"], cols["layer"], cols["timestamp"], cols["duration"]
+        )
     ]
 
 

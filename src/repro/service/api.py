@@ -203,7 +203,6 @@ class ServiceApp:
         max_body_bytes: int = 32 << 20,
         query_jobs: int = 1,
         commit_workers: int = 2,
-        codec: str = "v1",
         access_log: Optional[Union[str, Path]] = None,
         trace_ring: int = 512,
         slowest_per_route: int = 8,
@@ -213,7 +212,6 @@ class ServiceApp:
         self.max_body_bytes = int(max_body_bytes)
         self.query_jobs = int(query_jobs)
         self.commit_workers = int(commit_workers)
-        self.codec = codec
         self.metrics = MetricsRegistry()
         self.traces = RequestTraceLog(
             ring_size=trace_ring, slowest_per_route=slowest_per_route
@@ -611,13 +609,11 @@ class ServiceApp:
                 for key, values in request.params.items()
                 if key.startswith("meta.") and values
             }
-            codec = request.param("codec", self.codec) or self.codec
             t_wal = self.uptime()
             entry = await loop.run_in_executor(
                 self.executor,
                 partial(
-                    self.queue.write_wal,
-                    tenant, request.body, trace, rank, meta, codec,
+                    self.queue.write_wal, tenant, request.body, trace, rank, meta
                 ),
             )
             if rt is not None:

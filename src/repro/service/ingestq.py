@@ -38,7 +38,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import IngestQueueFull, ServiceError, TraceError
-from repro.store.bank import IngestResult, _atomic_write_bytes
+from repro.atomicfile import atomic_write
+from repro.store.bank import IngestResult
 from repro.trace import binary_format, text_format
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -75,7 +76,6 @@ class WalEntry:
     tenant: str
     rank: Optional[int]
     meta: Dict[str, str]
-    codec: str
     path: Path
     nbytes: int
     #: Decoded at accept time (fresh uploads) or at recovery; commit
@@ -169,7 +169,6 @@ class IngestQueue:
         trace: TraceFile,
         rank: Optional[int],
         meta: Dict[str, str],
-        codec: str,
     ) -> WalEntry:
         """Durably land one accepted upload as a WAL entry (blocking I/O).
 
@@ -191,18 +190,16 @@ class IngestQueue:
             "tenant": tenant,
             "rank": rank,
             "meta": dict(meta),
-            "codec": codec,
             "nbytes": len(body),
             "sha256": hashlib.sha256(body).hexdigest(),
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
-        _atomic_write_bytes(path, blob)
+        atomic_write(path, blob)
         return WalEntry(
             entry_id=entry_id,
             tenant=tenant,
             rank=rank,
             meta=dict(meta),
-            codec=codec,
             path=path,
             nbytes=len(body),
             trace=trace,
@@ -247,7 +244,6 @@ class IngestQueue:
                     tenant=str(header["tenant"]),
                     rank=(None if header.get("rank") is None else int(header["rank"])),
                     meta={str(k): str(v) for k, v in dict(header.get("meta") or {}).items()},
-                    codec=str(header.get("codec") or "v1"),
                     path=path,
                     nbytes=len(body),
                     trace=trace,
@@ -278,7 +274,7 @@ class IngestQueue:
         meta.update(entry.meta)
         if clock is not None:
             entry.bank_ts = clock()
-        result = bank.ingest_bundle(bundle, meta=meta, codec=entry.codec)
+        result = bank.ingest_bundle(bundle, meta=meta)
         if clock is not None and entry.bank_ts is not None:
             entry.bank_dur = clock() - entry.bank_ts
         try:

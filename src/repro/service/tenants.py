@@ -37,7 +37,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from repro.errors import StoreNotFound, TenantNameError
-from repro.store.bank import STORE_SCHEMA, TraceBank, _atomic_write_bytes
+from repro.atomicfile import atomic_write
+from repro.store.bank import STORE_SCHEMA, TraceBank
 
 __all__ = ["TENANT_NAME_RE", "TenantRegistry", "validate_tenant_name"]
 
@@ -88,7 +89,7 @@ class TenantRegistry:
                     "no tenant %r under %s (no %s)" % (name, self.root, marker)
                 )
             (troot / "manifests").mkdir(parents=True, exist_ok=True)
-            _atomic_write_bytes(
+            atomic_write(
                 marker,
                 (
                     json.dumps(

@@ -22,13 +22,12 @@ archive — dropping a run means deleting its manifest, then ``gc``).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.atomicfile import atomic_write
 from repro.errors import StoreCorruptionError, StoreError, StoreNotFound
 from repro.obs.tracepoints import STATE
 from repro.store.index import ManifestIndex
@@ -40,9 +39,12 @@ from repro.store.manifest import (
 )
 from repro.store.segments import (
     SegmentMeta,
+    archive_errors,
+    check_address,
     content_address,
     decode_segment,
     encode_segment,
+    segment_columns,
     summarize_segment,
 )
 from repro.trace.events import TraceEvent
@@ -63,6 +65,11 @@ STORE_SCHEMA = "repro/store/v1"
 #: ``--store`` with no value lands here).
 DEFAULT_STORE_DIR = ".repro-store"
 
+#: The manifest's ``codec`` record for the segments ingest writes (RTBF,
+#: compressed and checksummed).  It is part of every run id's hash input,
+#: so it never changes; legacy columnar runs carry ``"format": "v2"``.
+SEGMENT_CODEC: Mapping[str, Any] = {"compressed": True, "checksum": True}
+
 
 @dataclass(frozen=True)
 class IngestResult:
@@ -78,40 +85,6 @@ class IngestResult:
     deduped_segments: int
     events: int
     manifest_new: bool
-
-
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Atomically (and durably) land ``blob`` at ``path``.
-
-    The temp file is fsynced before ``os.replace`` and the directory
-    after, so callers that acknowledge the write (WAL entries, manifest
-    commits) survive an OS crash or power loss, not just a process
-    crash.  Platforms that refuse directory fsync degrade gracefully.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:
-        dfd = os.open(str(path.parent), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dfd)
-    except OSError:
-        pass
-    finally:
-        os.close(dfd)
 
 
 class TraceBank:
@@ -156,7 +129,7 @@ class TraceBank:
             self.root.mkdir(parents=True, exist_ok=True)
             self.segments_dir.mkdir(exist_ok=True)
             self.manifests_dir.mkdir(exist_ok=True)
-            _atomic_write_bytes(
+            atomic_write(
                 marker,
                 (json.dumps({"schema": STORE_SCHEMA, "version": 1}) + "\n").encode(),
             )
@@ -182,52 +155,37 @@ class TraceBank:
         self,
         bundle: TraceBundle,
         meta: Optional[Mapping[str, Any]] = None,
-        compressed: bool = True,
-        checksum: bool = True,
-        codec: str = "v1",
     ) -> IngestResult:
         """Archive one trace bundle as one run; idempotent.
 
-        Each source file becomes one segment (keyed by its bundle rank);
-        ``meta`` is merged over the bundle's own metadata and becomes the
-        manifest's queryable run description.  ``codec`` picks the segment
-        wire format (``"v1"`` row-major, ``"v2"`` columnar); readers sniff
-        per blob, so codecs can mix freely within one archive.  Returns
-        the dedup-aware :class:`IngestResult`; emits ``store.ingest.*``
+        Each source file becomes one RTBF segment (keyed by its bundle
+        rank); ``meta`` is merged over the bundle's own metadata and
+        becomes the manifest's queryable run description.  Returns the
+        dedup-aware :class:`IngestResult`; emits ``store.ingest.*``
         telemetry when a collector is active.
         """
         merged_meta: Dict[str, Any] = dict(bundle.metadata)
         merged_meta.update(dict(meta or {}))
-        codec_info: Dict[str, Any] = {
-            "compressed": bool(compressed),
-            "checksum": bool(checksum),
-        }
-        # v1 manifests keep their pre-columnar shape (and run ids); the
-        # "format" key only appears for v2 runs.
-        if codec != "v1":
-            codec_info["format"] = codec
         segs: List[SegmentMeta] = []
         new = dedup = events = 0
         for rank in sorted(bundle.files):
             tf = bundle.files[rank]
-            blob, sha = encode_segment(
-                tf, compressed=compressed, checksum=checksum, codec=codec
-            )
+            blob, sha = encode_segment(tf)
             seg = summarize_segment(tf, int(rank), sha, len(blob))
             path = self.segment_path(sha)
             if path.is_file():
                 dedup += 1
             else:
-                _atomic_write_bytes(path, blob)
+                atomic_write(path, blob)
                 new += 1
             segs.append(seg)
             events += seg.n_events
         segs.sort(key=lambda s: (s.rank, s.sha256))
-        run_id = compute_run_id(merged_meta, segs, codec_info)
+        run_id = compute_run_id(merged_meta, segs, SEGMENT_CODEC)
         manifest = RunManifest(
             run_id=run_id,
             meta=json_safe_meta(merged_meta),
-            codec=codec_info,
+            codec=dict(SEGMENT_CODEC),
             segments=tuple(segs),
             n_events=events,
             n_barriers=len(bundle.barrier_stamps),
@@ -235,7 +193,7 @@ class TraceBank:
         mpath = self.manifest_path(run_id)
         manifest_new = not mpath.is_file()
         if manifest_new:
-            _atomic_write_bytes(mpath, manifest.dumps().encode("utf-8"))
+            atomic_write(mpath, manifest.dumps().encode("utf-8"))
         col = STATE.collector
         if col is not None:
             col.store_ingest(len(segs), new, dedup, events)
@@ -253,18 +211,13 @@ class TraceBank:
         tf: TraceFile,
         meta: Optional[Mapping[str, Any]] = None,
         rank: Optional[int] = None,
-        compressed: bool = True,
-        checksum: bool = True,
-        codec: str = "v1",
     ) -> IngestResult:
         """Archive one standalone trace file as a single-segment run."""
         key = rank if rank is not None else (tf.rank if tf.rank is not None else 0)
         bundle = TraceBundle(files={int(key): tf})
         if tf.framework:
             bundle.metadata.setdefault("framework", tf.framework)
-        return self.ingest_bundle(
-            bundle, meta=meta, compressed=compressed, checksum=checksum, codec=codec
-        )
+        return self.ingest_bundle(bundle, meta=meta)
 
     # -- reads ---------------------------------------------------------------
 
@@ -288,17 +241,24 @@ class TraceBank:
         return matches[0]
 
     def read_segment(self, sha: str) -> TraceFile:
-        """Load and verify one segment by content address."""
-        return decode_segment(self.read_segment_blob(sha), expected_sha=sha)
+        """Load one segment by content address (hashed once, on read)."""
+        blob = self.read_segment_blob(sha)
+        with archive_errors(sha):
+            return decode_segment(blob)
+
+    def read_columns(self, sha: str, fields: Sequence[str]) -> Dict[str, List[Any]]:
+        """Project ``fields`` out of one segment without building events.
+
+        The scan entry of every archive aggregate (query, dfg, diagnose);
+        see :func:`~repro.store.segments.segment_columns`.  Verified like
+        :meth:`read_segment`.
+        """
+        blob = self.read_segment_blob(sha)
+        with archive_errors(sha):
+            return segment_columns(blob, fields)
 
     def read_segment_blob(self, sha: str) -> bytes:
-        """Raw encoded bytes of one segment (codec-sniffing callers).
-
-        The content address is verified; decoding — full or columnar
-        projection — is the caller's choice.  This is the query engine's
-        entry to the columnar fast path: it sniffs the magic and projects
-        columns instead of materializing every event.
-        """
+        """Raw encoded bytes of one segment, content address verified."""
         path = self.segment_path(sha)
         try:
             blob = path.read_bytes()
@@ -306,12 +266,7 @@ class TraceBank:
             raise StoreCorruptionError(
                 "segment %s referenced but missing on disk" % sha[:12]
             ) from None
-        got = content_address(blob)
-        if got != sha:
-            raise StoreCorruptionError(
-                "segment content hash mismatch: manifest says %s, bytes are %s"
-                % (sha[:12], got[:12])
-            )
+        check_address(blob, sha)
         return blob
 
     def iter_run_events(self, run_id: str) -> Iterator[Tuple[int, TraceEvent]]:

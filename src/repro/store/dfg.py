@@ -18,21 +18,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
-from fnmatch import fnmatchcase
-
 from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
-from repro.store.query import (
-    Query,
-    _columnar_prune,
-    _columnar_selection,
-    _event_matches,
-    _filter_columns,
-    select_shards,
-)
-from repro.store.segments import decode_segment
-from repro.trace.columnar import is_columnar, read_columns, read_header
+from repro.store.query import Query, scan_columns, select_shards
 
 __all__ = ["DFG_SCHEMA", "build_dfg", "render_dfg_text", "render_dfg_dot"]
 
@@ -40,58 +29,16 @@ __all__ = ["DFG_SCHEMA", "build_dfg", "render_dfg_text", "render_dfg_dot"]
 DFG_SCHEMA = "repro/store/dfg/v1"
 
 
-def _dfg_columnar_seq(
-    blob: bytes, rank: int, plan: Dict[str, Any]
-) -> List[Tuple[str, float, float]]:
-    """The filtered ``(name, timestamp, duration)`` sequence of one
-    columnar shard, capture order.
-
-    The graph needs the ``name`` column and the two time columns that
-    weight its edges (plus whatever the filters read); everything else
-    in the segment is skipped by frame length.
-    """
-    header = read_header(blob)
-    glob = plan["path_glob"]
-    matched_paths = None
-    if glob is not None and header.get("paths") is not None:
-        matched_paths = frozenset(
-            p for p in header["paths"] if fnmatchcase(p, glob)
-        )
-    if _columnar_prune(header, rank, plan, matched_paths):
-        return []
-    n = int(header["n_events"])
-    need = {"name", "timestamp", "duration"}
-    need.update(_filter_columns(plan))
-    cols = read_columns(blob, sorted(need))
-    sel = _columnar_selection(n, cols, plan, matched_paths)
-    names, stamps, durs = cols["name"], cols["timestamp"], cols["duration"]
-    if sel is None:
-        sel = range(n)
-    return [(names[i], stamps[i], durs[i]) for i in sel]
-
-
 def _dfg_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
     """One shard's partial graph (parallel-map worker entry).
 
-    Module level so it pickles into worker processes; returns only plain
-    JSON types.
+    Reads only the ``name`` column and the two time columns that weight
+    the edges (plus whatever the filters read).  Module level so it
+    pickles into worker processes; returns only plain JSON types.
     """
-    root, run_id, rank, sha, plan = task
-    bank = TraceBank(root, create=False)
-    blob = bank.read_segment_blob(sha)
-    plan = dict(plan)
-    for key in ("ranks", "names", "layers"):
-        if plan[key] is not None:
-            plan[key] = set(plan[key])
-    if is_columnar(blob):
-        seq = _dfg_columnar_seq(blob, rank, plan)
-    else:
-        tf = decode_segment(blob, expected_sha=sha)
-        seq = [
-            (e.name, e.timestamp, e.duration)
-            for e in tf.events
-            if _event_matches(e, rank, plan)
-        ]
+    cols, idxs = scan_columns(task, ("name", "timestamp", "duration"))
+    names, stamps, durs = cols["name"], cols["timestamp"], cols["duration"]
+    seq = [(names[i], stamps[i], durs[i]) for i in idxs]
     nodes: Dict[str, int] = {}
     edges: Dict[str, Dict[str, int]] = {}
     times: Dict[str, Dict[str, List[float]]] = {}

@@ -13,11 +13,10 @@ check), and a corrupt cache file is silently discarded and rebuilt.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.atomicfile import atomic_write
 from repro.store.manifest import RunManifest
 
 __all__ = ["INDEX_SCHEMA", "ManifestIndex"]
@@ -49,23 +48,6 @@ class ManifestIndex:
             return {}
         entries = obj.get("entries")
         return entries if isinstance(entries, dict) else {}
-
-    def _write_cache(self, entries: Dict[str, dict]) -> None:
-        body = json.dumps(
-            {"schema": INDEX_SCHEMA, "entries": entries}, sort_keys=True
-        )
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.cache_path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, self.cache_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load(self, refresh_cache: bool = True) -> List[RunManifest]:
         """Every manifest, sorted by ``run_id``.
@@ -115,8 +97,12 @@ class ManifestIndex:
                     "manifest": body,
                 }
         if refresh_cache and (self.parsed or set(fresh) != set(cached)):
+            body = json.dumps(
+                {"schema": INDEX_SCHEMA, "entries": fresh}, sort_keys=True
+            )
             try:
-                self._write_cache(fresh)
+                # A rebuildable accelerator: atomic, but never fsynced.
+                atomic_write(self.cache_path, body.encode("utf-8"), durable=False)
             except OSError:
                 pass  # a read-only archive still queries fine, just cold
         out.sort(key=lambda m: m.run_id)

@@ -8,8 +8,10 @@ A query is answered in three stages:
    against the query's rank/op/layer/time predicates
    (:meth:`~repro.store.segments.SegmentMeta.may_match`): segments that
    cannot contain a matching event are never read — predicate pushdown;
-3. **Scan** — surviving shards are decoded and filtered, fanned out over
-   worker processes via :func:`repro.harness.parallel.parallel_map`.
+3. **Scan** — surviving shards are read as columns (only the fields the
+   filters and the aggregate touch, no event objects) and filtered,
+   fanned out over worker processes via
+   :func:`repro.harness.parallel.parallel_map`.
 
 Partial results are merged in shard order (sorted by ``(run_id, rank,
 sha)``) regardless of worker completion order, and every report is
@@ -35,9 +37,6 @@ from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
 from repro.store.manifest import RunManifest
-from repro.store.segments import decode_segment
-from repro.trace.columnar import is_columnar, read_columns, read_header
-from repro.trace.events import TraceEvent
 
 __all__ = ["AGGREGATES", "Query", "run_query", "scan_events", "telemetry_view"]
 
@@ -203,44 +202,7 @@ def select_shards(
     return selected, shards, stats
 
 
-def _event_matches(e: TraceEvent, rank: int, plan: Dict[str, Any]) -> bool:
-    if plan["ranks"] is not None and rank not in plan["ranks"]:
-        return False
-    if plan["names"] is not None and e.name not in plan["names"]:
-        return False
-    if plan["layers"] is not None and e.layer.value not in plan["layers"]:
-        return False
-    since, until = plan["since"], plan["until"]
-    if since is not None and e.timestamp < since:
-        return False
-    if until is not None and e.timestamp >= until:
-        return False
-    glob = plan["path_glob"]
-    if glob is not None and (e.path is None or not fnmatchcase(e.path, glob)):
-        return False
-    return True
-
-
-def _event_json(e: TraceEvent, run_id: str, rank: int, seq: int) -> Dict[str, Any]:
-    return {
-        "run": run_id,
-        "rank": rank,
-        "seq": seq,
-        "timestamp": e.timestamp,
-        "duration": e.duration,
-        "layer": e.layer.value,
-        "name": e.name,
-        "pid": e.pid,
-        "hostname": e.hostname,
-        "path": e.path,
-        "fd": e.fd,
-        "nbytes": e.nbytes,
-        "offset": e.offset,
-        "result": e.result if isinstance(e.result, (int, str)) else None,
-    }
-
-
-#: Columns each aggregate reads from a columnar segment (beyond filters).
+#: Columns each aggregate reads from a segment (beyond filters).
 _AGG_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "events": ("timestamp", "duration", "layer", "name", "pid", "hostname",
                "path", "fd", "nbytes", "offset", "result"),
@@ -248,17 +210,6 @@ _AGG_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "bytes": ("nbytes",),
     "bandwidth": ("timestamp", "nbytes"),
 }
-
-
-def _empty_partial(agg: str, rank: int) -> Dict[str, Any]:
-    """The zero-match partial for one shard (pruned-by-header case)."""
-    if agg == "events":
-        return {"matched": 0, "events": []}
-    if agg == "ops":
-        return {"matched": 0, "ops": {}}
-    if agg == "bytes":
-        return {"matched": 0, "rank": rank, "events": 0, "bytes": 0}
-    return {"matched": 0, "buckets": {}}
 
 
 def _filter_columns(plan: Dict[str, Any]) -> List[str]:
@@ -275,59 +226,35 @@ def _filter_columns(plan: Dict[str, Any]) -> List[str]:
     return need
 
 
-def _columnar_prune(
-    header: Dict[str, Any],
-    rank: int,
-    plan: Dict[str, Any],
-    matched_paths: Optional[frozenset],
-) -> bool:
-    """Header-only necessary-condition check: True means zero matches.
+def scan_columns(
+    task: Tuple[str, str, int, str, Dict[str, Any]], fields: Sequence[str]
+) -> Tuple[Dict[str, List[Any]], Sequence[int]]:
+    """Read one shard's columns and select the events the plan keeps.
 
-    This is column-granularity pushdown *below* the manifest's
-    :meth:`~repro.store.segments.SegmentMeta.may_match`: the segment
-    header's own stats (distinct names, timestamp min/max, distinct
-    paths) can rule a segment out after reading one JSON frame, before
-    any column is decompressed.
+    Returns the projected ``fields`` plus whatever the filters read, and
+    the indices (capture order) of the matching events.  Rank, op-name
+    and time bounds that whole segments fail were already pruned by
+    :meth:`~repro.store.segments.SegmentMeta.may_match`; this applies the
+    same predicates per event.  The path glob is evaluated once per
+    distinct path, not once per event.
     """
-    if plan["ranks"] is not None and rank not in plan["ranks"]:
-        return True
-    if not header.get("n_events"):
-        return True
-    names = header.get("names")
-    if plan["names"] is not None and names is not None:
-        if not plan["names"].intersection(names):
-            return True
-    ts = (header.get("stats") or {}).get("timestamp")
-    if ts:
-        if plan["since"] is not None and ts["max"] < plan["since"]:
-            return True
-        if plan["until"] is not None and ts["min"] >= plan["until"]:
-            return True
-    if plan["path_glob"] is not None and matched_paths is not None:
-        if not matched_paths:
-            return True
-    return False
-
-
-def _columnar_selection(
-    n: int,
-    cols: Dict[str, List[Any]],
-    plan: Dict[str, Any],
-    matched_paths: Optional[frozenset],
-) -> Optional[List[int]]:
-    """Indices of events surviving the plan's filters (None = all survive).
-
-    The path glob is evaluated per *distinct* path when the header listed
-    them (``matched_paths``), turning a per-event fnmatch into a set
-    lookup.
-    """
-    names = plan["names"]
-    layers = plan["layers"]
+    root, _run_id, _rank, sha, plan = task
+    need = set(fields)
+    need.update(_filter_columns(plan))
+    cols = TraceBank(root, create=False).read_columns(sha, sorted(need))
+    n = len(cols[fields[0]])
+    names = set(plan["names"]) if plan["names"] is not None else None
+    layers = set(plan["layers"]) if plan["layers"] is not None else None
     since, until = plan["since"], plan["until"]
     glob = plan["path_glob"]
     if (names is None and layers is None and since is None
             and until is None and glob is None):
-        return None
+        return cols, range(n)
+    paths: Optional[set] = None
+    if glob is not None:
+        paths = {
+            p for p in set(cols["path"]) if p is not None and fnmatchcase(p, glob)
+        }
     name_col = cols.get("name")
     layer_col = cols.get("layer")
     ts_col = cols.get("timestamp")
@@ -343,45 +270,23 @@ def _columnar_selection(
             continue
         if until is not None and ts_col[i] >= until:
             continue
-        if glob is not None:
-            p = path_col[i]
-            if p is None:
-                continue
-            if matched_paths is not None:
-                if p not in matched_paths:
-                    continue
-            elif not fnmatchcase(p, glob):
-                continue
+        if paths is not None and path_col[i] not in paths:
+            continue
         append(i)
-    return keep
+    return cols, keep
 
 
-def _scan_shard_columnar(
-    blob: bytes, run_id: str, rank: int, plan: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Columnar scan: project only the columns the aggregate touches.
+def _scan_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
+    """Project + filter + partially aggregate one shard (worker entry).
 
-    Produces bit-identical partials to the row path — per-shard float
-    sums (``ops`` durations) accumulate in segment order either way.
+    Module-level so it pickles into :func:`~repro.harness.parallel.parallel_map`
+    worker processes.  Partial results use only plain JSON types; float
+    sums (``ops`` durations) accumulate in segment order.
     """
+    _root, run_id, rank, _sha, plan = task
     agg = plan["agg"]
-    header = read_header(blob)
-    glob = plan["path_glob"]
-    matched_paths: Optional[frozenset] = None
-    if glob is not None and header.get("paths") is not None:
-        matched_paths = frozenset(
-            p for p in header["paths"] if fnmatchcase(p, glob)
-        )
-    if _columnar_prune(header, rank, plan, matched_paths):
-        return _empty_partial(agg, rank)
-    n = int(header["n_events"])
-    need = set(_AGG_COLUMNS[agg])
-    need.update(_filter_columns(plan))
-    cols = read_columns(blob, sorted(need))
-    sel = _columnar_selection(n, cols, plan, matched_paths)
-    idxs: Sequence[int] = range(n) if sel is None else sel
-    matched = n if sel is None else len(sel)
-    out: Dict[str, Any] = {"matched": matched}
+    cols, idxs = scan_columns(task, _AGG_COLUMNS[agg])
+    out: Dict[str, Any] = {"matched": len(idxs)}
     if agg == "events":
         ts, du = cols["timestamp"], cols["duration"]
         ly, nm = cols["layer"], cols["name"]
@@ -417,14 +322,9 @@ def _scan_shard_columnar(
         out["ops"] = ops
     elif agg == "bytes":
         nb = cols["nbytes"]
-        total = 0
-        for i in idxs:
-            v = nb[i]
-            if v is not None:
-                total += v
         out["rank"] = rank
-        out["events"] = matched
-        out["bytes"] = total
+        out["events"] = len(idxs)
+        out["bytes"] = sum(nb[i] for i in idxs if nb[i] is not None)
     else:  # bandwidth
         window = plan["window"]
         ts, nb = cols["timestamp"], cols["nbytes"]
@@ -435,72 +335,6 @@ def _scan_shard_columnar(
                 key = str(int(ts[i] // window))
                 buckets[key] = buckets.get(key, 0) + v
         out["buckets"] = buckets
-    return out
-
-
-def _scan_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Decode + filter + partially aggregate one shard (worker entry).
-
-    Module-level so it pickles into :func:`~repro.harness.parallel.parallel_map`
-    worker processes.  Partial results use only plain JSON types.
-    Columnar (v2) segments take the projected-scan fast path; v1 segments
-    decode row by row exactly as before.
-    """
-    root, run_id, rank, sha, plan = task
-    bank = TraceBank(root, create=False)
-    blob = bank.read_segment_blob(sha)
-    plan = dict(plan)
-    for key in ("ranks", "names", "layers"):
-        if plan[key] is not None:
-            plan[key] = set(plan[key])
-    if is_columnar(blob):
-        return _scan_shard_columnar(blob, run_id, rank, plan)
-    tf = decode_segment(blob, expected_sha=sha)
-    agg = plan["agg"]
-    matched = 0
-    out: Dict[str, Any] = {"matched": 0}
-    if agg == "events":
-        rows: List[Dict[str, Any]] = []
-        for seq, e in enumerate(tf.events):
-            if _event_matches(e, rank, plan):
-                rows.append(_event_json(e, run_id, rank, seq))
-        matched = len(rows)
-        out["events"] = rows
-    elif agg == "ops":
-        ops: Dict[str, List[float]] = {}
-        for e in tf.events:
-            if _event_matches(e, rank, plan):
-                matched += 1
-                cell = ops.setdefault(e.name, [0, 0.0])
-                cell[0] += 1
-                cell[1] += e.duration
-        out["ops"] = ops
-    elif agg == "bytes":
-        n_events = 0
-        nbytes = 0
-        for e in tf.events:
-            if _event_matches(e, rank, plan):
-                matched += 1
-                n_events += 1
-                if e.nbytes is not None:
-                    nbytes += e.nbytes
-        out["rank"] = rank
-        out["events"] = n_events
-        out["bytes"] = nbytes
-    elif agg == "bandwidth":
-        window = plan["window"]
-        buckets: Dict[str, int] = {}
-        for e in tf.events:
-            if _event_matches(e, rank, plan):
-                matched += 1
-                if e.nbytes is not None:
-                    idx = int(e.timestamp // window)
-                    key = str(idx)
-                    buckets[key] = buckets.get(key, 0) + e.nbytes
-        out["buckets"] = buckets
-    else:  # pragma: no cover - validate() rejects this before scan
-        raise StoreQueryError("unknown aggregate %r" % agg)
-    out["matched"] = matched
     return out
 
 

@@ -1,20 +1,19 @@
 """Content-addressed trace segments: the archive's unit of storage.
 
 A *segment* is one ``(run, rank)`` slice of a trace bundle — a
-:class:`~repro.trace.records.TraceFile` — serialized with one of two
-codecs and addressed by the SHA-256 of its encoded bytes:
+:class:`~repro.trace.records.TraceFile` — serialized in the Tracefs-style
+binary format (RTBF, :mod:`repro.trace.binary_format`: CRC32-framed,
+zlib-compressed record blocks) and addressed by the SHA-256 of its
+encoded bytes.  Encoding is deterministic (fixed zlib level, canonical
+field order), so re-ingesting an identical run re-derives the same
+bytes, the same digest, and therefore the same on-disk file: the
+archive dedups for free.
 
-* ``v1`` — the row-major record stream (:mod:`repro.trace.binary_format`);
-* ``v2`` — the columnar layout (:mod:`repro.trace.columnar`), which the
-  query engine scans by projecting only the columns an aggregate needs.
-
-Both inherit CRC32 framing and optional zlib compression.  Readers never
-need to be told which codec a blob uses — :func:`decode_segment` sniffs
-the magic, so v1 archives stay readable forever and a single archive can
-hold a mix.  Content addressing is what makes the archive dedup for free:
-re-ingesting an identical run re-derives the same bytes, the same digest,
-and therefore the same on-disk file (per codec: the same events encoded
-v1 and v2 are two distinct segments).
+Readers sniff the magic, so archives that also hold legacy columnar
+(RTCF, :mod:`repro.trace.columnar`) segments stay readable:
+:func:`decode_segment` rebuilds events from either format and
+:func:`segment_columns` projects logical columns from either without
+building events — the scan path every archive aggregate uses.
 
 Every segment carries a :class:`SegmentMeta` summary in its run manifest —
 time range, per-op and per-layer counts, payload bytes — which is what the
@@ -25,30 +24,24 @@ them.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
-from repro.errors import StoreCorruptionError, StoreError, TraceError
-from repro.trace.binary_format import decode_trace_file, encode_trace_file
-from repro.trace.columnar import (
-    decode_trace_file_columnar,
-    encode_trace_file_columnar,
-    is_columnar,
-)
+from repro.errors import StoreCorruptionError, TraceError
+from repro.trace import binary_format, columnar
 from repro.trace.records import TraceFile
 
 __all__ = [
-    "CODECS",
     "SegmentMeta",
+    "archive_errors",
+    "check_address",
     "content_address",
     "encode_segment",
     "decode_segment",
-    "segment_codec",
+    "segment_columns",
     "summarize_segment",
 ]
-
-#: Codec names accepted by :func:`encode_segment` (and the CLI ``--codec``).
-CODECS = ("v1", "v2")
 
 
 def content_address(blob: bytes) -> str:
@@ -56,63 +49,70 @@ def content_address(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def encode_segment(
-    tf: TraceFile,
-    compressed: bool = True,
-    checksum: bool = True,
-    codec: str = "v1",
-) -> Tuple[bytes, str]:
-    """Serialize one per-rank trace file; returns ``(blob, sha256)``.
-
-    ``codec`` picks the wire layout: ``"v1"`` row-major records, ``"v2"``
-    columnar.  Either encoding is deterministic for fixed codec flags
-    (fixed zlib level, canonical field order), so identical events always
-    produce identical bytes — the property content addressing depends on.
-    """
-    if codec == "v1":
-        blob = encode_trace_file(tf, compressed=compressed, checksum=checksum)
-    elif codec == "v2":
-        blob = encode_trace_file_columnar(
-            tf, compressed=compressed, checksum=checksum
+def check_address(blob: bytes, sha: str) -> None:
+    """Raise :class:`~repro.errors.StoreCorruptionError` unless ``blob``
+    hashes to ``sha``."""
+    got = content_address(blob)
+    if got != sha:
+        raise StoreCorruptionError(
+            "segment content hash mismatch: manifest says %s, bytes are %s"
+            % (sha[:12], got[:12])
         )
-    else:
-        raise StoreError("unknown segment codec %r (expected one of %s)"
-                         % (codec, ", ".join(CODECS)))
+
+
+@contextmanager
+def archive_errors(sha: str) -> Iterator[None]:
+    """Report decode failures of archived bytes as archive corruption.
+
+    The caller is reading the archive, not a user file, so a
+    :class:`~repro.errors.TraceError` becomes a
+    :class:`~repro.errors.StoreCorruptionError` naming the segment.
+    """
+    try:
+        yield
+    except TraceError as exc:
+        raise StoreCorruptionError(
+            "segment %s fails to decode: %s" % (sha[:12], exc)
+        ) from exc
+
+
+def encode_segment(tf: TraceFile) -> Tuple[bytes, str]:
+    """Serialize one per-rank trace file as RTBF; returns ``(blob, sha256)``."""
+    blob = binary_format.encode_trace_file(tf)
     return blob, content_address(blob)
 
 
-def segment_codec(blob: bytes) -> str:
-    """Which codec wrote ``blob`` — ``"v2"`` by magic sniff, else ``"v1"``."""
-    return "v2" if is_columnar(blob) else "v1"
-
-
 def decode_segment(blob: bytes, expected_sha: str = "") -> TraceFile:
-    """Decode a segment blob back into a :class:`TraceFile`.
+    """Decode a segment blob (RTBF or legacy RTCF) into a :class:`TraceFile`.
 
-    The codec is sniffed from the blob's magic, so mixed-codec archives
-    and pre-columnar (v1) archives decode transparently.  When
-    ``expected_sha`` is given the blob's digest is verified first, and
+    When ``expected_sha`` is given the blob's digest is verified first and
     decode failures are reported as archive corruption
-    (:class:`~repro.errors.StoreCorruptionError`) rather than plain trace
-    format errors — the caller is reading the archive, not a user file.
+    (:func:`archive_errors`) rather than plain trace format errors.
     """
-    if expected_sha:
-        got = content_address(blob)
-        if got != expected_sha:
-            raise StoreCorruptionError(
-                "segment content hash mismatch: manifest says %s, bytes are %s"
-                % (expected_sha[:12], got[:12])
-            )
-    try:
-        if is_columnar(blob):
-            return decode_trace_file_columnar(blob)
-        return decode_trace_file(blob)
-    except TraceError as exc:
-        if expected_sha:
-            raise StoreCorruptionError(
-                "segment %s fails to decode: %s" % (expected_sha[:12], exc)
-            ) from exc
-        raise
+    if not expected_sha:
+        return _decode(blob)
+    check_address(blob, expected_sha)
+    with archive_errors(expected_sha):
+        return _decode(blob)
+
+
+def _decode(blob: bytes) -> TraceFile:
+    if columnar.is_columnar(blob):
+        return columnar.decode_trace_file_columnar(blob)
+    return binary_format.decode_trace_file(blob)
+
+
+def segment_columns(blob: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
+    """Project logical per-event columns out of one segment.
+
+    ``fields`` are :class:`~repro.trace.events.TraceEvent` field names;
+    columns come back as :func:`repro.trace.binary_format.read_columns`
+    describes (``layer`` as its string value, ``None`` for absent
+    optionals) whichever format wrote the blob, without building events.
+    """
+    if columnar.is_columnar(blob):
+        return columnar.read_columns(blob, fields)
+    return binary_format.read_columns(blob, fields)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,20 @@ Layout::
     magic "RTBF" | version u16 | frame(header-json) | frame(block)*
 
 where each block is ``compress(count u32 | record*)``.
+
+The same format is the trace archive's segment format
+(:mod:`repro.store.segments`).  One record walker serves both readers:
+:func:`decode_trace_file` builds events, and :func:`read_columns`
+projects per-field columns without building them — how every archive
+aggregate scans.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import TraceFormatError, TraceTruncatedError
 from repro.trace.checksum import frame, unframe
@@ -32,13 +39,22 @@ from repro.trace.compressio import compress, decompress
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 
-__all__ = ["encode_trace_file", "decode_trace_file", "encode_event_record", "decode_event_record"]
+__all__ = [
+    "FIELDS",
+    "encode_trace_file",
+    "decode_trace_file",
+    "encode_event_record",
+    "decode_event_record",
+    "read_columns",
+]
 
 MAGIC = b"RTBF"
 VERSION = 1
 
 _FIXED = struct.Struct("<ddBIqqqB")
 # timestamp f8 | duration f8 | layer u8 | pid u32 | fd q | nbytes q | offset q | flags u8
+_RECORD = struct.Struct("<ddBIqqqBi")
+# _FIXED plus the i32 rank that follows it on the wire
 _F_RANK = 1 << 0
 _F_FD = 1 << 1
 _F_NBYTES = 1 << 2
@@ -48,6 +64,22 @@ _F_RESULT = 1 << 5
 
 _LAYER_CODE = {layer: i for i, layer in enumerate(EventLayer)}
 _CODE_LAYER = {i: layer for layer, i in _LAYER_CODE.items()}
+_CODE_LAYER_VALUE = {i: layer.value for i, layer in _CODE_LAYER.items()}
+
+#: The logical fields :func:`read_columns` projects.
+FIELDS = ("timestamp", "duration", "layer", "name", "args", "result", "pid",
+          "rank", "hostname", "user", "path", "fd", "nbytes", "offset")
+
+# Slots of the walker's raw record rows (see _read_records).
+(_TS, _DUR, _LAYER, _PID, _FD, _NBYTES, _OFF, _FLAGS, _RANK,
+ _NAME, _HOST, _USER, _PATH, _RESULT, _ARGS) = range(15)
+_SLOT = {"timestamp": _TS, "duration": _DUR, "layer": _LAYER, "pid": _PID,
+         "fd": _FD, "nbytes": _NBYTES, "offset": _OFF, "rank": _RANK,
+         "name": _NAME, "hostname": _HOST, "user": _USER, "path": _PATH,
+         "result": _RESULT, "args": _ARGS}
+# Optional fields and the flag bit saying the slot holds a real value.
+_PRESENCE = {"rank": _F_RANK, "fd": _F_FD, "nbytes": _F_NBYTES,
+             "offset": _F_OFFSET, "path": _F_PATH}
 
 
 def _pack_str(text: str) -> bytes:
@@ -55,22 +87,6 @@ def _pack_str(text: str) -> bytes:
     if len(raw) > 0xFFFF:
         raise TraceFormatError("string too long for binary record")
     return struct.pack("<H", len(raw)) + raw
-
-
-def _unpack_str(data: bytes, offset: int) -> Tuple[str, int]:
-    if offset + 2 > len(data):
-        raise TraceTruncatedError("string length truncated")
-    (n,) = struct.unpack_from("<H", data, offset)
-    start = offset + 2
-    if start + n > len(data):
-        raise TraceTruncatedError("string body truncated")
-    try:
-        text = data[start : start + n].decode("utf-8")
-    except UnicodeDecodeError:
-        # Reachable with checksumming disabled: a flipped bit inside a
-        # string body must surface as a format error, not a decode crash.
-        raise TraceFormatError("corrupt UTF-8 in string field") from None
-    return text, start + n
 
 
 def encode_event_record(event: TraceEvent) -> bytes:
@@ -117,60 +133,114 @@ def encode_event_record(event: TraceEvent) -> bytes:
     return b"".join(parts)
 
 
-def decode_event_record(data: bytes, offset: int = 0) -> Tuple[TraceEvent, int]:
-    """Deserialize one event at ``offset``; returns ``(event, next_offset)``."""
-    if offset + _FIXED.size > len(data):
-        raise TraceTruncatedError("record fixed part truncated")
-    ts, dur, layer_code, pid, fd, nbytes, off_, flags = _FIXED.unpack_from(data, offset)
-    pos = offset + _FIXED.size
-    if pos + 4 > len(data):
-        raise TraceTruncatedError("record rank truncated")
-    (rank,) = struct.unpack_from("<i", data, pos)
-    pos += 4
-    name, pos = _unpack_str(data, pos)
-    hostname, pos = _unpack_str(data, pos)
-    user, pos = _unpack_str(data, pos)
-    path, pos = _unpack_str(data, pos)
-    result_text, pos = _unpack_str(data, pos)
-    args_json, pos = _unpack_str(data, pos)
+def _read_records(data: bytes, pos: int, count: int, rows: List[tuple]) -> int:
+    """Append ``count`` raw records read at ``pos``; returns the end offset.
+
+    The record walker's inner loop and the archive scan's hot path.  A
+    row is the :data:`_RECORD` numbers followed by the six
+    length-prefixed strings (name, hostname, user, path, rendered
+    result, args JSON) as undecoded bytes: whoever reads a string
+    decodes it (:func:`_texts`), so a projection pays only for its own
+    columns.  The string reads are unrolled for speed.
+    """
+    unpack = _RECORD.unpack_from
+    size = _RECORD.size
+    end = len(data)
+    layers = _CODE_LAYER
+    append = rows.append
     try:
-        layer = _CODE_LAYER[layer_code]
-    except KeyError:
-        raise TraceFormatError("unknown layer code %d" % layer_code) from None
+        for _ in range(count):
+            fixed = unpack(data, pos)
+            pos += size
+            n = data[pos] | data[pos + 1] << 8
+            name = data[pos + 2 : pos + 2 + n]
+            pos += 2 + n
+            n = data[pos] | data[pos + 1] << 8
+            host = data[pos + 2 : pos + 2 + n]
+            pos += 2 + n
+            n = data[pos] | data[pos + 1] << 8
+            user = data[pos + 2 : pos + 2 + n]
+            pos += 2 + n
+            n = data[pos] | data[pos + 1] << 8
+            path = data[pos + 2 : pos + 2 + n]
+            pos += 2 + n
+            n = data[pos] | data[pos + 1] << 8
+            result = data[pos + 2 : pos + 2 + n]
+            pos += 2 + n
+            n = data[pos] | data[pos + 1] << 8
+            args = data[pos + 2 : pos + 2 + n]
+            pos += 2 + n
+            if pos > end or fixed[_LAYER] not in layers or fixed[_DUR] < 0:
+                _reject(fixed, pos > end)
+            append(fixed + (name, host, user, path, result, args))
+    except (IndexError, struct.error):
+        raise TraceTruncatedError("record truncated") from None
+    return pos
+
+
+def _reject(fixed: tuple, truncated: bool) -> None:
+    """Raise the typed error for a record the walker refused."""
+    if truncated:
+        raise TraceTruncatedError("record string body truncated")
+    if fixed[_LAYER] not in _CODE_LAYER:
+        raise TraceFormatError("unknown layer code %d" % fixed[_LAYER])
+    # Only unchecksummed data gets here: a corrupted (negative) duration
+    # is a format error, not a TraceEvent crash.
+    raise TraceFormatError("invalid event fields in record")
+
+
+def _texts(raws: Sequence[bytes]) -> List[str]:
     try:
-        args = tuple(json.loads(args_json))
+        return [raw.decode("utf-8") for raw in raws]
+    except UnicodeDecodeError:
+        # Reachable with checksumming disabled: a flipped bit inside a
+        # string body must surface as a format error, not a decode crash.
+        raise TraceFormatError("corrupt UTF-8 in string field") from None
+
+
+def _parse_result(text: str) -> Any:
+    """A present result, re-parsed from its rendered text (int or str)."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _parse_args(text: str) -> Tuple[Any, ...]:
+    try:
+        return tuple(json.loads(text))
     except (ValueError, TypeError):
         # TypeError covers corrupt-but-valid JSON scalars (e.g. "5"):
         # tuple(5) is not an args list, it is a damaged record.
         raise TraceFormatError("corrupt args JSON in record") from None
-    result: Optional[object] = None
-    if flags & _F_RESULT:
-        try:
-            result = int(result_text)
-        except ValueError:
-            result = result_text
-    try:
-        event = TraceEvent(
-            timestamp=ts,
-            duration=dur,
-            layer=layer,
-            name=name,
-            args=args,
-            result=result,
-            pid=pid,
-            rank=rank if flags & _F_RANK else None,
-            hostname=hostname,
-            user=user,
-            path=path if flags & _F_PATH else None,
-            fd=fd if flags & _F_FD else None,
-            nbytes=nbytes if flags & _F_NBYTES else None,
-            offset=off_ if flags & _F_OFFSET else None,
-        )
-    except (ValueError, TypeError):
-        # Reachable only for unchecksummed data: corrupted numeric fields
-        # (e.g. negative durations) surface as format errors, not crashes.
-        raise TraceFormatError("invalid event fields in record") from None
-    return event, pos
+
+
+def _to_event(row: tuple) -> TraceEvent:
+    ts, dur, layer_code, pid, fd, nbytes, off, flags, rank = row[:_NAME]
+    name, hostname, user, path, result, args = _texts(row[_NAME:])
+    return TraceEvent(
+        timestamp=ts,
+        duration=dur,
+        layer=_CODE_LAYER[layer_code],
+        name=name,
+        args=_parse_args(args),
+        result=_parse_result(result) if flags & _F_RESULT else None,
+        pid=pid,
+        rank=rank if flags & _F_RANK else None,
+        hostname=hostname,
+        user=user,
+        path=path if flags & _F_PATH else None,
+        fd=fd if flags & _F_FD else None,
+        nbytes=nbytes if flags & _F_NBYTES else None,
+        offset=off if flags & _F_OFFSET else None,
+    )
+
+
+def decode_event_record(data: bytes, offset: int = 0) -> Tuple[TraceEvent, int]:
+    """Deserialize one event at ``offset``; returns ``(event, next_offset)``."""
+    rows: List[tuple] = []
+    pos = _read_records(data, offset, 1, rows)
+    return _to_event(rows[0]), pos
 
 
 def encode_trace_file(
@@ -202,8 +272,13 @@ def encode_trace_file(
     return b"".join(out)
 
 
-def decode_trace_file(data: bytes) -> TraceFile:
-    """Invert :func:`encode_trace_file`, verifying checksums."""
+def _walk(data: bytes) -> Tuple[Dict[str, Any], List[tuple]]:
+    """Validate a whole trace and return ``(header, raw records)``.
+
+    The one record walker: :func:`decode_trace_file` builds events from
+    its rows and :func:`read_columns` projects them, so both check
+    framing, checksums, counts and record bounds the same way.
+    """
     if data[: len(MAGIC)] != MAGIC:
         raise TraceFormatError("not a binary trace (bad magic)")
     pos = len(MAGIC)
@@ -222,28 +297,66 @@ def decode_trace_file(data: bytes) -> TraceFile:
         # json.loads happily returns lists/scalars; header.get on one
         # would crash below with an AttributeError instead of a typed error.
         raise TraceFormatError("header is not a JSON object")
-    events: List[TraceEvent] = []
+    rows: List[tuple] = []
     while pos < len(data):
         payload, pos = unframe(data, pos)
         body = decompress(payload)
         if len(body) < 4:
             raise TraceTruncatedError("block count truncated")
         (count,) = struct.unpack_from("<I", body, 0)
-        rpos = 4
-        for _ in range(count):
-            event, rpos = decode_event_record(body, rpos)
-            events.append(event)
-        if rpos != len(body):
+        if _read_records(body, 4, count, rows) != len(body):
             raise TraceFormatError("trailing bytes inside block")
     expected = header.get("n_events")
-    if expected is not None and expected != len(events):
+    if expected is not None and expected != len(rows):
         raise TraceFormatError(
-            "header said %s events, decoded %d" % (expected, len(events))
+            "header said %s events, decoded %d" % (expected, len(rows))
         )
+    return header, rows
+
+
+def decode_trace_file(data: bytes) -> TraceFile:
+    """Invert :func:`encode_trace_file`, verifying checksums."""
+    header, rows = _walk(data)
     return TraceFile(
-        events,
+        [_to_event(row) for row in rows],
         hostname=header.get("hostname", ""),
         pid=header.get("pid", 0),
         rank=header.get("rank"),
         framework=header.get("framework", ""),
     )
+
+
+def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
+    """Project logical per-event columns without building events.
+
+    ``fields`` are :class:`~repro.trace.events.TraceEvent` field names
+    (:data:`FIELDS`); each column equals that field across
+    :func:`decode_trace_file`'s events, except that ``layer`` comes as
+    its string value.  Absent optionals are ``None`` and ``result`` is
+    int-or-str exactly as decode parses it.  Validation matches decode
+    (same walker), except that string fields (their UTF-8, the args
+    JSON) are only checked when projected.
+    """
+    unknown = set(fields).difference(FIELDS)
+    if unknown:
+        raise TraceFormatError("unknown columns requested: %s" % sorted(unknown))
+    _header, rows = _walk(data)
+    out: Dict[str, List[Any]] = {}
+    for field in fields:
+        col = list(map(itemgetter(_SLOT[field]), rows))
+        if _SLOT[field] >= _NAME:
+            col = _texts(col)
+        if field == "layer":
+            col = [_CODE_LAYER_VALUE[c] for c in col]
+        elif field == "args":
+            col = [_parse_args(t) for t in col]
+        elif field == "result":
+            col = [
+                _parse_result(t) if row[_FLAGS] & _F_RESULT else None
+                for t, row in zip(col, rows)
+            ]
+        elif field in _PRESENCE:
+            bit = _PRESENCE[field]
+            col = [v if row[_FLAGS] & bit else None for v, row in zip(col, rows)]
+        out[field] = col
+    return out

@@ -1,34 +1,24 @@
-"""Columnar binary trace codec (store codec v2).
+"""Legacy columnar segment reader (RTCF, read-only).
 
-Where the v1 codec (:mod:`repro.trace.binary_format`) serializes one
-record after another — so reading *any* field means decoding *every*
-field of every event — this codec shreds a :class:`~repro.trace.records.
-TraceFile` into per-field **columns**, each compressed and CRC-framed
-independently:
-
-* a query that touches two fields decompresses two frames and hops over
-  the rest by length prefix (:func:`repro.trace.checksum.frame_span`) —
-  no CRC pass, no inflate, no object construction for unused columns;
-* strings (op names, hostnames, users, paths, rendered results, args
-  JSON) are interned into one shared dictionary and stored as u32 ids —
-  traces repeat a handful of operation names millions of times, and the
-  repeats collapse to small integers before zlib ever sees them;
-* integer columns are delta-encoded (first value, then differences)
-  ahead of zlib; floats are stored as raw IEEE-754 little-endian
-  doubles, never delta'd, so decode is bit-exact;
-* the header carries per-column min/max plus the distinct op-name and
-  path sets, giving readers column-granularity predicate pushdown on
-  top of the manifest-granularity pruning the store already does.
+Earlier releases could archive segments in this columnar layout instead
+of the Tracefs-style binary format (:mod:`repro.trace.binary_format`).
+Nothing writes it any more, but archives holding such segments must
+still verify, load and query, so this module keeps the readers: full
+decode and column projection.
 
 Layout::
 
     magic "RTCF" | version u16 | frame(header-json) | frame(dictionary)
                  | frame(column)*   (fixed order, listed in the header)
 
-where each column frame body is ``compress(enc-tag u8 | packed-bytes)``.
-Nullable fields (rank, path, fd, nbytes, offset, result) ride as dense
-arrays with a per-event ``flags`` bitmap column marking which slots are
-real — exactly the v1 flag bits, transposed.
+Each column frame body is ``compress(enc-tag u8 | packed-bytes)``:
+strings are u32 ids into the shared dictionary frame, integer columns
+are delta-encoded (or raw, when a delta overflowed i64), floats are raw
+little-endian doubles.  Nullable fields (rank, path, fd, nbytes, offset,
+result) ride as dense arrays with a per-event ``flags`` bitmap column —
+the RTBF flag bits transposed, plus one bit recording that a present
+result was an int.  The header carries the event count and per-column
+statistics.
 """
 
 from __future__ import annotations
@@ -36,11 +26,11 @@ from __future__ import annotations
 import json
 import struct
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import TraceFormatError, TraceTruncatedError
-from repro.trace.checksum import frame, frame_span, unframe
-from repro.trace.compressio import compress, decompress
+from repro.trace.checksum import frame_span, unframe
+from repro.trace.compressio import decompress
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 
@@ -48,7 +38,6 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "COLUMNS",
-    "encode_trace_file_columnar",
     "decode_trace_file_columnar",
     "is_columnar",
     "read_header",
@@ -107,36 +96,6 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 
-class _Interner:
-    """First-occurrence string dictionary: str -> dense u32 id."""
-
-    __slots__ = ("ids", "strings")
-
-    def __init__(self) -> None:
-        self.ids: Dict[str, int] = {}
-        self.strings: List[str] = []
-
-    def put(self, text: str) -> int:
-        got = self.ids.get(text)
-        if got is not None:
-            return got
-        new_id = len(self.strings)
-        self.ids[text] = new_id
-        self.strings.append(text)
-        return new_id
-
-
-def _pack_dictionary(strings: Sequence[str]) -> bytes:
-    out = [_U32.pack(len(strings))]
-    for text in strings:
-        raw = text.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise TraceFormatError("string too long for dictionary entry")
-        out.append(_U16.pack(len(raw)))
-        out.append(raw)
-    return b"".join(out)
-
-
 def _unpack_dictionary(data: bytes) -> List[str]:
     if len(data) < 4:
         raise TraceTruncatedError("dictionary count truncated")
@@ -160,24 +119,6 @@ def _unpack_dictionary(data: bytes) -> List[str]:
     return strings
 
 
-def _pack_ints(values: Sequence[int]) -> bytes:
-    """Delta-pack an integer column (falls back to raw on i64 overflow)."""
-    n = len(values)
-    if n == 0:
-        return bytes([_ENC_DELTA])
-    deltas = [values[0]]
-    prev = values[0]
-    for v in values[1:]:
-        deltas.append(v - prev)
-        prev = v
-    try:
-        return bytes([_ENC_DELTA]) + struct.pack("<%dq" % n, *deltas)
-    except struct.error:
-        # A delta overflowed i64 (adversarial offsets); raw still fits
-        # because every stored value is i64 by format invariant.
-        return bytes([_ENC_RAW]) + struct.pack("<%dq" % n, *values)
-
-
 def _unpack_ints(data: bytes, n: int) -> List[int]:
     if not data:
         raise TraceTruncatedError("integer column truncated")
@@ -193,10 +134,6 @@ def _unpack_ints(data: bytes, n: int) -> List[int]:
     if tag == _ENC_RAW:
         return list(values)
     raise TraceFormatError("unknown integer column encoding 0x%02x" % tag)
-
-
-def _pack_floats(values: Sequence[float]) -> bytes:
-    return struct.pack("<%dd" % len(values), *values)
 
 
 def _unpack_floats(data: bytes, n: int) -> List[float]:
@@ -215,143 +152,16 @@ def _unpack_u8(data: bytes, n: int) -> List[int]:
     return list(data)
 
 
-def _numeric_stats(values: Sequence, present: Optional[Sequence[int]] = None) -> Optional[Dict[str, Any]]:
-    """Min/max over present slots (None when the column is all-null)."""
-    if present is None:
-        kept = values
-    else:
-        kept = [v for v, p in zip(values, present) if p]
-    if not kept:
-        return None
-    return {"min": min(kept), "max": max(kept)}
-
-
-def encode_trace_file_columnar(
-    tf: TraceFile, compressed: bool = True, checksum: bool = True
-) -> bytes:
-    """Serialize a trace file columnar-first (see module docstring)."""
-    events = tf.events
-    n = len(events)
-    interner = _Interner()
-
-    flags: List[int] = []
-    ts: List[float] = []
-    dur: List[float] = []
-    layer: List[int] = []
-    name_ids: List[int] = []
-    pids: List[int] = []
-    ranks: List[int] = []
-    host_ids: List[int] = []
-    user_ids: List[int] = []
-    path_ids: List[int] = []
-    fds: List[int] = []
-    nbytes_col: List[int] = []
-    offsets: List[int] = []
-    result_ids: List[int] = []
-    args_ids: List[int] = []
-
-    put = interner.put
-    for e in events:
-        f = 0
-        if e.rank is not None:
-            f |= _F_RANK
-        if e.fd is not None:
-            f |= _F_FD
-        if e.nbytes is not None:
-            f |= _F_NBYTES
-        if e.offset is not None:
-            f |= _F_OFFSET
-        if e.path is not None:
-            f |= _F_PATH
-        if e.result is not None:
-            f |= _F_RESULT
-            if isinstance(e.result, int) and not isinstance(e.result, bool):
-                f |= _F_RESULT_INT
-        flags.append(f)
-        ts.append(e.timestamp)
-        dur.append(e.duration)
-        layer.append(_LAYER_CODE[e.layer])
-        name_ids.append(put(e.name))
-        pids.append(e.pid)
-        ranks.append(e.rank if e.rank is not None else 0)
-        host_ids.append(put(e.hostname))
-        user_ids.append(put(e.user))
-        path_ids.append(put(e.path) if e.path is not None else 0)
-        fds.append(e.fd if e.fd is not None else 0)
-        nbytes_col.append(e.nbytes if e.nbytes is not None else 0)
-        offsets.append(e.offset if e.offset is not None else 0)
-        result_ids.append(put(str(e.result)) if e.result is not None else 0)
-        args_ids.append(put(json.dumps(list(e.args), separators=(",", ":"))))
-
-    series: Dict[str, Sequence] = {
-        "flags": flags,
-        "timestamp": ts,
-        "duration": dur,
-        "layer": layer,
-        "name": name_ids,
-        "pid": pids,
-        "rank": ranks,
-        "hostname": host_ids,
-        "user": user_ids,
-        "path": path_ids,
-        "fd": fds,
-        "nbytes": nbytes_col,
-        "offset": offsets,
-        "result": result_ids,
-        "args": args_ids,
-    }
-
-    # Per-column pushdown stats: numeric min/max over *present* values,
-    # plus the distinct op-name set (and path set, when small) so scans
-    # can drop a whole segment from the header alone.
-    rank_present = [f & _F_RANK for f in flags]
-    stats: Dict[str, Optional[Dict[str, Any]]] = {
-        "timestamp": _numeric_stats(ts),
-        "duration": _numeric_stats(dur),
-        "pid": _numeric_stats(pids),
-        "rank": _numeric_stats(ranks, rank_present),
-        "fd": _numeric_stats(fds, [f & _F_FD for f in flags]),
-        "nbytes": _numeric_stats(nbytes_col, [f & _F_NBYTES for f in flags]),
-        "offset": _numeric_stats(offsets, [f & _F_OFFSET for f in flags]),
-    }
-    distinct_names = sorted({e.name for e in events})
-    distinct_paths = sorted({e.path for e in events if e.path is not None})
-
-    header = {
-        "hostname": tf.hostname,
-        "pid": tf.pid,
-        "rank": tf.rank,
-        "framework": tf.framework,
-        "n_events": n,
-        "columns": [name for name, _enc in COLUMNS],
-        "stats": stats,
-        "names": distinct_names if len(distinct_names) <= 512 else None,
-        "paths": distinct_paths if len(distinct_paths) <= 512 else None,
-    }
-    header_raw = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
-
-    out = [MAGIC, _U16.pack(VERSION), frame(header_raw, with_checksum=checksum)]
-    out.append(
-        frame(
-            compress(_pack_dictionary(interner.strings), enabled=compressed),
-            with_checksum=checksum,
-        )
-    )
-    for col_name, enc in COLUMNS:
-        values = series[col_name]
-        if enc == "u8":
-            body = bytes(values)
-        elif enc == "f8":
-            body = _pack_floats(values)
-        else:  # "id" and "i64" are both integer columns
-            body = _pack_ints(values)
-        out.append(frame(compress(body, enabled=compressed), with_checksum=checksum))
-    return b"".join(out)
-
-
 def is_columnar(data: bytes) -> bool:
     """True when ``data`` carries the columnar magic."""
     return data[: len(MAGIC)] == MAGIC
+
+
+def _parse_args(text: str) -> Tuple[Any, ...]:
+    try:
+        return tuple(json.loads(text))
+    except (ValueError, TypeError):
+        raise TraceFormatError("corrupt args JSON in column") from None
 
 
 def _read_preamble(data: bytes) -> Tuple[Dict[str, Any], int]:
@@ -397,10 +207,10 @@ def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
 
     Returns logical per-event lists (``None`` filled in for absent
     nullable slots, strings resolved through the dictionary, ``layer``
-    rendered as its string value, ``args`` as its canonical JSON
-    rendering).  Only the frames the projection needs
-    are CRC-checked and decompressed; everything else is skipped by
-    length prefix.
+    rendered as its string value, ``args`` as a tuple) — the same shape
+    :func:`repro.trace.binary_format.read_columns` returns.  Only the
+    frames the projection needs are CRC-checked and decompressed;
+    everything else is skipped by length prefix.
     """
     header, pos = _read_preamble(data)
     n = int(header.get("n_events", 0))
@@ -467,7 +277,7 @@ def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
                     vals.append(t)
             out[field] = vals
         elif field == "args":
-            out[field] = strings(col)
+            out[field] = [_parse_args(t) for t in strings(col)]
         elif field == "rank":
             out[field] = [v if f & _F_RANK else None for v, f in zip(col, flags)]
         elif field == "fd":
@@ -482,7 +292,7 @@ def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
 
 
 def decode_trace_file_columnar(data: bytes) -> TraceFile:
-    """Invert :func:`encode_trace_file_columnar`, verifying checksums."""
+    """Decode a whole columnar segment, verifying checksums."""
     header, pos = _read_preamble(data)
     n = int(header.get("n_events", 0))
     dict_payload, pos = unframe(data, pos)
@@ -514,10 +324,7 @@ def decode_trace_file_columnar(data: bytes) -> TraceFile:
         if f & _F_RESULT:
             rendered = text(cols["result"][i])
             result = int(rendered) if f & _F_RESULT_INT else rendered
-        try:
-            args = tuple(json.loads(text(cols["args"][i])))
-        except (ValueError, TypeError):
-            raise TraceFormatError("corrupt args JSON in column") from None
+        args = _parse_args(text(cols["args"][i]))
         try:
             events.append(
                 TraceEvent(

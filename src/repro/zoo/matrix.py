@@ -65,7 +65,6 @@ def build_zoo_specs(
     framework: Optional[str] = None,
     telemetry: bool = False,
     store: Optional[str] = None,
-    store_codec: str = "v1",
 ) -> List[RunSpec]:
     """One spec per selected scenario, registry order."""
     return [
@@ -75,7 +74,6 @@ def build_zoo_specs(
             framework=framework,
             telemetry=telemetry,
             store=store,
-            store_codec=store_codec,
         )
         for sc in _select(scenarios)
     ]
@@ -160,7 +158,6 @@ def run_zoo_matrix(
     progress: Optional[Callable] = None,
     framework: Optional[str] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
     replay_check: bool = False,
     replay_timing: str = "afap",
 ) -> Dict[str, Any]:
@@ -174,7 +171,6 @@ def run_zoo_matrix(
         seed=seed,
         framework=framework,
         store=store,
-        store_codec=store_codec,
     )
     t0 = time.perf_counter()
     result = run_sweep(specs, jobs=jobs, cache=cache, progress=progress)

@@ -105,7 +105,6 @@ class ZooScenario:
         sim_timeout: Optional[float] = None,
         retries: int = 0,
         store: Optional[str] = None,
-        store_codec: str = "v1",
     ) -> RunSpec:
         """Lower this scenario to a pickle-safe harness :class:`RunSpec`."""
         return RunSpec.create(
@@ -120,7 +119,6 @@ class ZooScenario:
             sim_timeout=sim_timeout,
             retries=retries,
             store=store,
-            store_codec=store_codec,
         )
 
     def describe(self) -> Dict[str, Any]:

@@ -9,12 +9,13 @@ discard a durably-acked upload.
 """
 
 import asyncio
+import hashlib
 import json
 import threading
 
 from repro.errors import TraceError
 from repro.service import Request, ServiceApp
-from repro.service.ingestq import IngestQueue
+from repro.service.ingestq import WAL_SCHEMA, IngestQueue
 from repro.trace.binary_format import encode_trace_file
 from storeutil import make_trace_file
 
@@ -38,7 +39,7 @@ class TestConcurrentWalSeq:
                 barrier.wait()
                 for _ in range(per_thread):
                     entries.append(
-                        queue.write_wal("alice", body, trace, 0, {}, "v1")
+                        queue.write_wal("alice", body, trace, 0, {})
                     )
             except Exception as exc:  # surfaced below, not swallowed
                 errors.append(exc)
@@ -61,7 +62,7 @@ class TestConcurrentWalSeq:
         clash = queue.wal_dir / ("%08d-alice.wal" % queue._seq)
         clash.write_bytes(b"pre-existing durably-acked entry")
         try:
-            queue.write_wal("alice", body, trace, 0, {}, "v1")
+            queue.write_wal("alice", body, trace, 0, {})
         except Exception:
             pass  # refusing is fine...
         # ...overwriting is not.
@@ -137,4 +138,67 @@ class TestTransientCommitFailure:
         app, resp = asyncio.run(main())
         assert resp.status == 400
         assert app.queue.discarded == 1
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+
+class TestRetiredCodecParameter:
+    """Earlier releases took a segment codec per upload (``?codec=``) and
+    recorded it in each WAL entry header; an unknown value was acked with
+    202 and then failed every commit, so the entry stayed in the WAL
+    forever.  Ingest now has one segment format and ignores both."""
+
+    def test_ingest_with_codec_param_commits_and_empties_wal(self, tmp_path):
+        root = tmp_path / "svc"
+        _trace, body = _trace_and_body()
+        req = Request(
+            "POST", "/v1/t/alice/ingest", {"rank": ["0"], "codec": ["v3"]}, {}, body,
+        )
+
+        async def main():
+            app = ServiceApp(root)
+            await app.startup()
+            try:
+                resp = await app.handle(req)
+                await app.queue.queue.join()
+                runs = await app.handle(Request("GET", "/v1/t/alice/runs"))
+                return app, resp, runs
+            finally:
+                await app.shutdown()
+
+        app, resp, runs = asyncio.run(main())
+        assert resp.status == 202
+        assert app.queue.committed == 1 and app.queue.discarded == 0
+        assert len(json.loads(runs.body)["runs"]) == 1
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+    def test_wal_entry_with_codec_header_recovers_at_startup(self, tmp_path):
+        root = tmp_path / "svc"
+        _trace, body = _trace_and_body()
+        header = {
+            "schema": WAL_SCHEMA,
+            "tenant": "alice",
+            "rank": 0,
+            "meta": {},
+            "codec": "v3",
+            "nbytes": len(body),
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+        (root / "wal").mkdir(parents=True)
+        (root / "wal" / "00000000-alice.wal").write_bytes(
+            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
+        )
+
+        async def main():
+            app = ServiceApp(root)
+            await app.startup()
+            try:
+                await app.queue.queue.join()
+                runs = await app.handle(Request("GET", "/v1/t/alice/runs"))
+                return app, runs
+            finally:
+                await app.shutdown()
+
+        app, runs = asyncio.run(main())
+        assert app.queue.committed == 1 and app.queue.discarded == 0
+        assert len(json.loads(runs.body)["runs"]) == 1
         assert sorted((root / "wal").glob("*.wal")) == []

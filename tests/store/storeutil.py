@@ -2,9 +2,16 @@
 
 Hand-built bundles (no simulator runs) keep these tests fast; every
 builder is deterministic so content addresses and run ids are stable
-within a test.
+within a test.  ``corpus/`` holds a committed legacy archive (see
+:func:`corpus_bank`).
 """
 
+import json
+import shutil
+from pathlib import Path
+
+from repro.store.bank import TraceBank
+from repro.store.query import Query
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -44,3 +51,81 @@ def make_bundle(nranks=2, n=8, **kw):
         files={r: make_trace_file(rank=r, n=n, **kw) for r in range(nranks)},
         metadata={"framework": "lanl-trace", "workload": "unit"},
     )
+
+
+def corpus_bundle():
+    """The run archived twice (RTBF and RTCF) in ``corpus/``.
+
+    ``make_bundle(nranks=3, n=24)`` plus the cases the legacy columnar
+    reader must keep handling: varied ops, layers and missing optionals
+    on rank 1 (including the numeric-looking string result ``"42"``,
+    which RTBF re-parses as the int 42 and RTCF keeps as text), offsets
+    on rank 2 that overflow a 64-bit delta (RTCF falls back to raw
+    integer packing), and an empty rank 3 segment.
+    """
+    bundle = make_bundle(nranks=3, n=24)
+    r1 = bundle.files[1].events
+    r1[3] = r1[3].with_fields(name="SYS_open", result=3, nbytes=None,
+                              offset=None, args=("/pfs/f", 2))
+    r1[5] = r1[5].with_fields(name="SYS_read", result="42")
+    r1[7] = r1[7].with_fields(result="EAGAIN", rank=None, fd=None)
+    r1[9] = r1[9].with_fields(name="vfs_write", layer=EventLayer.VFS,
+                              path="/tmp/x", result=None)
+    r1[11] = r1[11].with_fields(name="SYS_close", path=None, nbytes=None,
+                                offset=None, args=(3,), result=0)
+    r2 = bundle.files[2].events
+    for i in range(len(r2)):
+        r2[i] = r2[i].with_fields(offset=(1 << 62) if i % 2 else 0)
+    bundle.files[3] = TraceFile([], hostname="host03", pid=103, rank=3,
+                                framework="lanl-trace")
+    return bundle
+
+
+#: The queries the corpus archive's expected reports cover.
+CORPUS_QUERIES = (
+    Query.create(agg="ops"),
+    Query.create(agg="bytes"),
+    Query.create(agg="bandwidth", window=0.02),
+    Query.create(agg="events", limit=40),
+    Query.create(agg="ops", names=["SYS_write"], ranks=[0, 2]),
+    Query.create(agg="events", since=0.05, until=0.2),
+    Query.create(agg="events", path_glob="/pfs/*"),
+    Query.create(agg="ops", layers=["syscall"]),
+    Query.create(agg="ops", names=["not_present"]),
+)
+
+
+def bundle_json(bundle):
+    """A loaded bundle as plain JSON (the corpus's expected form)."""
+    files = {}
+    for rank, tf in sorted(bundle.files.items()):
+        files[str(rank)] = {
+            "hostname": tf.hostname,
+            "pid": tf.pid,
+            "rank": tf.rank,
+            "framework": tf.framework,
+            "events": [
+                dict(vars(e), layer=e.layer.value, args=list(e.args))
+                for e in tf.events
+            ],
+        }
+    return {"metadata": bundle.metadata, "files": files}
+
+
+#: The committed legacy archive: ``corpus_bundle()`` stored as RTBF and
+#: as RTCF segments by the last release that wrote RTCF, plus the
+#: reports that release gave (``corpus/generate.py``).
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def corpus_bank(tmp_path):
+    """A writable copy of the corpus archive plus its ``expected.json``.
+
+    ``expected["runs"]`` maps ``"rtbf"``/``"rtcf"`` to run ids;
+    ``expected["reports"][label]`` holds that run's ``queries`` (one
+    report per :data:`CORPUS_QUERIES` entry), ``dfg`` and ``bundle``.
+    """
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "archive", root)
+    expected = json.loads((CORPUS / "expected.json").read_text("utf-8"))
+    return TraceBank(root, create=False), expected

@@ -77,6 +77,49 @@ class TestReads:
         ranks = [rank for rank, _e in bank.iter_run_events(r.run_id)]
         assert ranks == [0, 0, 0, 1, 1, 1]
 
+    def test_each_segment_read_hashes_once(self, bank, monkeypatch):
+        import repro.store.bank as bank_mod
+        import repro.store.segments as segments_mod
+
+        r = bank.ingest_bundle(make_bundle(nranks=3, n=4))
+        shas = [s.sha256 for s in bank.manifest(r.run_id).segments]
+        calls = []
+        real = segments_mod.content_address
+
+        def counting(blob):
+            calls.append(len(blob))
+            return real(blob)
+
+        monkeypatch.setattr(segments_mod, "content_address", counting)
+        monkeypatch.setattr(bank_mod, "content_address", counting)
+        reads = (
+            lambda: bank.read_segment(shas[0]),
+            lambda: bank.read_columns(shas[0], ["name"]),
+            lambda: bank.load_run_bundle(r.run_id),
+            lambda: list(bank.iter_run_events(r.run_id)),
+        )
+        for read, segments_read in zip(reads, (1, 1, 3, 3)):
+            del calls[:]
+            read()
+            assert len(calls) == segments_read
+
+    def test_corrupt_segment_reads_are_store_corruption(self, bank):
+        from repro.store.segments import content_address
+
+        r = bank.ingest_bundle(make_bundle(nranks=1, n=4))
+        sha = bank.manifest(r.run_id).segments[0].sha256
+        path = bank.segment_path(sha)
+        path.write_bytes(bit_flip(path.read_bytes(), 40))
+        bad = b"RTBF not a trace at all"
+        bad_sha = content_address(bad)
+        bank.segment_path(bad_sha).parent.mkdir(parents=True, exist_ok=True)
+        bank.segment_path(bad_sha).write_bytes(bad)
+        for target in (sha, bad_sha):  # hash mismatch, then undecodable
+            with pytest.raises(StoreCorruptionError):
+                bank.read_segment(target)
+            with pytest.raises(StoreCorruptionError):
+                bank.read_columns(target, ["name"])
+
     def test_stats_and_summary_render(self, bank):
         bank.ingest_bundle(make_bundle(nranks=2, n=4))
         stats = bank.stats()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from storeutil import make_event
+from storeutil import corpus_bank, make_event
 
 from repro.obs.metrics import canonical_json
 from repro.store import Query, TraceBank, build_dfg, render_dfg_dot, render_dfg_text
@@ -124,16 +124,13 @@ class TestEdgeTimes:
                 assert cell["count"] == graph["edges"][a][b]
 
     def test_columnar_and_row_codecs_attribute_identically(self, tmp_path):
-        files = {
-            r: seq_file(["open", "write", "close"], rank=r) for r in range(2)
-        }
-        meta = {"workload": "dfg"}
-        b1 = TraceBank(tmp_path / "v1")
-        b1.ingest_bundle(TraceBundle(files=files, metadata=meta), codec="v1")
-        b2 = TraceBank(tmp_path / "v2")
-        b2.ingest_bundle(TraceBundle(files=files, metadata=meta), codec="v2")
-        g1 = build_dfg(b1, Query())["graph"]
-        g2 = build_dfg(b2, Query())["graph"]
+        # The committed legacy archive holds one run as RTBF and RTCF.
+        bank, expected = corpus_bank(tmp_path)
+        g1, g2 = (
+            build_dfg(bank, Query.create(runs=[expected["runs"][label]]))["graph"]
+            for label in ("rtbf", "rtcf")
+        )
+        assert g1["edge_times"] and g1["n_edges"] > 1
         assert canonical_json(g1["edge_times"]) == canonical_json(g2["edge_times"])
         assert canonical_json(g1["edges"]) == canonical_json(g2["edges"])
 

@@ -1,9 +1,8 @@
 """Property tests: the archive is a lossless, order-faithful view.
 
 For any bundle, ``encode -> ingest -> query`` must agree with scanning
-the in-memory bundle directly — across both codec flag settings and any
-worker count.  This is the satellite-3 acceptance property: the store is
-an *archive*, not a lossy summary.
+the in-memory bundle directly, for any worker count: the store is an
+*archive*, not a lossy summary.
 """
 
 import tempfile
@@ -55,17 +54,13 @@ def expected_rows(bundle):
 
 
 class TestArchiveRoundtrip:
-    @given(
-        spec=bundle_strategy,
-        compressed=st.booleans(),
-        checksum=st.booleans(),
-    )
+    @given(spec=bundle_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_query_matches_plain_scan(self, spec, compressed, checksum):
+    def test_query_matches_plain_scan(self, spec):
         bundle = build_bundle(spec)
         with tempfile.TemporaryDirectory() as tmp:
             bank = TraceBank(Path(tmp) / "store")
-            bank.ingest_bundle(bundle, compressed=compressed, checksum=checksum)
+            bank.ingest_bundle(bundle)
             report = run_query(bank, Query(agg="events"))
             got = [
                 (r["timestamp"], r["rank"], r["seq"], r["name"], r["nbytes"])
@@ -86,13 +81,13 @@ class TestArchiveRoundtrip:
                     run_query(bank, q, jobs=4)
                 )
 
-    @given(spec=bundle_strategy, compressed=st.booleans(), checksum=st.booleans())
+    @given(spec=bundle_strategy)
     @settings(max_examples=30, deadline=None)
-    def test_load_run_bundle_is_lossless(self, spec, compressed, checksum):
+    def test_load_run_bundle_is_lossless(self, spec):
         bundle = build_bundle(spec)
         with tempfile.TemporaryDirectory() as tmp:
             bank = TraceBank(Path(tmp) / "store")
-            r = bank.ingest_bundle(bundle, compressed=compressed, checksum=checksum)
+            r = bank.ingest_bundle(bundle)
             out = bank.load_run_bundle(r.run_id)
             assert sorted(out.files) == sorted(bundle.files)
             for rank in bundle.files:

@@ -2,16 +2,19 @@
 
 import pytest
 
-from storeutil import make_event, make_trace_file
+from storeutil import make_bundle, make_event, make_trace_file
 
 from repro.errors import StoreCorruptionError, TraceError
+from repro.store import TraceBank
 from repro.store.segments import (
     SegmentMeta,
     content_address,
     decode_segment,
     encode_segment,
+    segment_columns,
     summarize_segment,
 )
+from repro.trace.binary_format import encode_trace_file
 from repro.trace.events import EventLayer
 from repro.trace.records import TraceFile
 
@@ -32,9 +35,32 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("compressed", [True, False])
     @pytest.mark.parametrize("checksum", [True, False])
     def test_codec_flags_roundtrip(self, compressed, checksum):
+        # Ingest always writes compressed, checksummed RTBF, but segments
+        # read back whatever Tracefs flags encoded them.
         tf = make_trace_file(n=4)
-        blob, sha = encode_segment(tf, compressed=compressed, checksum=checksum)
+        blob = encode_trace_file(tf, compressed=compressed, checksum=checksum)
+        sha = content_address(blob)
         assert decode_segment(blob, expected_sha=sha).events == tf.events
+        cols = segment_columns(blob, ["name", "offset", "result"])
+        assert cols == {
+            "name": [e.name for e in tf.events],
+            "offset": [e.offset for e in tf.events],
+            "result": [e.result for e in tf.events],
+        }
+
+    def test_segment_bytes_and_run_id_are_pinned(self, tmp_path):
+        # Run ids hash segment bytes and break cross-run timestamp ties
+        # in the ``events`` aggregate: any re-encoding would reorder it.
+        bank = TraceBank(tmp_path / "store")
+        result = bank.ingest_bundle(make_bundle(nranks=3, n=24))
+        assert result.run_id == (
+            "ecee68446187b8c5b900d7dd7a63aea5075dce494e2ed74e5c8b6516a600b3c6"
+        )
+        assert [(s.rank, s.sha256) for s in bank.manifest(result.run_id).segments] == [
+            (0, "dea3926e5c5f0004a34dc899a2c7a7ed87d11f6e66926f7fcc8b77837d0ebf52"),
+            (1, "0a3a722c491b9dcfd71747bc38fa340006cb5834fe967f67ebf9bf590bdc749a"),
+            (2, "ba5317a17738387502090baea1066d9f050ee52dedbcfd39c152ea2737bfc184"),
+        ]
 
     def test_sha_mismatch_is_corruption(self):
         blob, sha = encode_segment(make_trace_file())

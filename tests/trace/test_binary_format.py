@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TraceChecksumError, TraceFormatError, TraceTruncatedError
 from repro.trace.binary_format import (
+    FIELDS,
     decode_event_record,
     decode_trace_file,
     encode_event_record,
     encode_trace_file,
+    read_columns,
 )
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
@@ -170,3 +172,118 @@ class TestFailureInjection:
         start, size = frames[-1]
         with pytest.raises(TraceFormatError):
             decode_trace_file(blob + blob[start : start + size])
+
+
+# Column projection: read_columns must agree field for field with a full
+# decode.  Results include numeric-looking strings on purpose: RTBF
+# re-parses them as ints, and the projection must do exactly the same.
+LAYERS = tuple(EventLayer)
+finite = dict(allow_nan=False, allow_infinity=False)
+
+result_strategy = st.one_of(
+    st.none(),
+    st.integers(min_value=-(1 << 40), max_value=1 << 40),
+    st.text(alphabet="EINTRAGAIN/_ o-0123456789", min_size=1, max_size=8),
+)
+
+event_strategy = st.builds(
+    TraceEvent,
+    timestamp=st.floats(min_value=0.0, max_value=1e6, **finite),
+    duration=st.floats(min_value=0.0, max_value=1e3, **finite),
+    layer=st.sampled_from(LAYERS),
+    name=st.sampled_from(("SYS_read", "SYS_write", "MPI_File_open", "vfs_write")),
+    args=st.lists(
+        st.one_of(st.integers(-100, 1 << 30), st.text(max_size=6)), max_size=3
+    ).map(tuple),
+    result=result_strategy,
+    pid=st.integers(min_value=0, max_value=1 << 31),
+    rank=st.one_of(st.none(), st.integers(min_value=0, max_value=4096)),
+    hostname=st.sampled_from(("", "host01", "node-7.example")),
+    user=st.sampled_from(("", "u1", "alice")),
+    path=st.one_of(st.none(), st.sampled_from(("/pfs/out", "/tmp/x", "/mnt/a b"))),
+    fd=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 20)),
+    nbytes=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 50)),
+    offset=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 60)),
+)
+
+tracefile_strategy = st.builds(
+    TraceFile,
+    events=st.lists(event_strategy, max_size=24),
+    hostname=st.sampled_from(("", "host00")),
+    pid=st.integers(min_value=0, max_value=1 << 20),
+    rank=st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
+    framework=st.sampled_from(("", "lanl-trace", "tracefs")),
+)
+
+
+def _raw_blob(records):
+    """An unchecksummed, uncompressed trace holding ``records`` verbatim."""
+    import json
+    import struct
+
+    from repro.trace.checksum import frame
+
+    header = json.dumps({"n_events": len(records)}).encode()
+    body = struct.pack("<I", len(records)) + b"".join(records)
+    return (b"RTBF" + struct.pack("<H", 1) + frame(header, with_checksum=False)
+            + frame(body, with_checksum=False))
+
+
+class TestReadColumns:
+    @given(
+        tf=tracefile_strategy,
+        compressed=st.booleans(),
+        checksum=st.booleans(),
+        block=st.sampled_from([1, 5, 128]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_column_equals_the_decoded_field(self, tf, compressed, checksum, block):
+        blob = encode_trace_file(tf, compressed=compressed, checksum=checksum,
+                                 block_records=block)
+        events = decode_trace_file(blob).events
+        cols = read_columns(blob, FIELDS)
+        assert sorted(cols) == sorted(FIELDS)
+        for f in FIELDS:
+            want = [getattr(e, f) for e in events]
+            if f == "layer":
+                want = [layer.value for layer in want]
+            assert cols[f] == want, f
+            assert [type(v) for v in cols[f]] == [type(v) for v in want], f
+
+    @given(tf=tracefile_strategy, fields=st.lists(st.sampled_from(FIELDS), max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_projection_returns_just_the_asked_fields(self, tf, fields):
+        blob = encode_trace_file(tf)
+        full = read_columns(blob, FIELDS)
+        assert read_columns(blob, fields) == {f: full[f] for f in fields}
+
+    @given(tf=tracefile_strategy, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_truncation_raises_typed_errors(self, tf, data):
+        blob = encode_trace_file(tf, block_records=4)
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        with pytest.raises((TraceTruncatedError, TraceFormatError)):
+            read_columns(blob[:cut], ["name", "duration"])
+
+    def test_bad_magic_and_unknown_field(self):
+        blob = encode_trace_file(TraceFile([sample_event()]))
+        with pytest.raises(TraceFormatError):
+            read_columns(b"NOPE" + blob[4:], ["name"])
+        with pytest.raises(TraceFormatError):
+            read_columns(blob, ["name", "flags"])
+
+    def test_unknown_layer_code(self):
+        rec = bytearray(encode_event_record(sample_event()))
+        rec[16] = 0xEE  # the layer byte follows two f8 fields
+        blob = _raw_blob([bytes(rec)])
+        for read in (decode_trace_file, lambda b: read_columns(b, ["duration"])):
+            with pytest.raises(TraceFormatError):
+                read(blob)
+
+    def test_trailing_bytes(self):
+        rec = encode_event_record(sample_event())
+        # after the last frame, and inside a block past its last record
+        for bad in (_raw_blob([rec]) + b"\x01", _raw_blob([rec + b"\x00\x00"])):
+            for read in (decode_trace_file, lambda b: read_columns(b, ["name"])):
+                with pytest.raises((TraceTruncatedError, TraceFormatError)):
+                    read(bad)

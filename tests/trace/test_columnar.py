@@ -1,76 +1,53 @@
-"""Columnar codec (v2): lossless round trips, projection, robustness.
+"""Legacy columnar (RTCF) reader: decode, projection, robustness.
 
-The satellite acceptance property: for any trace file, ``v2 decode ∘ v2
-encode`` is the identity on events, and agrees with the v1 codec's round
-trip wherever v1 is itself lossless.  Projection (:func:`read_columns`)
-must return exactly the per-field views a full decode would.
+Nothing writes RTCF any more, so these tests read the segments of the
+committed legacy archive (``tests/store/corpus/``): one run stored as
+RTCF and as RTBF by the last release that wrote both.  Decode must give
+back the events that release archived, agree with the RTBF copy
+wherever RTBF is itself lossless, and projection must return exactly
+the per-field views a full decode gives.
 """
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.errors import TraceError, TraceFormatError, TraceTruncatedError
-from repro.trace.binary_format import decode_trace_file, encode_trace_file
+from repro.errors import TraceError, TraceFormatError
+from repro.trace.binary_format import FIELDS, decode_trace_file
 from repro.trace.columnar import (
-    COLUMNS,
     MAGIC,
     decode_trace_file_columnar,
-    encode_trace_file_columnar,
     is_columnar,
     read_columns,
     read_header,
 )
-from repro.trace.events import EventLayer, TraceEvent
-from repro.trace.records import TraceFile
 
-LAYERS = tuple(EventLayer)
+STORE_TESTS = Path(__file__).resolve().parents[1] / "store"
+sys.path.insert(0, str(STORE_TESTS))
 
-# v1 renders results as text and re-parses ("5" and 5 collapse); drawing
-# ints and non-numeric strings keeps both codecs lossless, so their round
-# trips must agree exactly.
-result_strategy = st.one_of(
-    st.none(),
-    st.integers(min_value=-(1 << 40), max_value=1 << 40),
-    st.text(alphabet="EINTRAGAIN/_ o", min_size=1, max_size=8).filter(
-        lambda s: not s.lstrip("-").isdigit()
-    ),
-)
-
-finite = dict(allow_nan=False, allow_infinity=False)
-
-event_strategy = st.builds(
-    TraceEvent,
-    timestamp=st.floats(min_value=0.0, max_value=1e6, **finite),
-    duration=st.floats(min_value=0.0, max_value=1e3, **finite),
-    layer=st.sampled_from(LAYERS),
-    name=st.sampled_from(("SYS_read", "SYS_write", "MPI_File_open", "vfs_write")),
-    args=st.lists(
-        st.one_of(st.integers(-100, 1 << 30), st.text(max_size=6)), max_size=3
-    ).map(tuple),
-    result=result_strategy,
-    pid=st.integers(min_value=0, max_value=1 << 31),
-    rank=st.one_of(st.none(), st.integers(min_value=0, max_value=4096)),
-    hostname=st.sampled_from(("", "host01", "node-7.example")),
-    user=st.sampled_from(("", "u1", "alice")),
-    path=st.one_of(st.none(), st.sampled_from(("/pfs/out", "/tmp/x", "/mnt/a b"))),
-    fd=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 20)),
-    nbytes=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 50)),
-    offset=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 60)),
-)
-
-tracefile_strategy = st.builds(
-    TraceFile,
-    events=st.lists(event_strategy, max_size=24),
-    hostname=st.sampled_from(("", "host00")),
-    pid=st.integers(min_value=0, max_value=1 << 20),
-    rank=st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
-    framework=st.sampled_from(("", "lanl-trace", "tracefs")),
-)
+from storeutil import CORPUS, corpus_bundle  # noqa: E402
 
 
-def same_file(a: TraceFile, b: TraceFile) -> bool:
+def _segments(label):
+    """``{rank: blob}`` of one corpus run, read straight off disk."""
+    expected = json.loads((CORPUS / "expected.json").read_text("utf-8"))
+    run_id = expected["runs"][label]
+    archive = CORPUS / "archive"
+    manifest = json.loads((archive / "manifests" / (run_id + ".json")).read_text())
+    return {
+        seg["rank"]: (archive / "segments" / seg["sha256"][:2]
+                      / (seg["sha256"] + ".seg")).read_bytes()
+        for seg in manifest["segments"]
+    }
+
+
+RTCF = _segments("rtcf")
+RTBF = _segments("rtbf")
+
+
+def same_file(a, b):
     return (
         a.events == b.events
         and a.hostname == b.hostname
@@ -81,104 +58,61 @@ def same_file(a: TraceFile, b: TraceFile) -> bool:
 
 
 class TestRoundTrip:
-    @given(tf=tracefile_strategy, compressed=st.booleans(), checksum=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_v2_roundtrip_is_identity(self, tf, compressed, checksum):
-        blob = encode_trace_file_columnar(tf, compressed=compressed, checksum=checksum)
-        assert is_columnar(blob)
-        assert same_file(decode_trace_file_columnar(blob), tf)
+    def test_v2_roundtrip_is_identity(self):
+        want = corpus_bundle()
+        assert sorted(RTCF) == sorted(want.files)
+        for rank, blob in RTCF.items():
+            assert is_columnar(blob)
+            assert same_file(decode_trace_file_columnar(blob), want.files[rank])
 
-    @given(tf=tracefile_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_v1_and_v2_roundtrips_agree(self, tf):
-        via_v1 = decode_trace_file(encode_trace_file(tf))
-        via_v2 = decode_trace_file_columnar(encode_trace_file_columnar(tf))
-        assert via_v2.events == via_v1.events
-
-    @given(tf=tracefile_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_encoding_is_deterministic(self, tf):
-        assert encode_trace_file_columnar(tf) == encode_trace_file_columnar(tf)
+    def test_v1_and_v2_roundtrips_agree(self):
+        # Rank 1 carries the one result RTBF cannot keep (see below).
+        for rank in (0, 2, 3):
+            assert same_file(
+                decode_trace_file_columnar(RTCF[rank]), decode_trace_file(RTBF[rank])
+            )
 
     def test_v2_preserves_result_type_v1_cannot(self):
-        # v1 renders results as text, so the string "5" decodes as the
-        # int 5; the columnar flags column keeps the distinction.
-        e = TraceEvent(0.0, 0.0, EventLayer.SYSCALL, "SYS_read", result="5")
-        tf = TraceFile([e], hostname="h", pid=1, rank=0, framework="f")
-        via_v1 = decode_trace_file(encode_trace_file(tf)).events[0].result
-        via_v2 = decode_trace_file_columnar(
-            encode_trace_file_columnar(tf)
-        ).events[0].result
-        assert via_v1 == 5  # the v1 collapse
-        assert via_v2 == "5"  # v2 keeps the string
+        # RTBF renders results as text, so the string "42" decodes as the
+        # int 42; the columnar flags column kept the distinction.
+        via_v1 = decode_trace_file(RTBF[1]).events
+        via_v2 = decode_trace_file_columnar(RTCF[1]).events
+        assert via_v1[5].result == 42
+        assert via_v2[5].result == "42"
+        assert via_v1[:5] + via_v1[6:] == via_v2[:5] + via_v2[6:]
 
     def test_empty_trace_file(self):
-        tf = TraceFile([], hostname="h", pid=9, rank=None, framework="x")
-        blob = encode_trace_file_columnar(tf)
-        assert same_file(decode_trace_file_columnar(blob), tf)
-        assert read_header(blob)["n_events"] == 0
-        assert read_columns(blob, ["name", "timestamp"]) == {
+        tf = decode_trace_file_columnar(RTCF[3])
+        assert tf.events == [] and tf.rank == 3
+        assert read_header(RTCF[3])["n_events"] == 0
+        assert read_columns(RTCF[3], ["name", "timestamp"]) == {
             "name": [],
             "timestamp": [],
         }
 
     def test_delta_overflow_falls_back_to_raw(self):
-        # Alternating 0 / 2^62 offsets overflow a signed-64 delta; the
-        # column must fall back to raw packing and still round trip.
-        events = [
-            TraceEvent(0.0, 0.0, EventLayer.SYSCALL, "x",
-                       offset=(1 << 62) if i % 2 else 0)
-            for i in range(8)
-        ]
-        tf = TraceFile(events, hostname="h", pid=1, rank=0, framework="f")
-        assert decode_trace_file_columnar(
-            encode_trace_file_columnar(tf)
-        ).events == events
+        # Rank 2's offsets alternate 0 / 2^62, overflowing a signed-64
+        # delta: the column was packed raw and must still read back.
+        offsets = [e.offset for e in corpus_bundle().files[2].events]
+        assert offsets[:2] == [0, 1 << 62]
+        assert read_columns(RTCF[2], ["offset"])["offset"] == offsets
+        assert [e.offset for e in decode_trace_file_columnar(RTCF[2]).events] == offsets
 
 
 class TestProjection:
-    def build(self, n=64):
-        events = [
-            TraceEvent(
-                timestamp=i * 0.5,
-                duration=0.001 * i,
-                layer=LAYERS[i % len(LAYERS)],
-                name="op%d" % (i % 5),
-                args=("a", i),
-                result=None if i % 3 == 0 else ("E" if i % 3 == 1 else i),
-                pid=7,
-                rank=None if i % 4 == 0 else i % 4,
-                hostname="h%d" % (i % 2),
-                user="u",
-                path=None if i % 2 == 0 else "/p/%d" % (i % 3),
-                fd=None if i % 5 == 0 else i,
-                nbytes=None if i % 6 == 0 else 1024 * i,
-                offset=None if i % 7 == 0 else (1 << 33) * i,
-            )
-            for i in range(n)
-        ]
-        tf = TraceFile(events, hostname="h0", pid=7, rank=None, framework="f")
-        return tf, encode_trace_file_columnar(tf)
-
     def test_every_field_matches_full_decode(self):
-        tf, blob = self.build()
-        fields = [name for name, _enc in COLUMNS if name != "flags"]
-        cols = read_columns(blob, fields)
-        for f in fields:
-            if f == "layer":
-                want = [e.layer.value for e in tf.events]
-            elif f == "args":
-                want = [
-                    json.dumps(list(e.args), separators=(",", ":"))
-                    for e in tf.events
-                ]
-            else:
+        for blob in RTCF.values():
+            tf = decode_trace_file_columnar(blob)
+            cols = read_columns(blob, FIELDS)
+            for f in FIELDS:
                 want = [getattr(e, f) for e in tf.events]
-            assert cols[f] == want, f
+                if f == "layer":
+                    want = [layer.value for layer in want]
+                assert cols[f] == want, f
 
     def test_header_stats_and_name_sets(self):
-        tf, blob = self.build()
-        h = read_header(blob)
+        tf = corpus_bundle().files[1]
+        h = read_header(RTCF[1])
         assert h["n_events"] == len(tf.events)
         assert h["names"] == sorted({e.name for e in tf.events})
         assert h["paths"] == sorted({e.path for e in tf.events if e.path})
@@ -188,31 +122,30 @@ class TestProjection:
         assert h["stats"]["nbytes"] == {"min": min(present_nb), "max": max(present_nb)}
 
     def test_unknown_column_rejected(self):
-        _tf, blob = self.build(4)
         with pytest.raises(TraceFormatError):
-            read_columns(blob, ["name", "no_such_column"])
+            read_columns(RTCF[0], ["name", "no_such_column"])
 
 
 class TestRobustness:
-    def blob(self):
-        _tf, blob = TestProjection().build(32)
-        return blob
+    blob = RTCF[1]
 
     def test_truncations_raise_trace_errors(self):
-        blob = self.blob()
+        blob = self.blob
         for cut in (0, 2, 5, len(blob) // 3, len(blob) - 1):
             with pytest.raises(TraceError):
                 decode_trace_file_columnar(blob[:cut])
+            with pytest.raises(TraceError):
+                read_columns(blob[:cut], ["name"])
 
     def test_bad_magic_rejected(self):
-        blob = self.blob()
+        blob = self.blob
         with pytest.raises(TraceFormatError):
             decode_trace_file_columnar(b"XXXX" + blob[4:])
         assert not is_columnar(b"")
-        assert not is_columnar(b"RTB1....")
+        assert not is_columnar(RTBF[1])
 
     def test_unsupported_version_rejected(self):
-        blob = bytearray(self.blob())
+        blob = bytearray(self.blob)
         blob[len(MAGIC)] = 0xEE
         with pytest.raises(TraceFormatError):
             decode_trace_file_columnar(bytes(blob))
@@ -220,7 +153,7 @@ class TestRobustness:
     def test_flipped_column_byte_detected(self):
         # With checksums on, any corrupt column frame must surface as a
         # TraceError (checksum or format), never a wrong-answer decode.
-        blob = self.blob()
+        blob = self.blob
         original = decode_trace_file_columnar(blob)
         for pos in range(len(MAGIC) + 2, len(blob), max(1, len(blob) // 40)):
             mutated = bytearray(blob)
@@ -234,6 +167,7 @@ class TestRobustness:
             assert got.events == original.events
 
     def test_trailing_garbage_rejected(self):
-        blob = self.blob()
         with pytest.raises(TraceFormatError):
-            decode_trace_file_columnar(blob + b"\x00\x00\x00\x00")
+            decode_trace_file_columnar(self.blob + b"\x00\x00\x00\x00")
+        with pytest.raises(TraceFormatError):
+            read_columns(self.blob + b"\x00\x00\x00\x00", ["name"])
