@@ -64,15 +64,15 @@ def _baseline_drain(sim, until=None, check_first=512):
             raise AssertionError("backwards time")
         sim._now = t
         bucket = buckets[t]
-        i = bucket[0]
+        start = i = bucket[0]
         try:
             while i < len(bucket):
                 callback = bucket[i]
                 args = bucket[i + 1]
                 i += 2
-                executed += 1
                 callback(*args)
         finally:
+            executed += (i - start) >> 1
             release(t, bucket, i)
     sim._events_executed += executed
     return sim._now

@@ -41,7 +41,7 @@ Quick start::
     print("elapsed time overhead: %.0f%%" % (100 * m.elapsed_overhead))
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from repro import errors, units
 

@@ -81,11 +81,13 @@ class Network:
             yield from plane.network_gate(sender_nic, nbytes)
         col = _TELEMETRY.collector
         t0 = self.sim.now if col is not None else 0.0
-        yield sender_nic.acquire()
+        if not sender_nic.try_acquire():
+            yield sender_nic.acquire()
         if col is not None:
             col.net_nic(sender_nic.name, self.sim.now, sender_nic.in_use)
         try:
-            yield self.fabric.acquire()
+            if not self.fabric.try_acquire():
+                yield self.fabric.acquire()
             if col is not None:
                 col.net_fabric(self.sim.now, self.fabric.in_use)
             try:

@@ -26,6 +26,12 @@ class Completion:
     Callbacks registered via :meth:`add_callback` run at the simulated time
     the completion settles (scheduled through the simulator, never inline,
     so settle order is deterministic and re-entrancy-safe).
+
+    A process that yields a completion which has *already succeeded*
+    registers no callback: it continues in the same dispatch with the
+    value (see :class:`~repro.des.process.Process`).  Only pending
+    completions, and failed ones, which are thrown in through the queue,
+    cost a kernel event.
     """
 
     __slots__ = ("_sim", "_value", "_exception", "_callbacks", "name")
@@ -85,7 +91,10 @@ class Completion:
 
     def _dispatch(self) -> None:
         # Direct queue push: settling is the kernel's hottest edge, and the
-        # zero delay needs no range check.
+        # zero delay needs no range check.  Most settles (a free resource's
+        # grant, a ready store item) have no waiter yet.
+        if not self._callbacks:
+            return
         callbacks, self._callbacks = self._callbacks, []
         sim = self._sim
         queue, now = sim._queue, sim._now

@@ -12,7 +12,10 @@ commands to the kernel:
     the same, carrying an optional resume value;
 ``yield completion``
     suspend until the :class:`~repro.des.events.Completion` settles; the
-    yield expression evaluates to its value (or raises its failure);
+    yield expression evaluates to its value (or raises its failure).  A
+    completion that has *already succeeded* does not suspend at all: the
+    body continues in the same dispatch with its value, exactly as if it
+    had never yielded (see :meth:`Process._resume_send`);
 ``yield AllOf([...])`` / ``yield AnyOf([...])``
     composite waits.
 
@@ -40,6 +43,15 @@ class Process:
     """A running simulated activity driven by the kernel.
 
     Not instantiated directly — use :meth:`repro.des.simulator.Simulator.spawn`.
+
+    Resume rule: a yielded command that must wait (a timeout, a pending or
+    failed completion, a composite wait) suspends the body and costs one
+    kernel event when it resumes.  A yielded completion that has already
+    succeeded does not: the body continues in the same dispatch, before
+    any other event queued for the current instant, just as if the value
+    had been returned by a call.  ``if not r.try_acquire(): yield
+    r.acquire()`` (see :class:`~repro.des.resources.Resource`) is the
+    allocation-free spelling of the same thing.
 
     Attributes
     ----------
@@ -109,22 +121,39 @@ class Process:
         sim._queue.push(sim._now, self._resume_send, (None,))
 
     def _resume_send(self, value: Any) -> None:
-        """Resume the generator with ``value`` from the settled command."""
+        """Resume the generator with ``value`` from the settled command.
+
+        The one resume path for an already-succeeded completion: while the
+        body yields completions that have succeeded (a free resource's
+        grant, a pre-filled store's item), their values are sent straight
+        back in this same dispatch.  It is a loop, not recursion, so a body
+        draining thousands of ready items never deepens the Python stack.
+        Pending and failed completions, timeouts and composite waits go
+        through :meth:`_handle` and the event queue.
+        """
         # Inline of ``not self.alive`` (cancelled/interrupted after
         # scheduling): this runs once per kernel event, so the two
         # property descriptor hops are worth skipping.
         completion = self.completion
         if completion._value is not _PENDING or completion._exception is not None:
             return
-        try:
-            command = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish_ok(stop.value)
+        send = self._gen.send
+        while True:
+            try:
+                command = send(value)
+            except StopIteration as stop:
+                self._finish_ok(stop.value)
+                return
+            except BaseException as exc:
+                self._finish_fail(exc)
+                return
+            # ``_value`` is set only by succeed(): a failed completion
+            # keeps it pending and is thrown in through the queue.
+            if isinstance(command, Completion) and command._value is not _PENDING:
+                value = command._value
+                continue
+            self._handle(command)
             return
-        except BaseException as exc:
-            self._finish_fail(exc)
-            return
-        self._handle(command)
 
     def _resume_throw(self, exc: BaseException) -> None:
         """Resume the generator by throwing ``exc`` at the yield point."""
@@ -139,7 +168,10 @@ class Process:
         except BaseException as raised:
             self._finish_fail(raised)
             return
-        self._handle(command)
+        if isinstance(command, Completion) and command._value is not _PENDING:
+            self._resume_send(command._value)
+        else:
+            self._handle(command)
 
     def _handle(self, command: Any) -> None:
         """Arrange for the process to be resumed when ``command`` settles."""

@@ -26,13 +26,18 @@ class Resource:
 
     Typical use inside a process body::
 
-        yield res.acquire()
+        if not res.try_acquire():
+            yield res.acquire()
         try:
             yield service_time
         finally:
             res.release()
 
-    or equivalently ``yield from res.serve(service_time)``.
+    or equivalently ``yield from res.serve(service_time)``.  A plain
+    ``yield res.acquire()`` has the same history: a free slot's completion
+    has already succeeded when it is yielded, and the kernel continues the
+    process in the same dispatch.  :meth:`try_acquire` only skips the
+    :class:`~repro.des.events.Completion` and the resume.
     """
 
     def __init__(self, sim: Any, capacity: int = 1, name: str = "resource"):
@@ -53,41 +58,57 @@ class Resource:
 
     # -- acquisition --------------------------------------------------------
 
+    def try_acquire(self) -> bool:
+        """Take a free slot now and return True, or return False if all
+        ``capacity`` slots are held.
+
+        The accounting is :meth:`acquire`'s (busy-time integral,
+        ``total_acquires``), minus the :class:`~repro.des.events.Completion`.
+        A free slot implies no waiters (:meth:`release` hands a slot
+        straight to the oldest one), so this never jumps the FIFO queue.
+        """
+        in_use = self._in_use
+        if in_use < self.capacity:
+            now = self._sim._now
+            self._busy_time += in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use = in_use + 1
+            self._total_acquires += 1
+            return True
+        return False
+
     def acquire(self) -> Completion:
         """Return a completion that settles when a slot is granted."""
         comp = Completion(self._sim, name=self._acquire_name)
-        if self._in_use < self.capacity:
-            self._grant(comp)
+        if self.try_acquire():
+            comp.succeed(self)
         else:
             self._waiters.append(comp)
         return comp
 
     def release(self) -> None:
         """Give back one slot; the oldest waiter (if any) is granted next."""
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise SimulationError("release of %r with no slot held" % self.name)
-        self._account()
-        self._in_use -= 1
-        if self._waiters:
-            self._grant(self._waiters.popleft())
-
-    def _grant(self, comp: Completion) -> None:
-        self._account()
-        self._in_use += 1
-        self._total_acquires += 1
-        comp.succeed(self)
-
-    def _account(self) -> None:
-        now = self._sim.now
-        self._busy_time += self._in_use * (now - self._last_change)
+        now = self._sim._now
+        self._busy_time += in_use * (now - self._last_change)
         self._last_change = now
+        if self._waiters:
+            # The slot passes straight to the oldest waiter: in_use is
+            # unchanged, and the grant happens at the same instant.
+            self._total_acquires += 1
+            self._waiters.popleft().succeed(self)
+        else:
+            self._in_use = in_use - 1
 
     def serve(self, service_time: float) -> Generator[Any, Any, None]:
         """Sub-activity: acquire, hold for ``service_time``, release.
 
         Use with ``yield from``.
         """
-        yield self.acquire()
+        if not self.try_acquire():
+            yield self.acquire()
         try:
             yield service_time
         finally:
@@ -109,8 +130,9 @@ class Resource:
 
     def utilization(self) -> float:
         """Mean busy fraction over [0, now] (0 if no time has passed)."""
-        now = self._sim.now
-        self._account()
+        now = self._sim._now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         if now <= 0:
             return 0.0
         return self._busy_time / (now * self.capacity)

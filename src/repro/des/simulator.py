@@ -19,8 +19,14 @@ travel; :meth:`Simulator.run_fast` performs that check only for the
 first ``check_first`` events and then drops it from the hot loop.  Both
 dispatch exactly the same events in exactly the same order — batching
 changes per-event overhead, never history — so ``events_executed``
-fingerprints are identical between them (and with the pre-columnar
-one-heap-entry-per-event kernel).
+fingerprints are identical between them.
+
+An event is a resume a process actually waited for.  A process that
+yields a completion which has already succeeded continues inside the
+dispatch that is running it (:class:`~repro.des.process.Process`), so a
+free resource's grant or a ready store item costs no event; this makes
+``events_executed`` lower than in kernels that re-queued such a process,
+for the same simulated history.
 
 When a telemetry session (:mod:`repro.obs.tracepoints`) is active, both
 entry points route to a third loop, :meth:`Simulator._run_observed`,
@@ -60,6 +66,12 @@ class Simulator:
         Root seed for all randomness (see :class:`~repro.des.rand.RandomStreams`).
         Two simulators with the same seed and the same spawn sequence produce
         identical histories.
+
+    Every run loop dispatches the same events in the same order: timer
+    expiries, settles of completions a process was already waiting on,
+    failures thrown into processes, and process starts.  Yielding a
+    completion that has already succeeded is not among them — the process
+    continues in the current dispatch.
     """
 
     __slots__ = (
@@ -123,7 +135,10 @@ class Simulator:
         The denominator is clamped at 1 ns: a sub-resolution run (events
         dispatched, but ``perf_counter`` advanced by ~0 on a coarse
         timer) reports a large finite rate rather than dividing by zero
-        or collapsing to 0.0 as if nothing ran.
+        or collapsing to 0.0 as if nothing ran.  The rate compares kernel
+        speed only between kernels with the same dispatch rules: when a
+        change removes events (as 1.1.0's ready-completion rule did), it
+        can fall while the run gets faster — compare :attr:`wall_seconds`.
         """
         if self._events_executed <= 0:
             return 0.0
@@ -229,18 +244,19 @@ class Simulator:
                     )
                 self._now = t
                 bucket = buckets[t]
-                i = bucket[0]
+                start = i = bucket[0]
                 try:
                     # Callbacks may append same-time events to the live
                     # bucket; re-reading len() each step drains them too.
-                    # Buckets are flat [cursor, cb, args, cb, args, ...].
+                    # Buckets are flat [cursor, cb, args, cb, args, ...],
+                    # so the events dispatched are the cursor's advance / 2.
                     while i < len(bucket):
                         callback = bucket[i]
                         args = bucket[i + 1]
                         i += 2
-                        executed += 1
                         callback(*args)
                 finally:
+                    executed += (i - start) >> 1
                     release(t, bucket, i)
         finally:
             self._events_executed += executed
@@ -249,8 +265,8 @@ class Simulator:
         return self._now
 
     def run_fast(self, until: Optional[float] = None, check_first: int = 512) -> float:
-        """Like :meth:`run`, with the backwards-time check dropped after the
-        first ``check_first`` events.
+        """Like :meth:`run`, with the backwards-time check dropped once
+        ``check_first`` events have been dispatched (checked per batch).
 
         The check is a pure sanity assertion — it never alters dispatch
         order — so this loop produces byte-identical histories and
@@ -286,15 +302,15 @@ class Simulator:
                     )
                 self._now = t
                 bucket = buckets[t]
-                i = bucket[0]
+                start = i = bucket[0]
                 try:
                     while i < len(bucket):
                         callback = bucket[i]
                         args = bucket[i + 1]
                         i += 2
-                        executed += 1
                         callback(*args)
                 finally:
+                    executed += (i - start) >> 1
                     release(t, bucket, i)
         finally:
             self._events_executed += executed

@@ -9,11 +9,14 @@ package version**, so any release that might change the performance model
 invalidates every old entry automatically.
 
 Each entry also records the run's ``events_executed`` fingerprints and a
-checksum of its own payload.  Both are re-verified on every hit: a
-mismatch (hand-edited file, partial write, or a model that drifted without
-a version bump) silently discards the entry and re-runs the point rather
-than serving stale numbers.  ``--no-cache`` at the CLI is the escape hatch
-for bypassing the cache entirely.
+checksum of its own payload.  Both are re-verified on every hit, but only
+against the entry itself: a mismatch (hand-edited file, partial write)
+silently discards the entry and re-runs the point.  Nothing on a hit
+re-runs the model, so a model change that keeps the version is served
+stale numbers; the version in the key is the only guard against drift, and
+any change to simulated results or to ``events_executed`` must bump
+``repro.__version__``.  ``--no-cache`` at the CLI is the escape hatch for
+bypassing the cache entirely.
 
 Entries are tiny JSON files under ``.repro-cache/<k[:2]>/<key>.json`` (a
 git-ignorable directory), written atomically so concurrent sweeps sharing

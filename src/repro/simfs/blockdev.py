@@ -80,7 +80,8 @@ class BlockDevice:
         Returns the service time charged (excluding queueing delay).
         Use with ``yield from``.
         """
-        yield self.queue.acquire()
+        if not self.queue.try_acquire():
+            yield self.queue.acquire()
         try:
             sequential = self.is_sequential(stream, offset)
             t = self.params.service_time(nbytes, sequential)

@@ -79,7 +79,8 @@ class LocalFS(FileSystem):
             yield from self.device.service(stream, offset, nbytes)
             return
         assert self.raid is not None and self._raid_queue is not None
-        yield self._raid_queue.acquire()
+        if not self._raid_queue.try_acquire():
+            yield self._raid_queue.acquire()
         try:
             sequential = self._raid_streams.get(stream) == offset
             self._raid_streams[stream] = offset + nbytes

@@ -89,7 +89,8 @@ class NFS(FileSystem):
         """One request/reply exchange carrying ``payload`` data bytes."""
         # Request (small header + payload for writes).
         yield from self.network.transfer(ctx.node.nic, 128 + payload)
-        yield self.server.acquire()
+        if not self.server.try_acquire():
+            yield self.server.acquire()
         try:
             yield self.params.rpc_overhead
         finally:

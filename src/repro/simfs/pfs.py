@@ -182,7 +182,8 @@ class ParallelFS(FileSystem):
         if col is not None:
             col.pfs_meta_rpc()
         yield from self.network.transfer(ctx.node.nic, 128)
-        yield self.mds.acquire()
+        if not self.mds.try_acquire():
+            yield self.mds.acquire()
         try:
             yield self.params.rpc_overhead
         finally:
@@ -202,7 +203,8 @@ class ParallelFS(FileSystem):
         # Payload moves over the client's NIC (requests for writes,
         # replies for reads use the same link in this model).
         yield from self.network.transfer(ctx.node.nic, 128 + nbytes)
-        yield server.queue.acquire()
+        if not server.queue.try_acquire():
+            yield server.queue.acquire()
         try:
             yield self.params.rpc_overhead
             stream = (ino, ctx.node.index)
@@ -246,13 +248,24 @@ class ParallelFS(FileSystem):
                 )
             col = _TELEMETRY.collector
             t_lock = self.sim.now if col is not None else 0.0
-            yield lock.acquire()
+            if not lock.try_acquire():
+                yield lock.acquire()
             try:
                 yield self.params.extent_lock_time
             finally:
                 lock.release()
             if col is not None:
                 col.pfs_lock_wait(self.sim.now - t_lock)
+        w = self.params.stripe_width
+        unit, in_unit = divmod(offset, w)
+        if offset >= 0 and 0 < nbytes <= w - in_unit:
+            # Inside one stripe unit: map_stripes' single chunk, unbuilt.
+            n = self.params.n_servers
+            yield from self._server_chunk(
+                ctx, self.servers[unit % n], inode.ino,
+                (unit // n) * w + in_unit, nbytes, write,
+            )
+            return
         chunks = self.map_stripes(offset, nbytes)
         if len(chunks) == 1:
             server, soff, run = chunks[0]
@@ -270,11 +283,13 @@ class ParallelFS(FileSystem):
             completions.append(proc.completion)
         yield AllOf(completions)
 
+    # The hooks hand back _data_service's generator rather than wrapping it
+    # in one more ``yield from`` frame that every resume would pass through.
     def _write_service(self, ctx, inode, offset, nbytes, stream):
-        yield from self._data_service(ctx, inode, offset, nbytes, write=True)
+        return self._data_service(ctx, inode, offset, nbytes, write=True)
 
     def _read_service(self, ctx, inode, offset, nbytes, stream):
-        yield from self._data_service(ctx, inode, offset, nbytes, write=False)
+        return self._data_service(ctx, inode, offset, nbytes, write=False)
 
     # -- introspection ----------------------------------------------------------------
 
