@@ -51,7 +51,6 @@ __all__ = [
     "execute_spec",
     "execute_spec_safe",
     "ingest_spec_bundle",
-    "parallel_map",
     "run_sweep",
     "spec_store_meta",
 ]
@@ -634,25 +633,6 @@ def run_sweep(
         wall_seconds=time.perf_counter() - t0,
     )
     return SweepResult(points=[p for p in results if p is not None], report=report)
-
-
-def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int = 1) -> List[Any]:
-    """Order-preserving map over a process pool (the archive's scan fan-out).
-
-    The generic sibling of :func:`run_sweep`: results always come back in
-    input order regardless of completion order, so callers that merge
-    partials sequentially get byte-identical output for any ``jobs``.
-    ``fn`` must be a module-level function and ``items`` pickle-safe when
-    ``jobs > 1``; with one job (or one item) everything runs in-process
-    with no pool overhead.
-    """
-    if jobs < 1:
-        raise ReproError("jobs must be >= 1, got %r" % (jobs,))
-    work = list(items)
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            return list(pool.map(fn, work))
-    return [fn(item) for item in work]
 
 
 # -- built-in registrations --------------------------------------------------

@@ -22,7 +22,7 @@ like their peers, and explain each with a causal slice
 4. **Auto-slice** every outlier (straggler anchor) and emit the ranked
    "suspect layer + suspect op + suspect rank" report.
 
-Per-run work fans out over :func:`~repro.harness.parallel.parallel_map`
+Per-run work fans out over :func:`~repro.fanout.parallel_map`
 and merges in sorted-run order, so the ``repro/obs/diagnose/v1`` report
 is byte-identical across ``jobs=1``/``jobs=N`` and cold/warm cache.
 """
@@ -33,6 +33,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StoreError, TelemetryError
+from repro.fanout import parallel_map
 from repro.obs.baseline import mad, median, robust_threshold
 from repro.obs.critpath import build_forest, stack_layer
 from repro.obs.metrics import canonical_json
@@ -357,7 +358,6 @@ def diagnose_archive(
     against instead of its group median.  Fan-out over ``jobs`` worker
     processes changes wall time only — the report is byte-identical.
     """
-    from repro.harness.parallel import parallel_map
     from repro.store.bank import TraceBank
 
     bank = TraceBank(store_root, create=False)

@@ -55,17 +55,24 @@ def decode_upload(body: bytes) -> TraceFile:
     Raises :class:`~repro.errors.TraceError` subclasses on truncated or
     corrupt bytes — the HTTP layer's typed-4xx contract.  An empty body
     is rejected here too (an aborted client must not become an empty
-    run).
+    run), and so is a trace the archive could not encode (a string
+    longer than a binary record holds): it must fail before the WAL
+    acks it, not at commit, where it could only be discarded.
     """
     if not body:
         raise TraceError("empty upload body")
     if body[: len(binary_format.MAGIC)] == binary_format.MAGIC:
-        return binary_format.decode_trace_file(body)
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceError("upload is neither binary-trace nor UTF-8: %s" % exc) from None
-    return text_format.decode_trace_file(text)
+        trace = binary_format.decode_trace_file(body)
+    else:
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                "upload is neither binary-trace nor UTF-8: %s" % exc
+            ) from None
+        trace = text_format.decode_trace_file(text)
+    binary_format.check_string_limits(trace)
+    return trace
 
 
 @dataclass

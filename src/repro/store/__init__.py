@@ -14,7 +14,7 @@ them queryable without re-running anything:
 * :mod:`repro.store.bank` — :class:`TraceBank` itself: ingest, read,
   ``verify``, ``gc``, stats;
 * :mod:`repro.store.query` — the parallel query engine (filter +
-  aggregate, fanned out via :func:`repro.harness.parallel.parallel_map`,
+  aggregate, fanned out via :func:`repro.fanout.parallel_map`,
   byte-identical across job counts);
 * :mod:`repro.store.dfg` — directly-follows graphs over archived runs.
 

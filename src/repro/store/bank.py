@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.atomicfile import atomic_write
 from repro.errors import StoreCorruptionError, StoreError, StoreNotFound
+from repro.fanout import parallel_map
 from repro.obs.tracepoints import STATE
 from repro.store.index import ManifestIndex
 from repro.store.manifest import (
@@ -390,8 +391,6 @@ class TraceBank:
         entirely — it cannot distinguish a sibling's segment from a true
         orphan; the service root's verify owns that question.
         """
-        from repro.harness.parallel import parallel_map
-
         errors: List[Dict[str, Any]] = []
         tasks: List[Tuple[str, str, int, str]] = []
         referenced: set = set()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
+from repro.fanout import parallel_map
 from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
@@ -81,8 +82,6 @@ def build_dfg(bank: TraceBank, query: Query, jobs: int = 1) -> Dict[str, Any]:
     the first op's completion and the next op's start, summed in shard
     order); byte-identical for any ``jobs``.
     """
-    from repro.harness.parallel import parallel_map
-
     query.validate()
     _selected, shards, scan = select_shards(bank, query)
     plan = query.plan()

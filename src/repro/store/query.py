@@ -11,7 +11,7 @@ A query is answered in three stages:
 3. **Scan** — surviving shards are read as columns (only the fields the
    filters and the aggregate touch, no event objects) and filtered,
    fanned out over worker processes via
-   :func:`repro.harness.parallel.parallel_map`.
+   :func:`repro.fanout.parallel_map`.
 
 Partial results are merged in shard order (sorted by ``(run_id, rank,
 sha)``) regardless of worker completion order, and every report is
@@ -33,6 +33,7 @@ from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StoreQueryError
+from repro.fanout import parallel_map
 from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
@@ -279,7 +280,7 @@ def scan_columns(
 def _scan_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
     """Project + filter + partially aggregate one shard (worker entry).
 
-    Module-level so it pickles into :func:`~repro.harness.parallel.parallel_map`
+    Module-level so it pickles into :func:`~repro.fanout.parallel_map`
     worker processes.  Partial results use only plain JSON types; float
     sums (``ops`` durations) accumulate in segment order.
     """
@@ -397,8 +398,6 @@ def run_query(
     merged in shard order — output bytes never depend on the job count.
     Emits ``store.scan.*`` telemetry when a collector is active.
     """
-    from repro.harness.parallel import parallel_map
-
     query.validate()
     _selected, shards, scan = select_shards(bank, query)
     plan = query.plan()

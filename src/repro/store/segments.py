@@ -201,32 +201,39 @@ class SegmentMeta:
 
 
 def summarize_segment(tf: TraceFile, rank: int, sha256: str, encoded_bytes: int) -> SegmentMeta:
-    """Compute a :class:`SegmentMeta` over one trace file's events."""
+    """Compute a :class:`SegmentMeta` over one trace file's events.
+
+    Ingest's second pass over a segment, and what verify recomputes: it
+    reads each field once and counts layers by member, taking each
+    layer's string value only for the few distinct ones at the end.
+    """
+    events = tf.events
     ops: Dict[str, int] = {}
-    layers: Dict[str, int] = {}
-    t_min = 0.0
-    t_max = 0.0
-    total_duration = 0.0
+    by_layer: Dict[Any, int] = {}
+    t_min = t_max = total_duration = 0.0
     payload = 0
-    for i, e in enumerate(tf.events):
-        ops[e.name] = ops.get(e.name, 0) + 1
-        layer = e.layer.value
-        layers[layer] = layers.get(layer, 0) + 1
-        total_duration += e.duration
+    if events:
+        t_min = events[0].timestamp
+        t_max = t_min + events[0].duration
+    for e in events:
+        name = e.name
+        ops[name] = ops.get(name, 0) + 1
+        layer = e.layer
+        by_layer[layer] = by_layer.get(layer, 0) + 1
+        ts = e.timestamp
+        duration = e.duration
+        total_duration += duration
         if e.nbytes is not None:
             payload += e.nbytes
-        if i == 0:
-            t_min = e.timestamp
-            t_max = e.end_timestamp
-        else:
-            if e.timestamp < t_min:
-                t_min = e.timestamp
-            if e.end_timestamp > t_max:
-                t_max = e.end_timestamp
+        if ts < t_min:
+            t_min = ts
+        if ts + duration > t_max:
+            t_max = ts + duration
+    layers = {layer.value: n for layer, n in by_layer.items()}
     return SegmentMeta(
         rank=rank,
         sha256=sha256,
-        n_events=len(tf.events),
+        n_events=len(events),
         t_min=t_min,
         t_max=t_max,
         total_duration=total_duration,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -41,6 +42,8 @@ from repro.trace.records import TraceFile
 
 __all__ = [
     "FIELDS",
+    "MAX_STRING_BYTES",
+    "check_string_limits",
     "encode_trace_file",
     "decode_trace_file",
     "encode_event_record",
@@ -51,10 +54,9 @@ __all__ = [
 MAGIC = b"RTBF"
 VERSION = 1
 
-_FIXED = struct.Struct("<ddBIqqqB")
-# timestamp f8 | duration f8 | layer u8 | pid u32 | fd q | nbytes q | offset q | flags u8
 _RECORD = struct.Struct("<ddBIqqqBi")
-# _FIXED plus the i32 rank that follows it on the wire
+# timestamp f8 | duration f8 | layer u8 | pid u32 | fd q | nbytes q |
+# offset q | flags u8 | rank i32; six length-prefixed strings follow
 _F_RANK = 1 << 0
 _F_FD = 1 << 1
 _F_NBYTES = 1 << 2
@@ -82,55 +84,161 @@ _PRESENCE = {"rank": _F_RANK, "fd": _F_FD, "nbytes": _F_NBYTES,
              "offset": _F_OFFSET, "path": _F_PATH}
 
 
+#: Longest string body a record can hold (its length prefix is a u16).
+MAX_STRING_BYTES = 0xFFFF
+_LEN = struct.Struct("<H")
+# One encoder for every args list: json.dumps would build a new one per call.
+_ARGS_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
+    if len(raw) > MAX_STRING_BYTES:
         raise TraceFormatError("string too long for binary record")
-    return struct.pack("<H", len(raw)) + raw
+    return _LEN.pack(len(raw)) + raw
+
+
+class _Frames(dict):
+    """Length-prefixed frames of the strings records repeat, built once.
+
+    A trace names few distinct calls, hosts, users, paths and results,
+    so each one's frame is packed on first use and reused after.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> bytes:
+        packed = self[text] = _pack_str(text)
+        return packed
+
+
+def _args_json(args: Tuple[Any, ...]) -> str:
+    """``args`` as the compact JSON list ``json.dumps`` would write.
+
+    Exact ints and strs (nearly every argument) are rendered here; any
+    other element goes through the shared encoder, which renders it the
+    same way it would inside the list.
+    """
+    return "[" + ",".join([
+        str(a) if type(a) is int
+        else _quote(a) if type(a) is str
+        else _ARGS_JSON.encode(a)
+        for a in args
+    ]) + "]"
+
+
+def _pack_records(events: Sequence[TraceEvent], frames: _Frames) -> bytes:
+    """Pack ``events`` back to back: one struct and six strings each."""
+    pack = _RECORD.pack
+    layer_code = _LAYER_CODE
+    parts: List[bytes] = []
+    extend = parts.extend
+    for e in events:
+        flags = 0
+        rank = e.rank
+        if rank is None:
+            rank = 0
+        else:
+            flags = _F_RANK
+        fd = e.fd
+        if fd is None:
+            fd = 0
+        else:
+            flags |= _F_FD
+        nbytes = e.nbytes
+        if nbytes is None:
+            nbytes = 0
+        else:
+            flags |= _F_NBYTES
+        off = e.offset
+        if off is None:
+            off = 0
+        else:
+            flags |= _F_OFFSET
+        path = e.path
+        if path is not None:
+            flags |= _F_PATH
+        result = e.result
+        if result is None:
+            result = ""
+        else:
+            flags |= _F_RESULT
+            if type(result) is not str:
+                result = str(result)
+        extend((
+            pack(e.timestamp, e.duration, layer_code[e.layer], e.pid,
+                 fd, nbytes, off, flags, rank),
+            frames[e.name],
+            frames[e.hostname],
+            frames[e.user],
+            frames[path or ""],
+            frames[result],
+            _pack_str(_args_json(e.args)),
+        ))
+    return b"".join(parts)
 
 
 def encode_event_record(event: TraceEvent) -> bytes:
     """Serialize one event."""
-    flags = 0
-    rank = event.rank if event.rank is not None else 0
-    if event.rank is not None:
-        flags |= _F_RANK
-    fd = event.fd if event.fd is not None else 0
-    if event.fd is not None:
-        flags |= _F_FD
-    nbytes = event.nbytes if event.nbytes is not None else 0
-    if event.nbytes is not None:
-        flags |= _F_NBYTES
-    off = event.offset if event.offset is not None else 0
-    if event.offset is not None:
-        flags |= _F_OFFSET
-    if event.path is not None:
-        flags |= _F_PATH
-    if event.result is not None:
-        flags |= _F_RESULT
-    fixed = _FIXED.pack(
-        event.timestamp,
-        event.duration,
-        _LAYER_CODE[event.layer],
-        event.pid,
-        fd,
-        nbytes,
-        off,
-        flags,
-    )
-    # rank rides as i32 after the fixed part (kept out of _FIXED to keep
-    # the optional-flag handling uniform).
-    parts = [
-        fixed,
-        struct.pack("<i", rank),
-        _pack_str(event.name),
-        _pack_str(event.hostname),
-        _pack_str(event.user),
-        _pack_str(event.path or ""),
-        _pack_str("" if event.result is None else str(event.result)),
-        _pack_str(json.dumps(list(event.args), separators=(",", ":"))),
-    ]
-    return b"".join(parts)
+    return _pack_records((event,), _Frames())
+
+
+# A code point is at most 4 UTF-8 bytes, so no shorter string can overflow.
+_SHORT_CHARS = MAX_STRING_BYTES // 4
+
+
+def _args_may_overflow(args: Tuple[Any, ...]) -> bool:
+    """Whether ``args``' JSON could exceed a record string, unrendered.
+
+    A bound from the elements: a str escapes to at most 12 bytes a code
+    point (an astral one becomes a surrogate pair) plus its quotes, and
+    an int's digits are under a third of its bits.  Any other element
+    counts as a possible overflow, so its args get rendered and measured.
+    """
+    bound = 1
+    for a in args:
+        if type(a) is str:
+            bound += 12 * len(a) + 3
+        elif type(a) is int:
+            bound += a.bit_length() // 3 + 3
+        else:
+            return True
+    return bound > MAX_STRING_BYTES
+
+
+def check_string_limits(tf: TraceFile) -> None:
+    """Raise :class:`TraceFormatError` if :func:`encode_trace_file` would.
+
+    Each record string (name, hostname, user, path, the rendered result
+    and the args JSON) holds at most :data:`MAX_STRING_BYTES`.  A decoded
+    upload is checked before it is accepted, because the archive could
+    not store it later.  Only strings long enough to overflow are
+    measured exactly, and args are rendered only when their elements
+    could overflow, so the check costs a small share of a decode.
+    """
+    short = _SHORT_CHARS
+    for i, e in enumerate(tf.events):
+        result = "" if e.result is None else str(e.result)
+        chars = len(e.name) + len(e.hostname) + len(e.user) + len(e.path or "")
+        if chars + len(result) > short or _args_may_overflow(e.args):
+            _check_event(i, e, result)
+
+
+def _check_event(index: int, e: TraceEvent, result: str) -> None:
+    texts = (e.name, e.hostname, e.user, e.path or "", result)
+    for field, text in zip(("name", "hostname", "user", "path", "result"), texts):
+        if len(text) > _SHORT_CHARS:
+            _check_size(index, field, len(text.encode("utf-8")))
+    if _args_may_overflow(e.args):
+        _check_size(index, "args JSON", len(_args_json(e.args).encode("utf-8")))
+
+
+def _check_size(index: int, field: str, size: int) -> None:
+    if size > MAX_STRING_BYTES:
+        raise TraceFormatError(
+            "event %d: %s is %d bytes; a binary record holds at most %d"
+            % (index, field, size, MAX_STRING_BYTES)
+        )
 
 
 def _read_records(data: bytes, pos: int, count: int, rows: List[tuple]) -> int:
@@ -263,11 +371,10 @@ def encode_trace_file(
         separators=(",", ":"),
     ).encode("utf-8")
     out = [MAGIC, struct.pack("<H", VERSION), frame(header, with_checksum=checksum)]
+    frames = _Frames()
     for i in range(0, len(tf.events), block_records):
         chunk = tf.events[i : i + block_records]
-        body = struct.pack("<I", len(chunk)) + b"".join(
-            encode_event_record(e) for e in chunk
-        )
+        body = struct.pack("<I", len(chunk)) + _pack_records(chunk, frames)
         out.append(frame(compress(body, enabled=compressed), with_checksum=checksum))
     return b"".join(out)
 

@@ -11,6 +11,7 @@ import pickle
 import pytest
 
 from repro.errors import ReproError
+from repro.fanout import parallel_map
 from repro.harness.figures import figure_series, run_figures
 from repro.harness.parallel import (
     FRAMEWORK_FACTORIES,
@@ -21,7 +22,6 @@ from repro.harness.parallel import (
     as_framework_spec,
     build_sweep_specs,
     execute_spec,
-    parallel_map,
     run_sweep,
 )
 from repro.harness.runcache import RunCache, spec_key

@@ -11,12 +11,21 @@ discard a durably-acked upload.
 import asyncio
 import hashlib
 import json
+import struct
 import threading
 
 from repro.errors import TraceError
 from repro.service import Request, ServiceApp
 from repro.service.ingestq import WAL_SCHEMA, IngestQueue
-from repro.trace.binary_format import encode_trace_file
+from repro.trace import text_format
+from repro.trace.binary_format import (
+    MAX_STRING_BYTES,
+    encode_event_record,
+    encode_trace_file,
+)
+from repro.trace.checksum import frame, unframe
+from repro.trace.compressio import compress
+from repro.trace.records import TraceFile
 from storeutil import make_trace_file
 
 
@@ -201,4 +210,87 @@ class TestRetiredCodecParameter:
         app, runs = asyncio.run(main())
         assert app.queue.committed == 1 and app.queue.discarded == 0
         assert len(json.loads(runs.body)["runs"]) == 1
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+
+def _binary_body_with_args_json(raw_args: bytes) -> bytes:
+    """A one-event RTBF upload whose record stores ``raw_args`` verbatim.
+
+    The archive's own encoder always writes ASCII-escaped args JSON, but
+    a client may store raw UTF-8, which ingest re-renders escaped.
+    """
+    tf = make_trace_file(n=1)
+    event = tf.events[0].with_fields(args=())
+    record = encode_event_record(event)
+    assert record.endswith(b"\x02\x00[]")
+    record = record[:-4] + struct.pack("<H", len(raw_args)) + raw_args
+    head = encode_trace_file(TraceFile([event], hostname=tf.hostname, rank=0))
+    _header, end = unframe(head, 6)
+    body = struct.pack("<I", 1) + record
+    return head[:end] + frame(compress(body))
+
+
+def _run_uploads(root, *bodies):
+    """POST each body to a fresh service; returns (app, responses, runs)."""
+
+    async def main():
+        app = ServiceApp(root)
+        await app.startup()
+        try:
+            responses = []
+            for body in bodies:
+                req = Request("POST", "/v1/t/alice/ingest", {"rank": ["0"]}, {}, body)
+                responses.append(await app.handle(req))
+            await app.queue.queue.join()
+            runs = await app.handle(Request("GET", "/v1/t/alice/runs"))
+            return app, responses, json.loads(runs.body)["runs"]
+        finally:
+            await app.shutdown()
+
+    return asyncio.run(main())
+
+
+class TestUnencodableUploadRejected:
+    """An upload the archive cannot encode (a record string over 65,535
+    bytes) used to be acked 202, then failed its commit as a data error
+    and was discarded: acked data silently lost.  It is now refused with
+    400 before the WAL append."""
+
+    def test_text_upload_with_overlong_path_gets_400_and_no_wal(self, tmp_path):
+        root = tmp_path / "svc"
+        tf = make_trace_file(n=2, path="/" + "p" * 69_999)
+        body = text_format.encode_trace_file(tf).encode("utf-8")
+        app, (resp,), runs = _run_uploads(root, body)
+        assert resp.status == 400
+        error = json.loads(resp.body)["error"]
+        assert error["type"] == "TraceFormatError"
+        assert "path is 70000 bytes" in error["message"]
+        assert app.queue.committed == 0 and app.queue.discarded == 0
+        assert runs == []
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+    def test_binary_upload_whose_args_escape_past_the_limit_gets_400(self, tmp_path):
+        # 30,000 "é" are 60,004 stored bytes but 180,004 escaped ones.
+        root = tmp_path / "svc"
+        raw = json.dumps(["é" * 30_000], ensure_ascii=False).encode("utf-8")
+        assert len(raw) <= MAX_STRING_BYTES
+        app, (resp,), runs = _run_uploads(root, _binary_body_with_args_json(raw))
+        assert resp.status == 400
+        assert "args JSON is 180004 bytes" in json.loads(resp.body)["error"]["message"]
+        assert app.queue.committed == 0 and app.queue.discarded == 0
+        assert runs == []
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+    def test_uploads_just_under_the_limit_commit(self, tmp_path):
+        root = tmp_path / "svc"
+        # 21,845 three-byte code points: exactly 65,535 bytes.
+        path = "€" * (MAX_STRING_BYTES // 3)
+        text = text_format.encode_trace_file(make_trace_file(n=2, path=path))
+        raw = json.dumps(["é" * 10_921], ensure_ascii=False).encode("utf-8")
+        app, responses, runs = _run_uploads(
+            root, text.encode("utf-8"), _binary_body_with_args_json(raw)
+        )
+        assert [r.status for r in responses] == [202, 202]
+        assert app.queue.committed == 2 and app.queue.discarded == 0
+        assert len(runs) == 2
         assert sorted((root / "wal").glob("*.wal")) == []
