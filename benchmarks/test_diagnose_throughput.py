@@ -6,19 +6,15 @@ anything.  This bench builds a synthetic 40-run archive (a realistic
 sweep shape: 4 ranks, a few dozen ops per rank, a handful of runs with an
 inflated write path), measures end-to-end ``diagnose_archive`` wall time
 — fingerprints, grouping, MAD scoring, clustering, and the auto-slices
-for every flagged outlier — and records ``diagnose_runs_per_sec`` into
-``BENCH_diagnose.json`` (the ``repro obs check`` metric of the same
-name tracks it across history).
+for every flagged outlier — and holds the runs-per-second rate to a
+floor.
 
 Timings use min-of-N: this box jitters, the minimum is the least-noisy
 estimator.  Lives in ``benchmarks/`` (outside tier-1 ``testpaths``) and
 is marked ``slow`` so the fast suite never pays for it.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,7 +31,6 @@ WRITES_PER_RANK = 24
 SLOW_RUNS = (7, 23, 31)  # seeds whose write path is inflated
 REPS = 3
 FLOOR_RUNS_PER_SEC = 2.0
-BENCH_OUT = Path(os.environ.get("BENCH_DIAGNOSE_OUT", "BENCH_diagnose.json"))
 
 
 def _event(name, layer, ts, dur, rank, offset=0):
@@ -106,17 +101,6 @@ def build_archive(root):
     return bank
 
 
-def _write_bench(record):
-    bench = {"schema": "repro/bench_diagnose/v1", "command": "benchmarks"}
-    if BENCH_OUT.exists():
-        try:
-            bench = json.loads(BENCH_OUT.read_text())
-        except ValueError:
-            pass
-    bench.setdefault("diagnose", {}).update(record)
-    BENCH_OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-
-
 def test_diagnose_throughput_meets_the_floor(tmp_path):
     bank = build_archive(tmp_path / "store")
     assert len(bank.manifests()) == N_RUNS
@@ -140,15 +124,6 @@ def test_diagnose_throughput_meets_the_floor(tmp_path):
     print(
         "\ndiagnose over %d run(s) (%d events): %.2fs -> %.1f runs/s"
         % (N_RUNS, n_events, best, runs_per_sec)
-    )
-    _write_bench(
-        {
-            "n_runs": N_RUNS,
-            "n_events": n_events,
-            "diagnose_seconds": best,
-            "diagnose_runs_per_sec": runs_per_sec,
-            "outliers": len(report["outliers"]),
-        }
     )
     assert runs_per_sec >= FLOOR_RUNS_PER_SEC, (
         "diagnose at %.2f runs/s is under the %.1f floor"

@@ -1,7 +1,6 @@
 """Tier-2 bench: the parallel executor and run cache earn their keep.
 
-Two claims from the sweep-engine PR, measured on a real multi-point sweep
-and recorded into ``BENCH_sweep.json`` so the perf trajectory is tracked:
+Two claims from the sweep-engine PR, measured on a real multi-point sweep:
 
 * fanning sweep points over worker processes beats the serial wall-clock
   (needs >= 2 CPUs; skipped on single-core runners);
@@ -12,9 +11,7 @@ Lives in ``benchmarks/`` (outside the tier-1 ``testpaths``) and is marked
 ``slow`` so the fast suite never pays for it.
 """
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
@@ -32,19 +29,6 @@ SWEEP = dict(
     nprocs=16,
     seed=0,
 )
-BENCH_OUT = Path(os.environ.get("BENCH_SWEEP_OUT", "BENCH_sweep.json"))
-
-
-def _write_bench(records):
-    """Merge this module's measurements into the BENCH_sweep.json artifact."""
-    bench = {"schema": "repro/bench_sweep/v1", "command": "benchmarks"}
-    if BENCH_OUT.exists():
-        try:
-            bench = json.loads(BENCH_OUT.read_text())
-        except ValueError:
-            pass
-    bench.setdefault("speedup", {}).update(records)
-    BENCH_OUT.write_text(json.dumps(bench, indent=2) + "\n")
 
 
 def test_parallel_beats_serial(once):
@@ -56,13 +40,6 @@ def test_parallel_beats_serial(once):
     print(
         "\nserial %.2fs vs parallel(jobs=%d) %.2fs -> %.2fx"
         % (t_s, parallel.report.jobs, t_p, t_s / t_p)
-    )
-    _write_bench(
-        {
-            "serial_wall_seconds": t_s,
-            "parallel_wall_seconds": t_p,
-            "parallel_jobs": parallel.report.jobs,
-        }
     )
     assert parallel.series == serial.series  # identical output first
     assert t_p < t_s
@@ -77,7 +54,6 @@ def test_warm_cache_rerun_is_10x_faster(once, tmp_path):
         "\ncold %.2fs vs warm %.4fs -> %.0fx (hit rate %.0f%%)"
         % (t_cold, t_warm, t_cold / t_warm, 100 * warm.report.cache_hit_rate)
     )
-    _write_bench({"cold_wall_seconds": t_cold, "warm_wall_seconds": t_warm})
     assert warm.series == cold.series
     assert warm.report.cache_hit_rate == 1.0
     assert t_warm * 10 <= t_cold

@@ -9,7 +9,7 @@
 * :mod:`repro.analysis.timeline` — merge per-node traces into one
   skew-corrected global event timeline;
 * :mod:`repro.analysis.dependencies` — inter-node dependency graphs
-  (//TRACE's "Reveals dependencies" output) on networkx;
+  (//TRACE's "Reveals dependencies" output) as writer→reader edge dicts;
 * :mod:`repro.analysis.phases` — compute/I-O phase segmentation of a
   rank's timeline (burst detection).
 """

@@ -15,9 +15,7 @@ library, matching the paper's discussion of "Reveals Dependencies"
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.skew import ClockEstimate, correct_timestamp
 from repro.trace.records import TraceBundle
@@ -31,13 +29,13 @@ _READ_NAMES = {"SYS_read", "SYS_pread64", "MPI_File_read_at", "vfs_read"}
 def infer_data_dependencies(
     bundle: TraceBundle,
     estimates: Optional[Dict[int, ClockEstimate]] = None,
-) -> nx.DiGraph:
+) -> Dict[Tuple[int, int], Dict[str, Any]]:
     """Writer→reader edges from shared-file access order.
 
-    An edge ``(a, b)`` with attributes ``path`` and ``count`` means rank
-    ``a`` wrote a file that rank ``b`` subsequently read.  Ordering uses
-    skew-corrected time when ``estimates`` is given, raw local time
-    otherwise.
+    An edge ``(a, b) -> {"path": p, "count": n}`` means rank ``a`` wrote
+    a file that rank ``b`` subsequently read, ``n`` times in all, ``p``
+    being the first such file.  Ordering uses skew-corrected time when
+    ``estimates`` is given, raw local time otherwise.
     """
     accesses: List[Tuple[float, int, str, str]] = []  # (t, rank, kind, path)
     for key, tf in bundle.files.items():
@@ -59,7 +57,7 @@ def infer_data_dependencies(
             accesses.append((t, rank, kind, e.path))
     accesses.sort(key=lambda a: a[0])
 
-    graph = nx.DiGraph()
+    edges: Dict[Tuple[int, int], Dict[str, Any]] = {}
     last_writer: Dict[str, int] = {}
     for _t, rank, kind, path in accesses:
         if kind == "w":
@@ -67,21 +65,22 @@ def infer_data_dependencies(
         else:
             writer = last_writer.get(path)
             if writer is not None and writer != rank:
-                if graph.has_edge(writer, rank):
-                    graph.edges[writer, rank]["count"] += 1
+                edge = edges.get((writer, rank))
+                if edge is None:
+                    edges[writer, rank] = {"path": path, "count": 1}
                 else:
-                    graph.add_edge(writer, rank, path=path, count=1)
-    return graph
+                    edge["count"] += 1
+    return edges
 
 
-def dependency_summary(graph: nx.DiGraph) -> str:
-    """One-line-per-edge rendering of a dependency digraph."""
-    if graph.number_of_edges() == 0:
+def dependency_summary(edges: Dict[Tuple[int, int], Dict[str, Any]]) -> str:
+    """One-line-per-edge rendering of :func:`infer_data_dependencies`."""
+    if not edges:
         return "# no cross-rank data dependencies observed\n"
     lines = ["# inferred data dependencies (writer -> reader)"]
-    for a, b, data in sorted(graph.edges(data=True)):
+    for (a, b), data in sorted(edges.items()):
         lines.append(
             "  rank %s -> rank %s  (%d transfer(s), e.g. %s)"
-            % (a, b, data.get("count", 1), data.get("path", "?"))
+            % (a, b, data["count"], data["path"])
         )
     return "\n".join(lines) + "\n"

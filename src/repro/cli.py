@@ -14,13 +14,13 @@ Commands:
     ``--telemetry`` every point also exports a metrics snapshot and a
     Perfetto-loadable Chrome trace into ``--telemetry-out`` (default
     ``telemetry/``).
-``figures [--quick] [--jobs N] [--no-cache] [--bench-out PATH] [--telemetry]``
+``figures [--quick] [--jobs N] [--no-cache] [--telemetry]``
     Regenerate Figures 2-4 and the §4.1.1 overhead range as one sweep —
     points fan out over ``--jobs`` worker processes, results are memoized
-    in ``.repro-cache/`` (disable with ``--no-cache``), and a
-    ``BENCH_sweep.json`` artifact records wall-clock per point, events/sec,
-    and the cache hit rate.  ``--progress`` (or a tty stderr) shows live
-    ``N/M points, ETA`` lines while the sweep runs.
+    in ``.repro-cache/`` (disable with ``--no-cache``), and a closing
+    ``sweep:`` line reports the wall clock and the cache hits and misses.
+    ``--progress`` (or a tty stderr) shows live ``N/M points, ETA`` lines
+    while the sweep runs.
 ``chaos [--matrix NAME] [--frameworks ...] [--jobs N] [--report-out PATH]``
     Run a named fault matrix (node crash, network partition, disk storms)
     against the paper's frameworks under the simulator-wide fault plane,
@@ -40,7 +40,7 @@ Commands:
     (direction inferred from file extensions).
 ``anonymize IN OUT [--mode randomize|encrypt] [--key HEX] [--fields ...]``
     Anonymize a trace file for release.
-``obs diff|critpath|slice|diagnose|check``
+``obs diff|critpath|slice|diagnose``
     The regression observatory.  ``diff`` structurally compares two
     runs' telemetry (counter deltas, histogram divergence, span-tree
     alignment with per-layer self-time deltas) — runs are addressed by
@@ -58,10 +58,7 @@ Commands:
     scoring against their peer group (or ``--against`` a pinned
     baseline run), auto-slices each outlier, and prints the ranked
     "suspect layer + op + rank" table — byte-identical for any
-    ``--jobs``.  ``check`` gates the latest ``BENCH_history.jsonl``
-    record (appended by ``figures --baseline``) with median/MAD change
-    detection; ``--fail-on-regression`` exits nonzero when a metric
-    regressed.
+    ``--jobs``.
 ``store ingest|ls|query|dfg|verify|gc``
     The TraceBank trace archive: ingest trace files or whole sweeps
     (``--store`` on ``figure``/``figures``/``chaos`` auto-archives every
@@ -74,9 +71,9 @@ Commands:
     (checkpoint/restart with burst-buffer tiering, ML-epoch shuffled
     reads, log-structured append+compaction, metadata storm); ``run``/
     ``matrix`` execute scenarios through the §3.1 harness (same sweep
-    flags as ``figures``: ``--jobs``, run cache, ``--store`` archiving,
-    ``--baseline`` gate records) and check each archived trace against
-    the scenario's declared I/O signature; ``--replay-check`` closes the
+    flags as ``figures``: ``--jobs``, run cache, ``--store`` archiving)
+    and check each archived trace against the scenario's declared I/O
+    signature; ``--replay-check`` closes the
     loop by replaying every archived run from its run id and requiring
     an exact fidelity report.  ``replay`` takes any trace source — a
     TraceBank run-id prefix, a raw ``strace -f -T -ttt`` capture, or
@@ -307,20 +304,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    import json
-
     from repro.harness.figures import run_figures
     from repro.harness.report import render_figure, render_overhead_range
 
     blocks, total, nprocs = _sweep_shape(args.quick)
-    cache = _make_cache(args)
     sweep = run_figures(
         figures=(2, 3, 4),
         block_sizes=blocks,
         total_bytes_per_rank=total,
         nprocs=nprocs,
         jobs=args.jobs,
-        cache=cache,
+        cache=_make_cache(args),
         telemetry=args.telemetry,
         progress=_make_progress(args),
         store=args.store,
@@ -343,26 +337,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             report.cache_misses,
         )
     )
-    bench = {
-        "schema": "repro/bench_sweep/v1",
-        "command": "figures",
-        "quick": bool(args.quick),
-        "jobs": report.jobs,
-        "nprocs": nprocs,
-        "wall_seconds": report.wall_seconds,
-        "cache": {
-            "enabled": cache is not None,
-            "dir": None if cache is None else str(cache.root),
-            "hits": report.cache_hits,
-            "misses": report.cache_misses,
-            "hit_rate": report.cache_hit_rate,
-        },
-        "points": sweep.bench_points,
-        "elapsed_overhead_range": sweep.overhead_range,
-    }
-    if args.bench_out:
-        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
-        print("wrote %s" % args.bench_out)
     if args.telemetry:
         written = _write_telemetry_artifacts(
             args.telemetry_out,
@@ -375,21 +349,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             ),
         )
         print("wrote %d telemetry artifact(s) to %s" % (len(written), args.telemetry_out))
-    if args.baseline:
-        from repro.obs.baseline import append_history, make_record
-
-        record = make_record(
-            sweep.bench_points,
-            quick=bool(args.quick),
-            nprocs=nprocs,
-            jobs=report.jobs,
-            label=args.baseline_label,
-        )
-        idx = append_history(args.baseline, record)
-        print(
-            "appended baseline record #%d (%d point(s)) to %s"
-            % (idx, len(sweep.bench_points), args.baseline)
-        )
     return 0
 
 
@@ -474,7 +433,7 @@ def _cmd_zoo_describe(args: argparse.Namespace) -> int:
 def _run_zoo(args: argparse.Namespace, scenarios) -> int:
     """Shared body of ``zoo run`` and ``zoo matrix``."""
     from repro.obs.metrics import canonical_json
-    from repro.zoo import ZOO_NPROCS, bench_points, render_zoo_report, run_zoo_matrix
+    from repro.zoo import render_zoo_report, run_zoo_matrix
 
     report = run_zoo_matrix(
         scenarios=scenarios,
@@ -497,32 +456,6 @@ def _run_zoo(args: argparse.Namespace, scenarios) -> int:
     if args.replay_check:
         exact = report["summary"]["replay_exact"]
         print("replay check: %d/%d exact" % (exact, report["summary"]["archived"]))
-    if getattr(args, "bench_out", None):
-        bench = {
-            "schema": "repro/bench_sweep/v1",
-            "command": "zoo",
-            "quick": bool(args.smoke),
-            "jobs": ex["jobs"],
-            "nprocs": ZOO_NPROCS,
-            "wall_seconds": ex["wall_seconds"],
-            "points": bench_points(report),
-        }
-        import json
-
-        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
-        print("wrote %s" % args.bench_out)
-    if getattr(args, "baseline", None):
-        from repro.obs.baseline import append_history, make_record
-
-        record = make_record(
-            bench_points(report),
-            quick=bool(args.smoke),
-            nprocs=ZOO_NPROCS,
-            jobs=ex["jobs"],
-            label=args.baseline_label,
-        )
-        idx = append_history(args.baseline, record)
-        print("appended baseline record #%d to %s" % (idx, args.baseline))
     if args.report_out:
         Path(args.report_out).write_text(canonical_json(report) + "\n")
         print("wrote %s" % args.report_out)
@@ -804,24 +737,6 @@ def _cmd_obs_diagnose(args: argparse.Namespace) -> int:
         Path(args.report_out).write_text(canonical_json(report) + "\n")
         print("wrote %s" % args.report_out)
     if args.fail_on_outlier and report["summary"]["outliers"] > 0:
-        return 1
-    return 0
-
-
-def _cmd_obs_check(args: argparse.Namespace) -> int:
-    from repro.obs.baseline import check_history, load_history, render_check
-    from repro.obs.metrics import canonical_json
-
-    records = load_history(args.history)
-    report = check_history(records, k=args.k, min_history=args.min_history)
-    if args.json:
-        print(canonical_json(report))
-    else:
-        print(render_check(report), end="")
-    if args.report_out:
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
-    if args.fail_on_regression and report["summary"]["regressions"] > 0:
         return 1
     return 0
 
@@ -1228,22 +1143,6 @@ def _cmd_service_loadgen(args: argparse.Namespace) -> int:
     print(canonical_json(report))
     if args.out:
         print("wrote %s" % args.out)
-    if args.baseline:
-        from repro.obs.baseline import append_history, make_record
-
-        record = make_record(
-            [
-                {
-                    "figure": "service",
-                    "block_size": None,
-                    "service_req_per_sec": report["req_per_sec"],
-                    "service_p99_ms": report["latency_p99_ms"],
-                }
-            ],
-            label=args.baseline_label,
-        )
-        idx = append_history(args.baseline, record)
-        print("appended baseline record #%d to %s" % (idx, args.baseline))
     return 1 if result.errors else 0
 
 
@@ -1336,29 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="regenerate Figures 2-4 + overhead range as one sweep"
     )
     add_sweep_flags(p)
-    p.add_argument(
-        "--bench-out",
-        default="BENCH_sweep.json",
-        metavar="PATH",
-        help="write the sweep benchmark artifact here ('' to skip)",
-    )
-    p.add_argument(
-        "--baseline",
-        nargs="?",
-        const="BENCH_history.jsonl",
-        default=None,
-        metavar="PATH",
-        help="append this sweep's headline metrics to the baseline history "
-        "(default BENCH_history.jsonl when the flag is given bare); "
-        "'repro obs check' gates against it",
-    )
-    p.add_argument(
-        "--baseline-label",
-        default=None,
-        metavar="TEXT",
-        help="free-form label stored on the --baseline record "
-        "(a commit id, a date, ...)",
-    )
     p.set_defaults(fn=_cmd_figures)
 
     p = sub.add_parser(
@@ -1508,25 +1384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report-out", default=None, metavar="PATH",
                     help="also write the canonical-JSON diagnosis report here")
     sp.set_defaults(fn=_cmd_obs_diagnose)
-
-    sp = obs_sub.add_parser(
-        "check", help="gate the latest baseline record (median/MAD)"
-    )
-    sp.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
-                    help="baseline history written by 'figures --baseline' "
-                    "(default BENCH_history.jsonl)")
-    sp.add_argument("--fail-on-regression", action="store_true",
-                    help="exit nonzero when any metric regressed")
-    sp.add_argument("--k", type=float, default=4.0, metavar="F",
-                    help="MAD multiplier in the change threshold (default 4)")
-    sp.add_argument("--min-history", type=int, default=2, metavar="N",
-                    help="prior records required before a series is gated "
-                    "(default 2)")
-    sp.add_argument("--json", action="store_true",
-                    help="print the canonical-JSON report")
-    sp.add_argument("--report-out", default=None, metavar="PATH",
-                    help="also write the canonical-JSON check report here")
-    sp.set_defaults(fn=_cmd_obs_check)
 
     sp = obs_sub.add_parser(
         "top", help="live operational dashboard over a running service"
@@ -1760,11 +1617,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, metavar="PATH",
                     help="write the canonical-JSON bench report here "
                     "(e.g. BENCH_service.json)")
-    sp.add_argument("--baseline", default=None, metavar="PATH",
-                    help="append service_req_per_sec + service_p99_ms to "
-                    "this BENCH_history.jsonl for 'repro obs check'")
-    sp.add_argument("--baseline-label", default=None, metavar="TEXT",
-                    help="free-form label stored with the baseline record")
     sp.set_defaults(fn=_cmd_service_loadgen)
 
     p = sub.add_parser(
@@ -1799,14 +1651,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(needs --store; nonzero exit on drift)")
         sp.add_argument("--report-out", default=None, metavar="PATH",
                         help="write the canonical-JSON zoo report here")
-        sp.add_argument("--bench-out", default=None, metavar="PATH",
-                        help="write BENCH_zoo.json-style gate points here")
-        sp.add_argument("--baseline", nargs="?", const="BENCH_history.jsonl",
-                        default=None, metavar="PATH",
-                        help="append the zoo gate metrics to the baseline "
-                        "history ('repro obs check' gates against it)")
-        sp.add_argument("--baseline-label", default=None, metavar="TEXT",
-                        help="free-form label stored on the --baseline record")
 
     sp = zoo_sub.add_parser("run", help="run one scenario through the harness")
     sp.add_argument("scenario", help="scenario name (see 'zoo ls')")

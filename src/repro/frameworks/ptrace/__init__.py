@@ -12,7 +12,7 @@ Reproduced here:
   per-node I/O throttling with progress correlation, discovering which
   ranks causally depend on which nodes.  The ``sampling`` knob is the
   paper's fidelity/overhead trade ("~0% to 205%" elapsed overhead);
-* :mod:`.depmap` — inter-node dependency maps (networkx);
+* :mod:`.depmap` — inter-node dependency maps;
 * :mod:`.replaygen` — replayable-trace assembly: deperturbed pseudo-app
   plus dependency-derived synchronization.
 """

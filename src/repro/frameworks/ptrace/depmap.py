@@ -9,9 +9,7 @@ from program structure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 __all__ = ["DependencyMap"]
 
@@ -23,8 +21,8 @@ class DependencyMap:
         if n_ranks < 1:
             raise ValueError("need at least one rank")
         self.n_ranks = n_ranks
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(range(n_ranks))
+        #: ``(src, dst) -> sensitivity`` for every discovered edge
+        self.edges: Dict[Tuple[int, int], float] = {}
         #: nodes that were actually throttled (absence of an edge from an
         #: unprobed node is ignorance, not independence)
         self.probed: set = set()
@@ -37,40 +35,38 @@ class DependencyMap:
         """Record that throttling ``src`` stalled ``dst`` (weight in [0,1])."""
         if src == dst:
             return
-        self.graph.add_edge(src, dst, sensitivity=float(sensitivity))
+        self.edges[src, dst] = float(sensitivity)
 
     # -- queries --------------------------------------------------------------
 
     def depends_on(self, dst: int, src: int) -> bool:
         """Was rank ``dst`` observed to stall when ``src`` was throttled?"""
-        return self.graph.has_edge(src, dst)
+        return (src, dst) in self.edges
 
     def dependents_of(self, src: int) -> List[int]:
         """Ranks that stalled when ``src`` was throttled, sorted."""
-        return sorted(self.graph.successors(src))
+        return sorted(d for s, d in self.edges if s == src)
 
     def sensitivity(self, src: int, dst: int) -> float:
         """Edge weight (throughput-drop fraction), 0 when absent."""
-        if not self.graph.has_edge(src, dst):
-            return 0.0
-        return self.graph.edges[src, dst]["sensitivity"]
+        return self.edges.get((src, dst), 0.0)
 
     @property
     def n_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self.edges)
 
     def density(self) -> float:
         """Edges found per probed-source/possible-destination pair."""
         possible = len(self.probed) * (self.n_ranks - 1)
         if possible == 0:
             return 0.0
-        found = sum(1 for s, _ in self.graph.edges if s in self.probed)
+        found = sum(1 for s, _ in self.edges if s in self.probed)
         return found / possible
 
     def coupled_ranks(self) -> List[int]:
         """Ranks participating in any discovered dependency."""
         involved = set()
-        for s, d in self.graph.edges:
+        for s, d in self.edges:
             involved.add(s)
             involved.add(d)
         return sorted(involved)
@@ -91,9 +87,8 @@ class DependencyMap:
             "# //TRACE dependency map: %d ranks, %d probed, %d edges"
             % (self.n_ranks, len(self.probed), self.n_edges)
         ]
-        for s, d in sorted(self.graph.edges):
+        for (s, d), sensitivity in sorted(self.edges.items()):
             lines.append(
-                "  node %d -> rank %d (sensitivity %.2f)"
-                % (s, d, self.graph.edges[s, d]["sensitivity"])
+                "  node %d -> rank %d (sensitivity %.2f)" % (s, d, sensitivity)
             )
         return "\n".join(lines) + "\n"

@@ -197,16 +197,11 @@ def figure_series(
 
 @dataclass
 class FigureSweep:
-    """All figure series from one combined sweep, plus execution stats.
-
-    ``bench_points`` is one record per sweep point with the wall-clock,
-    kernel-event, and cache data the ``BENCH_sweep.json`` artifact reports.
-    """
+    """All figure series from one combined sweep, plus execution stats."""
 
     series: Dict[int, FigureSeries]
     overhead_range: Dict[str, float]
     report: SweepReport
-    bench_points: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def run_figures(
@@ -256,7 +251,6 @@ def run_figures(
     result = run_sweep(specs, jobs=jobs, cache=cache, progress=progress)
 
     series: Dict[int, FigureSeries] = {}
-    bench_points: List[Dict[str, Any]] = []
     for idx, figno in enumerate(figures):
         chunk = result.points[idx * len(sizes) : (idx + 1) * len(sizes)]
         series[figno] = FigureSeries(
@@ -266,10 +260,6 @@ def run_figures(
             points=_figure_points(sizes, chunk),
             measurements=list(chunk),
         )
-        for bs, point in zip(sizes, chunk):
-            row = {"figure": figno, "block_size": bs}
-            row.update(point.headline())
-            bench_points.append(row)
     # Failed (annotated) points carry zeroed numbers; keep them out of the
     # headline range so one bad point doesn't fake a 0% minimum.
     overheads = [
@@ -284,7 +274,6 @@ def run_figures(
         series=series,
         overhead_range={"min": min(overheads), "max": max(overheads)},
         report=result.report,
-        bench_points=bench_points,
     )
 
 

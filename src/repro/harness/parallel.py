@@ -305,47 +305,6 @@ class PointResult:
         """The point's workload arguments as a plain dict."""
         return dict(self.params)
 
-    @property
-    def events_per_sec(self) -> float:
-        """Kernel events dispatched per host second across both runs.
-
-        The wall clock is clamped at 1 ns: a sub-resolution measurement
-        (events executed but ``perf_counter`` ticked ~0) yields a large
-        finite rate instead of dividing by zero or faking a dead 0.0.
-        """
-        if self.events_executed <= 0:
-            return 0.0
-        return self.events_executed / max(self.wall_seconds, 1e-9)
-
-    @property
-    def wall_time_per_sim_second(self) -> float:
-        """Host seconds burned per simulated second (both runs combined)."""
-        sim_seconds = self.untraced.elapsed + self.traced.elapsed
-        if sim_seconds <= 0:
-            return 0.0
-        return self.wall_seconds / sim_seconds
-
-    def headline(self) -> Dict[str, Any]:
-        """The point's baseline-sentinel metrics as one plain-JSON row.
-
-        These are the quantities ``BENCH_history.jsonl`` tracks per
-        figure point (see :mod:`repro.obs.baseline`): simulated elapsed
-        for both runs, the §3.1 overhead as a percentage, and the
-        host-clock rates.  Callers add the identity keys (figure, block
-        size) before recording.
-        """
-        return {
-            "elapsed_untraced": self.untraced.elapsed,
-            "elapsed_traced": self.traced.elapsed,
-            "overhead_pct": 100.0 * self.elapsed_overhead,
-            "events_executed": self.events_executed,
-            "events_per_sec": self.events_per_sec,
-            "wall_seconds": self.wall_seconds,
-            "wall_time_per_sim_second": self.wall_time_per_sim_second,
-            "cached": self.cached,
-            "error": self.error,
-        }
-
 
 @dataclass
 class SweepReport:

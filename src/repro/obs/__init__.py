@@ -20,9 +20,6 @@ robustness work has data instead of guesses:
   diff``): counter deltas, histogram divergence, span-tree alignment;
 * :mod:`repro.obs.critpath` — critical-path attribution: per-layer self
   time, the slowest-rank chain, collapsed-stack flamegraph export;
-* :mod:`repro.obs.baseline` — the baseline perf sentinel:
-  ``BENCH_history.jsonl`` + median/MAD change detection behind
-  ``repro obs check``;
 * :mod:`repro.obs.slice` — causal slicing (``repro obs slice``): the
   cross-layer chain, per-layer window attribution, fault candidates and
   ranked suspects explaining one run's latency around an anchor;
@@ -53,7 +50,6 @@ Enable it around any simulation::
 """
 
 from repro.obs import (
-    baseline,
     compare,
     critpath,
     diagnose,
@@ -66,7 +62,6 @@ from repro.obs import (
     spans,
     tracepoints,
 )
-from repro.obs.baseline import append_history, check_history, make_record
 from repro.obs.compare import compare_payloads, render_diff
 from repro.obs.critpath import critical_path, flamegraph_lines
 from repro.obs.diagnose import diagnose_archive, render_diagnose
@@ -92,7 +87,6 @@ __all__ = [
     "report",
     "compare",
     "critpath",
-    "baseline",
     "slice",
     "diagnose",
     "reqtrace",
@@ -112,9 +106,6 @@ __all__ = [
     "slice_from_store",
     "diagnose_archive",
     "render_diagnose",
-    "make_record",
-    "append_history",
-    "check_history",
     "render_payload_summary",
     "summarize_payload",
     "MetricsRegistry",

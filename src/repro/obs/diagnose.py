@@ -13,9 +13,9 @@ like their peers, and explain each with a causal slice
    nprocs) — only peers are comparable — and **cluster** them globally
    by fingerprint distance (edge-set Jaccard + normalized layer-vector
    L1), so a sweep over thousands of runs reads as a handful of shapes.
-3. **Score** each run against its group with the repo's median/MAD
-   machinery (:mod:`repro.obs.baseline`): elapsed time, per-layer self
-   seconds, and the straggler spread all gate with
+3. **Score** each run against its group with median/MAD scoring
+   (:func:`robust_threshold`): elapsed time, per-layer self seconds,
+   and the straggler spread all gate with
    ``max(k*1.4826*MAD, rel_floor*|median|, abs_floor)``.  With
    ``--against`` the reference is a single pinned baseline run instead
    of the group median.
@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StoreError, TelemetryError
 from repro.fanout import parallel_map
-from repro.obs.baseline import mad, median, robust_threshold
 from repro.obs.critpath import build_forest, stack_layer
 from repro.obs.metrics import canonical_json
 from repro.obs.slice import MAX_CHAIN_ROOTS, slice_from_store
@@ -76,6 +75,39 @@ DEFAULT_EPS = 0.25
 #: Groups smaller than this have no meaningful median (unless --against
 #: pins an external reference).
 MIN_GROUP = 3
+
+#: Normal-consistency constant: sigma ~= 1.4826 * MAD for Gaussian noise.
+MAD_CONSISTENCY = 1.4826
+
+
+def median(values: List[float]) -> float:
+    """The sample median (mean of the middle pair for even counts)."""
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    if n % 2:
+        return ordered[mid]
+    return 0.5 * (ordered[mid - 1] + ordered[mid])
+
+
+def mad(values: List[float], center: float) -> float:
+    """Median absolute deviation around ``center``."""
+    return median([abs(v - center) for v in values])
+
+
+def robust_threshold(
+    center: float,
+    spread: float,
+    k: float,
+    rel_floor: float,
+    abs_floor: float,
+) -> float:
+    """The change threshold: ``max(k*1.4826*MAD, floors)``.
+
+    "How far from the median counts as anomalous" has exactly this one
+    definition for every series the diagnosis scores.
+    """
+    return max(k * MAD_CONSISTENCY * spread, rel_floor * abs(center), abs_floor)
 
 
 # -- fingerprints ------------------------------------------------------------

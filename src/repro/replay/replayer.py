@@ -198,7 +198,7 @@ class ReplayResult:
     job: JobResult
     timing: str = "preserve"
     #: Kernel events the replay testbed executed — the determinism
-    #: fingerprint and the numerator of ``zoo_replay_events_per_sec``.
+    #: fingerprint, also reported in the zoo matrix's ``replay_bench``.
     events_executed: int = 0
 
     @property

@@ -15,8 +15,7 @@ server.  The harness records every response: latency quantiles (p50/p99),
 request throughput, the status mix (429s are *expected* under
 backpressure and retried after the server's own ``Retry-After``), and —
 from ``/v1/stats`` at the end — the service-wide dedup ratio.  Results
-land in canonical JSON (``BENCH_service.json`` by convention) feeding the
-``service_req_per_sec`` baseline gate.
+land in canonical JSON (``BENCH_service.json`` by convention).
 """
 
 from __future__ import annotations

@@ -111,11 +111,6 @@ class SimProcess:
             else:
                 yield seconds * self.cpu_factor
 
-    def _charge_raw(self, seconds: float) -> Generator[Any, Any, None]:
-        """Charge tracer-side work (not subject to the slowdown factor)."""
-        if seconds > 0:
-            yield seconds
-
     # -- dispatch wrappers -------------------------------------------------------------
 
     def _dispatch(

@@ -42,6 +42,7 @@ from repro.trace.records import TraceFile
 
 __all__ = [
     "FIELDS",
+    "INT_RANGES",
     "MAX_STRING_BYTES",
     "check_string_limits",
     "encode_trace_file",
@@ -82,6 +83,21 @@ _SLOT = {"timestamp": _TS, "duration": _DUR, "layer": _LAYER, "pid": _PID,
 # Optional fields and the flag bit saying the slot holds a real value.
 _PRESENCE = {"rank": _F_RANK, "fd": _F_FD, "nbytes": _F_NBYTES,
              "offset": _F_OFFSET, "path": _F_PATH}
+
+
+def _code_range(code: str) -> Tuple[int, int]:
+    """Inclusive range of one struct integer code (signed when lower-case)."""
+    bits = 8 * struct.calcsize("<" + code)
+    if code.islower():
+        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return 0, (1 << bits) - 1
+
+
+#: Inclusive range of the values each integer field's record slot stores.
+INT_RANGES = {
+    name: _code_range(_RECORD.format[1 + _SLOT[name]])
+    for name in ("pid", "rank", "fd", "nbytes", "offset")
+}
 
 
 #: Longest string body a record can hold (its length prefix is a u16).

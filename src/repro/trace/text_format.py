@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
+from repro.trace.binary_format import INT_RANGES
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 
@@ -88,6 +89,34 @@ def _decode_arg(text: str) -> Any:
         return int(text)
     except ValueError:
         return text
+
+
+# Annotated fields a TraceEvent cannot leave null.
+_REQUIRED = frozenset(("pid", "hostname", "user"))
+
+
+def _check_annotation(fields: Dict[str, Any], line: str) -> None:
+    """Refuse annotated values that a binary record could not store.
+
+    An integer field must be a JSON integer (a bool is not one) inside
+    the range of its record slot (:data:`~repro.trace.binary_format.
+    INT_RANGES`), and a string field a JSON string.
+    """
+    for name, (lo, hi) in INT_RANGES.items():
+        value = fields[name]
+        if value is None and name not in _REQUIRED:
+            continue
+        if type(value) is not int or not lo <= value <= hi:
+            raise TraceFormatError(
+                "annotation %s=%r is not an int in [%d, %d] on line: %r"
+                % (name, value, lo, hi, line)
+            )
+    for name in ("hostname", "user", "path"):
+        value = fields[name]
+        if not isinstance(value, str) and (value is not None or name in _REQUIRED):
+            raise TraceFormatError(
+                "annotation %s=%r is not a string on line: %r" % (name, value, line)
+            )
 
 
 def encode_event(event: TraceEvent, annotated: bool = True) -> str:
@@ -163,6 +192,7 @@ def decode_event(line: str) -> TraceEvent:
             )
         except ValueError:
             raise TraceFormatError("bad annotation on line: %r" % line) from None
+        _check_annotation(fields, line)
     try:
         return TraceEvent(**fields)
     except (ValueError, TypeError):
@@ -197,7 +227,13 @@ def decode_trace_file(text: str) -> TraceFile:
             if m:
                 hostname = m.group("host")
                 pid = int(m.group("pid"))
-                rank = None if m.group("rank") == "-" else int(m.group("rank"))
+                rank_text = m.group("rank")
+                try:
+                    rank = None if rank_text == "-" else int(rank_text)
+                except ValueError:
+                    raise TraceFormatError(
+                        "header rank %r is not an int" % rank_text
+                    ) from None
                 framework = m.group("fw")
             continue
         if line.startswith("#"):

@@ -12,7 +12,7 @@ at — replaying a *real* trace on a simulated cluster:
   ``--store`` archiving and ``obs diagnose`` for free;
 * :mod:`repro.zoo.matrix` — run all scenarios, check their declared I/O
   signatures against the archived traces, emit the byte-deterministic
-  ``repro/zoo/v1`` report and the ``BENCH_zoo.json`` gate points;
+  ``repro/zoo/v1`` report;
 * :mod:`repro.zoo.replaypipe` — real strace capture, library trace file,
   or archived TraceBank run id → pseudo-application → simulated replay →
   fidelity report (op mix, bytes, timing; exact-or-explain).
@@ -21,7 +21,6 @@ at — replaying a *real* trace on a simulated cluster:
 from repro.zoo.registry import SCENARIOS, ZOO_NPROCS, ZooScenario, get, names, register, zoo_testbed
 from repro.zoo.matrix import (
     ZOO_SCHEMA,
-    bench_points,
     build_zoo_specs,
     check_signature,
     render_zoo_report,
@@ -40,7 +39,6 @@ __all__ = [
     "ZOO_NPROCS",
     "ZOO_SCHEMA",
     "ZooScenario",
-    "bench_points",
     "build_zoo_specs",
     "check_signature",
     "choose_layer",

@@ -21,8 +21,7 @@ With ``replay_check=True`` (requires ``store``) each archived scenario
 is immediately replayed from its run id through
 :func:`~repro.zoo.replaypipe.replay_pipeline` and the row carries the
 fidelity verdict — the capture→archive→replay acceptance loop as one
-flag.  The replay wall-clock rate feeds the ``zoo_replay_events_per_sec``
-baseline-gate metric (``bench_points()``).
+flag.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "check_signature",
     "run_zoo_matrix",
     "render_zoo_report",
-    "bench_points",
 ]
 
 ZOO_SCHEMA = "repro/zoo/v1"
@@ -248,39 +246,6 @@ def run_zoo_matrix(
         },
     }
     return json.loads(canonical_json(report))
-
-
-def bench_points(report: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """BENCH_zoo.json points for the baseline gate's history format.
-
-    One point per scenario, carrying the identity keys the gate series
-    are keyed on (``figure`` = ``zoo/<scenario>``, ``block_size`` = 0)
-    plus the deterministic elapsed/overhead metrics — and, when the
-    matrix ran its replay check, the ``zoo_replay_events_per_sec``
-    host-clock rate (simulated kernel events the replay dispatched per
-    host second; the wall clock is clamped so a sub-resolution replay
-    yields a large finite rate, not a division by zero).
-    """
-    replay_rates = {
-        b["scenario"]: b["events_executed"] / max(b["wall_seconds"], 1e-9)
-        for b in report.get("execution", {}).get("replay_bench", [])
-    }
-    points = []
-    for row in report["rows"]:
-        point = {
-            "figure": "zoo/%s" % row["scenario"],
-            "block_size": 0,
-            "elapsed_untraced": row["elapsed_untraced"],
-            "elapsed_traced": row["elapsed_traced"],
-            "overhead_pct": row["overhead_pct"],
-            "events_executed": row["events_executed"],
-            "error": row["error"],
-        }
-        rate = replay_rates.get(row["scenario"])
-        if rate is not None:
-            point["zoo_replay_events_per_sec"] = rate
-        points.append(point)
-    return points
 
 
 def render_zoo_report(report: Dict[str, Any]) -> str:

@@ -172,8 +172,7 @@ class TestDataDependencies:
             }
         )
         g = infer_data_dependencies(bundle)
-        assert g.has_edge(0, 1)
-        assert g.edges[0, 1]["count"] == 1
+        assert g == {(0, 1): {"path": "/pfs/shared", "count": 1}}
         assert "rank 0 -> rank 1" in dependency_summary(g)
 
     def test_no_edge_for_private_files(self):
@@ -184,7 +183,7 @@ class TestDataDependencies:
             }
         )
         g = infer_data_dependencies(bundle)
-        assert g.number_of_edges() == 0
+        assert g == {}
         assert "no cross-rank" in dependency_summary(g)
 
     def test_self_dependency_excluded(self):
@@ -199,7 +198,7 @@ class TestDataDependencies:
                 )
             }
         )
-        assert infer_data_dependencies(bundle).number_of_edges() == 0
+        assert infer_data_dependencies(bundle) == {}
 
     def test_skew_correction_changes_verdict(self):
         """With skewed clocks the read 'precedes' the write; corrected
@@ -219,5 +218,5 @@ class TestDataDependencies:
         est = {0: ClockEstimate(0, 5.0, 1.0), 1: ClockEstimate(1, 0.0, 1.0)}
         raw = infer_data_dependencies(bundle)
         corrected = infer_data_dependencies(bundle, est)
-        assert raw.has_edge(0, 1)  # happens to be right here
-        assert corrected.has_edge(0, 1)
+        assert (0, 1) in raw  # happens to be right here
+        assert (0, 1) in corrected

@@ -131,8 +131,11 @@ class TestDeterminismContract:
         assert sweep.series[3] == figure_series(3, seed=0, **QUICK)
         assert sweep.series[4] == figure_series(4, seed=0, **QUICK)
         assert sweep.report.n_points == 4
-        assert len(sweep.bench_points) == 4
-        assert all(p["events_executed"] > 0 for p in sweep.bench_points)
+        assert all(
+            m.events_executed > 0
+            for s in sweep.series.values()
+            for m in s.measurements
+        )
         lo, hi = sweep.overhead_range["min"], sweep.overhead_range["max"]
         assert 0 < lo <= hi
 

@@ -16,11 +16,15 @@ from repro.harness.parallel import FrameworkSpec, RunSpec, run_sweep
 from repro.harness.runcache import RunCache
 from repro.obs.diagnose import (
     DIAGNOSE_SCHEMA,
+    MAD_CONSISTENCY,
     cluster_fingerprints,
     diagnose_archive,
     fingerprint_distance,
     fingerprint_run,
+    mad,
+    median,
     render_diagnose,
+    robust_threshold,
 )
 from repro.obs.metrics import canonical_json
 from repro.store.bank import TraceBank
@@ -135,6 +139,24 @@ class TestAcceptance:
     def test_no_matching_runs_raises(self, archive):
         with pytest.raises(StoreError, match="no archived runs"):
             diagnose_archive(str(archive), run_prefixes=["zzzz"])
+
+
+class TestRobustScoring:
+    def test_median_and_mad(self):
+        assert median([3.0, 1.0, 2.0]) == 2.0
+        assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
+        assert mad([0.9, 1.0, 1.5, 1.6], 1.25) == pytest.approx(0.3)
+
+    def test_mad_widens_the_threshold_for_noisy_series(self):
+        # A quiet series gates at its floors; one that swings by 50% has
+        # a wide MAD, so the same +20% move stays inside its threshold.
+        assert robust_threshold(1.0, 0.0, 4.0, 0.05, 1e-4) == pytest.approx(0.05)
+        assert robust_threshold(0.0, 0.0, 4.0, 0.05, 1e-4) == 1e-4
+        noisy = [1.0, 1.5, 0.9, 1.6]
+        center = median(noisy)
+        threshold = robust_threshold(center, mad(noisy, center), 4.0, 0.05, 1e-4)
+        assert threshold == pytest.approx(4.0 * MAD_CONSISTENCY * 0.3)
+        assert threshold > 0.2 * center
 
 
 class TestFingerprints:

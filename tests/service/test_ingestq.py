@@ -14,6 +14,8 @@ import json
 import struct
 import threading
 
+import pytest
+
 from repro.errors import TraceError
 from repro.service import Request, ServiceApp
 from repro.service.ingestq import WAL_SCHEMA, IngestQueue
@@ -293,4 +295,96 @@ class TestUnencodableUploadRejected:
         assert [r.status for r in responses] == [202, 202]
         assert app.queue.committed == 2 and app.queue.discarded == 0
         assert len(runs) == 2
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+
+def _annotated_text_body(header_rank="0", **annotation):
+    """A one-event text upload whose ``# {...}`` annotation has overrides."""
+    fields = {
+        "layer": "syscall", "duration": 0.001, "pid": 7, "rank": 0,
+        "hostname": "node000", "user": "mpi", "path": "/pfs/out", "fd": 3,
+        "nbytes": 8, "offset": 0,
+    }
+    fields.update(annotation)
+    return (
+        "## repro-trace text v1\n"
+        "## hostname=node000 pid=7 rank=%s framework=t\n"
+        "1.000000 SYS_write(3, 8) = 8 <0.001000>\t# %s\n"
+        % (header_rank, json.dumps(fields))
+    ).encode("utf-8")
+
+
+class TestMistypedTextAnnotationRejected:
+    """A text upload whose annotation holds a value its binary record slot
+    cannot store used to be acked 202; its commit then raised
+    ``struct.error``, a transient failure, so the entry failed again at
+    every startup.  A mistyped string field or header rank was a 500.
+    All are now refused with 400 before the WAL append."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            _annotated_text_body(pid=-1),
+            _annotated_text_body(pid=2**32),
+            _annotated_text_body(pid=True),
+            _annotated_text_body(rank=2**31),
+            _annotated_text_body(fd=1.5),
+            _annotated_text_body(nbytes="x"),
+            _annotated_text_body(offset=2**63),
+            _annotated_text_body(hostname=5),
+            _annotated_text_body(user=["mpi"]),
+            _annotated_text_body(path=7),
+            _annotated_text_body(header_rank="abc"),
+        ],
+        ids=["pid-negative", "pid-over-u32", "pid-bool", "rank-over-i32",
+             "fd-float", "nbytes-str", "offset-over-i64", "hostname-int",
+             "user-list", "path-int", "header-rank-str"],
+    )
+    def test_upload_gets_400_and_no_wal(self, tmp_path, body):
+        root = tmp_path / "svc"
+        app, (resp,), runs = _run_uploads(root, body)
+        assert resp.status == 400
+        assert json.loads(resp.body)["error"]["type"] == "TraceFormatError"
+        assert app.queue.committed == 0 and app.queue.discarded == 0
+        assert runs == []
+        assert sorted((root / "wal").glob("*.wal")) == []
+
+    def test_values_at_the_slot_limits_commit(self, tmp_path):
+        root = tmp_path / "svc"
+        body = _annotated_text_body(
+            pid=2**32 - 1, rank=-(2**31), fd=None, nbytes=2**63 - 1,
+            offset=-(2**63), path=None,
+        )
+        app, (resp,), runs = _run_uploads(root, body)
+        assert resp.status == 202
+        assert app.queue.committed == 1 and app.queue.discarded == 0
+        assert len(runs) == 1
+
+    def test_such_a_body_already_in_the_wal_is_discarded_at_startup(self, tmp_path):
+        root = tmp_path / "svc"
+        body = _annotated_text_body(pid=-1)
+        header = {
+            "schema": WAL_SCHEMA,
+            "tenant": "alice",
+            "rank": 0,
+            "meta": {},
+            "nbytes": len(body),
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+        (root / "wal").mkdir(parents=True)
+        (root / "wal" / "00000000-alice.wal").write_bytes(
+            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
+        )
+
+        async def main():
+            app = ServiceApp(root)
+            await app.startup()
+            try:
+                await app.queue.queue.join()
+                return app
+            finally:
+                await app.shutdown()
+
+        app = asyncio.run(main())
+        assert app.queue.discarded == 1 and app.queue.committed == 0
         assert sorted((root / "wal").glob("*.wal")) == []

@@ -1,7 +1,5 @@
 """CLI figure commands (slow path, kept out of the main CLI test module)."""
 
-import json
-
 from repro.cli import main
 
 
@@ -22,27 +20,20 @@ def test_figure_quick_no_cache(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / ".repro-cache").exists()
 
 
-def test_figures_sweep_writes_bench_artifact(tmp_path, monkeypatch, capsys):
+def test_figures_sweep_cold_then_warm_cache(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["figures", "--quick", "--jobs", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 2" in out and "Figure 3" in out and "Figure 4" in out
-    assert "elapsed time overhead" in out
-    bench = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-    assert bench["schema"] == "repro/bench_sweep/v1"
-    assert bench["jobs"] == 2
-    assert len(bench["points"]) == 6  # 3 figures x 2 quick block sizes
-    for point in bench["points"]:
-        assert point["events_executed"] > 0
-        assert not point["cached"]  # cold run
-    assert bench["cache"]["enabled"] and bench["cache"]["hits"] == 0
-    assert bench["elapsed_overhead_range"]["min"] > 0
+    cold, cold_sweep = capsys.readouterr().out.split("\nsweep: ")
+    assert "Figure 2" in cold and "Figure 3" in cold and "Figure 4" in cold
+    assert "elapsed time overhead" in cold
+    # 3 figures x 2 quick block sizes, all simulated on the cold run.
+    assert cold_sweep.startswith("6 points, jobs=2, ")
+    assert cold_sweep.endswith("cache 0 hit / 6 miss\n")
+    # The sweep writes nothing into the cwd but its run cache.
+    assert [p.name for p in tmp_path.iterdir()] == [".repro-cache"]
 
     # Warm rerun: every point served from the cache, and byte-identical.
-    cold_range = bench["elapsed_overhead_range"]
     assert main(["figures", "--quick", "--jobs", "2"]) == 0
-    capsys.readouterr()
-    warm = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-    assert warm["cache"]["hit_rate"] == 1.0
-    assert all(p["cached"] for p in warm["points"])
-    assert warm["elapsed_overhead_range"] == cold_range
+    warm, warm_sweep = capsys.readouterr().out.split("\nsweep: ")
+    assert warm_sweep.endswith("cache 6 hit / 0 miss\n")
+    assert warm == cold

@@ -1,5 +1,5 @@
-"""CLI observatory flow: figures --baseline, obs diff/critpath/slice/
-diagnose/check."""
+"""CLI observatory flow: obs diff/critpath/slice/diagnose over a figures
+sweep."""
 
 import contextlib
 import json
@@ -8,7 +8,6 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.obs.baseline import append_history, make_record
 from repro.obs.metrics import canonical_json
 
 
@@ -24,7 +23,7 @@ def chdir(path):
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
-    """One quick baselined + archived figures sweep shared by the module."""
+    """One quick archived figures sweep shared by the module."""
     root = tmp_path_factory.mktemp("obs-run")
     with chdir(root):
         assert (
@@ -37,53 +36,11 @@ def sweep_dir(tmp_path_factory):
                     "--no-cache",
                     "--telemetry",
                     "--store",
-                    "--baseline",
-                    "--bench-out",
-                    "",
                 ]
             )
             == 0
         )
     return root
-
-
-def _history_record(elapsed_traced=1.0):
-    return make_record(
-        [
-            {
-                "figure": 2,
-                "block_size": 65536,
-                "elapsed_untraced": 0.5,
-                "elapsed_traced": elapsed_traced,
-                "overhead_pct": 100.0 * (elapsed_traced / 0.5 - 1.0),
-                "events_per_sec": 1e6,
-                "wall_seconds": 0.25,
-                "wall_time_per_sim_second": 0.2,
-            }
-        ],
-        quick=True,
-        nprocs=4,
-        jobs=1,
-    )
-
-
-class TestFiguresBaseline:
-    def test_history_record_appended(self, sweep_dir):
-        lines = (sweep_dir / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["schema"] == "repro/bench_history/v1"
-        assert record["quick"] is True
-        # 3 figures x 2 quick block sizes.
-        assert len(record["points"]) == 6
-        assert all("elapsed_traced" in p for p in record["points"])
-
-    def test_check_flags_single_record_as_insufficient(self, sweep_dir, capsys):
-        with chdir(sweep_dir):
-            assert main(["obs", "check"]) == 0
-        out = capsys.readouterr().out
-        assert "insufficient history" in out
-        assert "no regressions detected" in out
 
 
 class TestObsDiff:
@@ -268,38 +225,6 @@ class TestObsDiagnose:
         assert main(["obs", "diagnose", "--store",
                      str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestObsCheck:
-    def test_fail_on_regression_gates(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        for _ in range(3):
-            append_history(history, _history_record(1.0))
-        append_history(history, _history_record(1.3))
-        assert main(["obs", "check", "--history", str(history)]) == 0
-        assert "REGRESSION" in capsys.readouterr().out
-        assert main(["obs", "check", "--history", str(history),
-                     "--fail-on-regression"]) == 1
-
-    def test_clean_history_passes_the_gate(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        for _ in range(4):
-            append_history(history, _history_record(1.0))
-        assert main(["obs", "check", "--history", str(history),
-                     "--fail-on-regression", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["summary"]["regressions"] == 0
-
-    def test_missing_history_is_an_error(self, tmp_path, capsys):
-        assert main(["obs", "check", "--history",
-                     str(tmp_path / "nope.jsonl")]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_corrupt_history_is_an_error(self, tmp_path, capsys):
-        bad = tmp_path / "h.jsonl"
-        bad.write_text("{broken\n")
-        assert main(["obs", "check", "--history", str(bad)]) == 1
-        assert "unparseable" in capsys.readouterr().err
 
 
 class TestObserveHint:

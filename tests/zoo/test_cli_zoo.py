@@ -45,15 +45,14 @@ class TestZooRun:
 
 class TestZooMatrix:
     def test_full_smoke_loop(self, tmp_path, capsys):
-        """The acceptance command: matrix → archive → replay → bench."""
+        """The acceptance command: matrix → archive → replay."""
         store = tmp_path / "bank"
-        bench = tmp_path / "BENCH_zoo.json"
         report_path = tmp_path / "zoo.json"
         rc = main(
             [
                 "zoo", "matrix", "--smoke", "--jobs", "2",
                 "--store", str(store), "--replay-check",
-                "--bench-out", str(bench), "--report-out", str(report_path),
+                "--report-out", str(report_path),
             ]
         )
         assert rc == 0
@@ -64,9 +63,9 @@ class TestZooMatrix:
         assert report["summary"]["replay_exact"] == len(names())
         assert report["summary"]["signature_ok"] == len(names())
 
-        points = json.loads(bench.read_text())["points"]
-        assert len(points) == len(names())
-        assert all(p["zoo_replay_events_per_sec"] > 0 for p in points)
+        replays = report["execution"]["replay_bench"]
+        assert len(replays) == len(names())
+        assert all(r["events_executed"] > 0 for r in replays)
 
         # and the archive replays standalone, by run-id prefix
         run_id = report["rows"][0]["store_run_id"]

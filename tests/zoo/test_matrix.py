@@ -1,4 +1,4 @@
-"""Zoo matrix: determinism contract, signature checks, and bench points."""
+"""Zoo matrix: determinism contract and signature checks."""
 
 import tempfile
 from pathlib import Path
@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
 from repro.harness.runcache import RunCache
-from repro.obs.baseline import METRIC_SPECS, make_record
 from repro.obs.metrics import canonical_json
 from repro.zoo import (
     ZOO_SCHEMA,
-    bench_points,
     build_zoo_specs,
     check_signature,
     get,
@@ -137,23 +135,3 @@ class TestSignatureCheck:
     def test_signature_cell_absent_without_store(self):
         report = run_zoo_matrix(scenarios=["md-storm"], smoke=True)
         assert report["rows"][0]["signature"] is None
-
-
-class TestBenchPoints:
-    def test_points_feed_the_baseline_gate(self, tmp_path):
-        report = run_zoo_matrix(
-            smoke=True, jobs=2, store=str(tmp_path / "bank"), replay_check=True
-        )
-        points = bench_points(report)
-        assert [p["figure"] for p in points] == ["zoo/%s" % n for n in names()]
-        for p in points:
-            assert p["block_size"] == 0
-            assert p["zoo_replay_events_per_sec"] > 0
-        # and the gate's history format accepts them as a record
-        record = make_record(points, quick=True, nprocs=4, jobs=2)
-        assert "zoo_replay_events_per_sec" in METRIC_SPECS
-        assert record["points"] == points
-
-    def test_no_replay_rate_without_replay_check(self):
-        points = bench_points(run_zoo_matrix(scenarios=["md-storm"], smoke=True))
-        assert "zoo_replay_events_per_sec" not in points[0]
