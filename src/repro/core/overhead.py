@@ -10,10 +10,10 @@ bridge between the two: it runs the measurement protocol from
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.values import OverheadReport
-from repro.harness.experiment import OverheadMeasurement, sweep_block_sizes
+from repro.harness.experiment import measure_overhead, sweep_args_for_block_size
 from repro.harness.testbed import TestbedConfig
 from repro.units import MiB
 from repro.workloads import AccessPattern, mpi_io_test
@@ -50,17 +50,16 @@ def measure_overhead_report(
     """
     overheads: List[float] = []
     for pattern in patterns:
-        measurements = sweep_block_sizes(
-            framework_factory,
-            mpi_io_test,
-            {"pattern": pattern, "path": "/pfs/mpi_io_test.out"},
-            block_sizes,
-            total_bytes_per_rank,
-            config=config,
-            nprocs=nprocs,
-            seed=seed,
-        )
-        overheads.extend(m.elapsed_overhead for m in measurements)
+        for bs in block_sizes:
+            args = sweep_args_for_block_size(
+                {"pattern": pattern, "path": "/pfs/mpi_io_test.out"},
+                bs,
+                total_bytes_per_rank,
+            )
+            m = measure_overhead(
+                framework_factory, mpi_io_test, args, config, nprocs, seed
+            )
+            overheads.append(m.elapsed_overhead)
     return OverheadReport(
         min_percent=round(100.0 * min(overheads), 1),
         max_percent=round(100.0 * max(overheads), 1),

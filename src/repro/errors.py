@@ -178,6 +178,12 @@ class NotMounted(SimOSError):
     errno_name = "ENODEV"
 
 
+class InjectedIOError(SimOSError):
+    """An I/O error the fault plane's disk layer injected (POSIX EIO)."""
+
+    errno_name = "EIO"
+
+
 class NodeCrashed(SimOSError):
     """The node a process runs on was killed by the fault plane.
 

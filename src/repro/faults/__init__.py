@@ -1,25 +1,25 @@
 """Cluster-wide fault injection: schedules, the fault plane, chaos runs.
 
-``repro.faults`` generalizes the single-filesystem
-:class:`~repro.simfs.faults.FaultInjectingFS` into a simulator-wide
-*fault plane*: one declarative, seeded :class:`FaultSchedule` drives node
-crashes, network partitions, link degradation and disk fault storms
-through hooks in the DES kernel, the cluster network, the simulated OS
-and the VFS — deterministically, off named RNG streams, so fault runs
-stay byte-identical across ``jobs=1``/``jobs=N``/warm-cache.
+``repro.faults`` is the simulator-wide *fault plane*: one declarative,
+seeded :class:`FaultSchedule` drives node crashes, network partitions,
+link degradation and disk fault storms through hooks in the DES kernel,
+the cluster network, the simulated OS and the VFS — deterministically,
+off named RNG streams, so fault runs stay byte-identical across
+``jobs=1``/``jobs=N``/warm-cache.  :class:`ScheduledFaultFS` is the one
+disk-fault layer.  A faulted run is an ordinary
+:func:`~repro.harness.experiment.run_once` given a schedule; the chaos
+matrices run through the sweep executor and
+:func:`~repro.faults.chaos.chaos_annotation` annotates their points.
 """
 
 from repro.faults.chaos import (
     CHAOS_FRAMEWORKS,
     CHAOS_MATRICES,
     ChaosScenario,
-    FaultRunOutcome,
     build_chaos_specs,
-    execute_fault_spec,
+    chaos_annotation,
     render_chaos_report,
     run_chaos_matrix,
-    run_traced_with_faults,
-    run_under_faults,
 )
 from repro.faults.corrupt import (
     bit_flip,
@@ -52,10 +52,7 @@ __all__ = [
     "ChaosScenario",
     "CHAOS_FRAMEWORKS",
     "CHAOS_MATRICES",
-    "FaultRunOutcome",
-    "run_under_faults",
-    "run_traced_with_faults",
-    "execute_fault_spec",
+    "chaos_annotation",
     "build_chaos_specs",
     "run_chaos_matrix",
     "render_chaos_report",

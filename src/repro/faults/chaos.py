@@ -3,11 +3,13 @@
 One chaos *point* is the taxonomy's §3.1 overhead protocol executed under
 a :class:`~repro.faults.schedule.FaultSchedule`: a fresh testbed untraced
 and an identical fresh testbed traced, both with the same fault plane
-installed.  Every point is bounded by a simulated-time horizon — a run
-that cannot finish raises :class:`~repro.errors.SimTimeoutError` (or
+installed.  It runs through the sweep's one executor loop,
+:func:`~repro.harness.parallel.execute_spec`, like every other point.
+Every point is bounded by a simulated-time horizon — a run that cannot
+finish ends in :class:`~repro.errors.SimTimeoutError` (or
 :class:`~repro.errors.DeadlockError` if the queue drains first), never a
 silent hang — and timeouts are retried with an exponentially doubled
-horizon before a point is annotated as failed.
+horizon before :func:`chaos_annotation` marks the point as failed.
 
 A chaos *matrix* is a named set of scenarios crossed with the paper's
 three frameworks.  ``repro chaos --matrix smoke`` runs the acceptance
@@ -22,19 +24,10 @@ byte-identity guarantees as the figure sweeps.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    DeadlockError,
-    FaultError,
-    NodeCrashed,
-    ReproError,
-    SimOSError,
-    SimTimeoutError,
-)
-from repro.faults.plane import FaultPlane
+from repro.errors import FaultError
 from repro.faults.schedule import (
     DiskErrorStorm,
     DiskSlowdown,
@@ -42,18 +35,16 @@ from repro.faults.schedule import (
     NetworkPartition,
     NodeCrash,
 )
-from repro.harness.parallel import PointResult, RunSpec, RunStats, run_sweep
-from repro.harness.testbed import TestbedConfig, build_testbed
+from repro.harness.experiment import RunOutcome
+from repro.harness.parallel import RunSpec, run_sweep
+from repro.harness.testbed import TestbedConfig
 from repro.obs.metrics import canonical_json
 from repro.units import KiB
 
 __all__ = [
     "ChaosScenario",
     "CHAOS_MATRICES",
-    "FaultRunOutcome",
-    "run_under_faults",
-    "run_traced_with_faults",
-    "execute_fault_spec",
+    "chaos_annotation",
     "build_chaos_specs",
     "run_chaos_matrix",
     "render_chaos_report",
@@ -219,208 +210,7 @@ def chaos_testbed(seed: int = 0) -> TestbedConfig:
     return paper_testbed(seed=seed, nprocs=CHAOS_NPROCS)
 
 
-# -- single-run execution ----------------------------------------------------
-
-
-@dataclass
-class FaultRunOutcome:
-    """One application run under a fault plane, classified.
-
-    ``status`` is one of ``completed``, ``node-crash``, ``io-error``,
-    ``deadlock``, ``timeout``, ``failed``.  ``stats`` always carries the
-    numbers up to completion or failure detection; ``faults`` is the
-    plane's deterministic snapshot (log + counters); ``bundle`` is the
-    framework's trace bundle when one was attached (present even for
-    failed runs — partial captures are the interesting artifact).
-    """
-
-    status: str
-    stats: RunStats
-    error: Optional[str] = None
-    faults: Dict[str, Any] = field(default_factory=dict)
-    bundle: Any = None
-    killed_ranks: List[int] = field(default_factory=list)
-    pending_ranks: List[int] = field(default_factory=list)
-    #: Exported ``repro/telemetry/v1`` payload when the run was captured
-    #: inside a telemetry session (partial up to the failure for runs
-    #: that crashed/timed out — the interesting capture).
-    telemetry: Optional[Dict[str, Any]] = None
-
-
-def _classify(exc: BaseException) -> Tuple[str, str]:
-    if isinstance(exc, NodeCrashed):
-        return "node-crash", str(exc)
-    if isinstance(exc, SimOSError):
-        return "io-error", "%s: %s" % (type(exc).__name__, exc)
-    return "failed", "%s: %s" % (type(exc).__name__, exc)
-
-
-def run_under_faults(
-    schedule: FaultSchedule,
-    framework_factory: Optional[Callable[[], Any]],
-    workload: Callable,
-    workload_args: Dict[str, Any],
-    config: Optional[TestbedConfig] = None,
-    nprocs: Optional[int] = None,
-    seed: Optional[int] = None,
-    horizon: Optional[float] = None,
-) -> FaultRunOutcome:
-    """One bounded application run on a fresh testbed with faults installed.
-
-    Drives the simulator itself (``mpirun(run=False)``) so the framework
-    lifecycle completes even when ranks die: crash listeners fire,
-    ``finalize`` still assembles the (partial) bundle, and every failure
-    mode is classified instead of propagating.
-    """
-    from repro.simmpi.runtime import mpirun
-
-    schedule.validate_horizon(horizon)
-    tb = build_testbed(config, seed=seed)
-    plane = FaultPlane(schedule).install(tb.cluster, tb.vfs)
-    framework = None
-    app = workload
-    setup = None
-    if framework_factory is not None:
-        framework = framework_factory()
-        framework.prepare(tb)
-        app = framework.wrap_app(workload)
-        setup = framework.setup_rank
-        plane.register_crash_listener(framework.on_node_crash)
-
-    job = mpirun(
-        tb.cluster, tb.vfs, app, nprocs=nprocs, args=workload_args,
-        setup=setup, run=False,
-    )
-    sim = tb.sim
-    start = job.start_time
-    status, error = "completed", None
-    try:
-        sim.run_fast(until=(start + horizon) if horizon is not None else None)
-    except DeadlockError as exc:
-        root = None
-        for proc in job.des_processes:
-            if proc.completion.done and proc.completion.exception is not None:
-                root = proc.completion.exception
-                break
-        if root is not None:
-            status, error = _classify(root)
-        else:
-            status, error = "deadlock", str(exc).splitlines()[0]
-    else:
-        failed = [
-            proc.completion.exception
-            for proc in job.des_processes
-            if proc.completion.done and proc.completion.exception is not None
-        ]
-        pending = [r for r, p in enumerate(job.des_processes) if p.alive]
-        if failed:
-            status, error = _classify(failed[0])
-        elif pending:
-            status = "timeout"
-            error = str(SimTimeoutError(horizon or 0.0, pending))
-    job.end_time = max(job.rank_end_times) if status == "completed" else sim.now
-
-    bundle = None
-    if framework is not None:
-        try:
-            bundle = framework.finalize(job)
-        except ReproError:
-            bundle = None
-
-    from repro.harness.experiment import _total_payload
-
-    killed = sorted(
-        r
-        for r, proc in enumerate(job.des_processes)
-        if proc.completion.done
-        and isinstance(proc.completion.exception, NodeCrashed)
-    )
-    pending_ranks = [r for r, p in enumerate(job.des_processes) if p.alive]
-    return FaultRunOutcome(
-        status=status,
-        stats=RunStats(
-            elapsed=job.elapsed,
-            bytes_moved=_total_payload(job),
-            events_executed=sim.events_executed,
-        ),
-        error=error,
-        faults=plane.snapshot(),
-        bundle=bundle,
-        killed_ranks=killed,
-        pending_ranks=pending_ranks,
-    )
-
-
-def run_traced_with_faults(
-    schedule: FaultSchedule,
-    framework: str,
-    workload: str,
-    workload_args: Dict[str, Any],
-    config: Optional[TestbedConfig] = None,
-    nprocs: Optional[int] = None,
-    seed: Optional[int] = None,
-    horizon: Optional[float] = None,
-) -> FaultRunOutcome:
-    """Name-based convenience wrapper around :func:`run_under_faults`."""
-    from repro.harness.parallel import WORKLOADS, as_framework_spec
-
-    spec = as_framework_spec(framework)
-    return run_under_faults(
-        schedule,
-        spec.build,
-        WORKLOADS[workload],
-        workload_args,
-        config=config,
-        nprocs=nprocs,
-        seed=seed,
-        horizon=horizon,
-    )
-
-
-def _attempt_with_retries(
-    schedule: FaultSchedule,
-    framework_factory: Optional[Callable[[], Any]],
-    workload: Callable,
-    workload_args: Dict[str, Any],
-    config: Optional[TestbedConfig],
-    nprocs: Optional[int],
-    seed: Optional[int],
-    horizon: Optional[float],
-    retries: int,
-    telemetry: bool = False,
-) -> Tuple[FaultRunOutcome, int]:
-    """Run with the exponential-backoff timeout policy.
-
-    Only ``timeout`` retries (with a doubled horizon): the run needed
-    more simulated time, so give it more.  Crashes, injected errors and
-    deadlocks are deterministic — re-running reproduces them exactly, so
-    they terminate the attempt loop immediately.
-
-    With ``telemetry`` each attempt runs inside its own fresh session
-    (so a retried attempt's half-history never contaminates the final
-    capture) and the returned outcome carries the exported payload.
-    """
-    attempts = 0
-    budget = horizon
-    while True:
-        attempts += 1
-        if telemetry:
-            from repro.obs.tracepoints import session
-
-            with session() as col:
-                outcome = run_under_faults(
-                    schedule, framework_factory, workload, workload_args,
-                    config=config, nprocs=nprocs, seed=seed, horizon=budget,
-                )
-                outcome.telemetry = col.export(end_time=outcome.stats.elapsed)
-        else:
-            outcome = run_under_faults(
-                schedule, framework_factory, workload, workload_args,
-                config=config, nprocs=nprocs, seed=seed, horizon=budget,
-            )
-        if outcome.status != "timeout" or attempts > retries:
-            return outcome, attempts
-        budget = (budget or CHAOS_HORIZON) * 2.0
+# -- point annotation --------------------------------------------------------
 
 
 def _bundle_metadata(bundle: Any) -> Optional[Dict[str, Any]]:
@@ -433,92 +223,47 @@ def _bundle_metadata(bundle: Any) -> Optional[Dict[str, Any]]:
         return {str(k): str(v) for k, v in sorted(meta.items(), key=lambda kv: str(kv[0]))}
 
 
-def execute_fault_spec(spec: RunSpec) -> PointResult:
-    """Measure one chaos point: untraced + traced under the same schedule.
+def chaos_annotation(
+    spec: RunSpec, legs: Dict[str, Tuple[RunOutcome, int]]
+) -> Tuple[Dict[str, Any], Optional[str], Dict[str, Any]]:
+    """The chaos record, error annotation and manifest extras of one point.
 
-    The worker entry :func:`~repro.harness.parallel.execute_spec` routes
-    here whenever a spec carries ``faults`` or ``sim_timeout``.  A run
-    that does not complete yields a failed point: zeroed-overhead stats
-    up to the failure, ``error`` annotated, full fault history in
-    ``chaos`` — the figure pipeline renders it as a FAILED row instead of
-    dropping the figure.
+    ``legs`` maps ``untraced``/``traced`` to ``(outcome, attempts)`` as
+    :func:`~repro.harness.parallel.execute_spec` ran them under the spec's
+    fault schedule.  The record is the point's full fault history; the
+    error names the first leg that did not complete (``None`` when both
+    did), so the figure pipeline renders a FAILED row instead of dropping
+    the figure; the extras tag the archived traced bundle.
     """
-    t0 = time.perf_counter()
     schedule = spec.faults if spec.faults is not None else FaultSchedule()
-    if not isinstance(schedule, FaultSchedule):
-        raise FaultError(
-            "RunSpec.faults must be a FaultSchedule, got %r" % (schedule,)
-        )
-    workload = spec.workload_fn()
-    args = spec.args_dict()
-    untraced, u_attempts = _attempt_with_retries(
-        schedule, None, workload, args,
-        spec.config, spec.nprocs, spec.seed, spec.sim_timeout, spec.retries,
-        telemetry=spec.telemetry,
-    )
-    traced, t_attempts = _attempt_with_retries(
-        schedule, spec.framework.build, workload, args,
-        spec.config, spec.nprocs, spec.seed, spec.sim_timeout, spec.retries,
-        telemetry=spec.telemetry,
-    )
+    scenario = schedule.name or "baseline"
+    record: Dict[str, Any] = {"scenario": scenario, "schedule": schedule.describe()}
     error = None
-    if untraced.status != "completed":
-        error = "untraced: %s (%s)" % (untraced.status, untraced.error)
-    elif traced.status != "completed":
-        error = "traced: %s (%s)" % (traced.status, traced.error)
-    chaos = {
-        "scenario": schedule.name or "baseline",
-        "schedule": schedule.describe(),
-        "untraced": {
-            "status": untraced.status,
-            "error": untraced.error,
-            "elapsed": untraced.stats.elapsed,
-            "killed_ranks": untraced.killed_ranks,
-            "pending_ranks": untraced.pending_ranks,
-            "attempts": u_attempts,
-            "faults": untraced.faults,
-        },
-        "traced": {
-            "status": traced.status,
-            "error": traced.error,
-            "elapsed": traced.stats.elapsed,
-            "killed_ranks": traced.killed_ranks,
-            "pending_ranks": traced.pending_ranks,
-            "attempts": t_attempts,
-            "faults": traced.faults,
-            "bundle_metadata": _bundle_metadata(traced.bundle),
-        },
+    for leg, (outcome, attempts) in legs.items():
+        record[leg] = {
+            "status": outcome.status,
+            "error": outcome.error,
+            "elapsed": outcome.elapsed,
+            "killed_ranks": outcome.killed_ranks,
+            "pending_ranks": outcome.pending_ranks,
+            "attempts": attempts,
+            "faults": outcome.faults,
+        }
+        if error is None and outcome.cause is not None:
+            error = "%s: %s (%s)" % (leg, outcome.status, outcome.error)
+    traced = legs["traced"][0]
+    record["traced"]["bundle_metadata"] = _bundle_metadata(traced.bundle)
+    extra = {
+        "kind": "chaos",
+        "scenario": scenario,
+        "status": traced.status,
+        # The structured schedule rides in the manifest so diagnosis
+        # can surface injected faults as root-cause candidates.
+        "faults": schedule.to_json(),
     }
-    from repro.harness.parallel import ingest_spec_bundle
-
-    run_id = ingest_spec_bundle(
-        spec,
-        traced.bundle,
-        extra={
-            "kind": "chaos",
-            "scenario": schedule.name or "baseline",
-            "status": traced.status,
-            # The structured schedule rides in the manifest so diagnosis
-            # can surface injected faults as root-cause candidates.
-            "faults": schedule.to_json(),
-        },
-    )
-    telemetry = None
-    if spec.telemetry:
-        telemetry = {"untraced": untraced.telemetry, "traced": traced.telemetry}
-    return PointResult(
-        params=spec.workload_args,
-        untraced=untraced.stats,
-        traced=traced.stats,
-        wall_seconds=time.perf_counter() - t0,
-        telemetry=telemetry,
-        error=error,
-        attempts=max(u_attempts, t_attempts),
-        # JSON round trip so the payload compares equal before and after a
-        # run-cache round trip (the telemetry byte-identity idiom).
-        chaos=json.loads(canonical_json(chaos)),
-        store_run_id=run_id,
-    )
+    # JSON round trip so the record compares equal before and after a
+    # run-cache round trip (the telemetry byte-identity idiom).
+    return json.loads(canonical_json(record)), error, extra
 
 
 # -- matrix execution --------------------------------------------------------

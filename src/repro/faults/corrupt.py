@@ -89,9 +89,10 @@ def crashed_rank_blob(
     trace format — the artifact a post-mortem analysis tool would be
     handed.  Deterministic for fixed arguments.
     """
-    from repro.faults.chaos import run_traced_with_faults
     from repro.faults.schedule import FaultSchedule, NodeCrash
+    from repro.harness.experiment import run_once
     from repro.harness.figures import paper_testbed
+    from repro.harness.parallel import WORKLOADS, as_framework_spec
     from repro.trace.binary_format import encode_trace_file
     from repro.units import KiB
 
@@ -102,14 +103,14 @@ def crashed_rank_blob(
         workload_args
         or {"block_size": 64 * KiB, "nobj": 8, "path": "/pfs/crash.out"}
     )
-    outcome = run_traced_with_faults(
-        schedule,
-        framework,
-        "mpi_io_test",
+    outcome = run_once(
+        WORKLOADS["mpi_io_test"],
         args,
+        as_framework_spec(framework).build,
         config=paper_testbed(seed=seed, nprocs=nprocs),
         nprocs=nprocs,
         seed=seed,
+        faults=schedule,
         horizon=120.0,
     )
     bundle = outcome.bundle

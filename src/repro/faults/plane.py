@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import FaultError, NodeCrashed
+from repro.errors import FaultError, InjectedIOError, NodeCrashed
 from repro.faults.schedule import (
     FOREVER,
     DiskErrorStorm,
@@ -36,7 +36,6 @@ from repro.faults.schedule import (
     NodeCrash,
 )
 from repro.obs.tracepoints import STATE as _TELEMETRY
-from repro.simfs.faults import InjectedIOError
 from repro.simfs.stackable import StackableFS
 
 __all__ = ["FaultPlane", "ScheduledFaultFS", "install_fault_plane"]
@@ -292,14 +291,13 @@ class FaultPlane:
 class ScheduledFaultFS(StackableFS):
     """Disk-layer executor of the plane's slowdown/storm windows.
 
-    The window-scoped cousin of
-    :class:`~repro.simfs.faults.FaultInjectingFS` and subject to the same
-    draw-order contract, simplified by the static windows: slowdowns are
-    draw-free (pure added latency), and each storm draws exactly one coin
-    per eligible operation, storms in schedule order, from the dedicated
-    ``faults.disk`` stream.  Outside every window the hook draws nothing,
-    so adding a disk fault late in a run cannot shift the history before
-    its window opens.
+    The one disk-fault layer, a FiST-style stackable layer over each
+    targeted mount.  Draw-order contract: slowdowns are draw-free (pure
+    added latency), and each storm draws exactly one coin per eligible
+    operation (``ops``-scoped), storms in schedule order, from the
+    dedicated ``faults.disk`` stream.  Outside every window the hook
+    draws nothing, so adding a disk fault late in a run cannot shift the
+    history before its window opens.
     """
 
     fstype = "chaosfs"

@@ -3,8 +3,7 @@
 A :class:`FaultSchedule` is a frozen, pickle-safe plan of *when* the
 simulated machine misbehaves: node crashes (with optional restart),
 network partitions (with optional heal), per-link packet drop and latency
-spikes, and disk slowdown / EIO storms.  It generalizes the single-layer
-:class:`~repro.simfs.faults.FaultPlan` into one composable description
+spikes, and disk slowdown / EIO storms: one composable description
 covering every layer the simulator models.
 
 Schedules carry no randomness themselves — event *times and windows* are

@@ -19,39 +19,35 @@ percentages (51.3% ... 0.6%) behave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.errors import DeadlockError, NodeCrashed, ReproError, SimOSError, SimTimeoutError
 from repro.frameworks.base import TracedRun, TracingFramework
-from repro.harness.testbed import Testbed, TestbedConfig, build_testbed
-from repro.simmpi.runtime import JobResult, mpirun
+from repro.harness.testbed import TestbedConfig, build_testbed
+from repro.simmpi.runtime import JobResult, drive, mpirun
 
 __all__ = [
+    "RunStats",
     "RunOutcome",
     "OverheadMeasurement",
+    "run_once",
     "run_untraced",
     "run_traced",
     "measure_overhead",
     "sweep_args_for_block_size",
-    "sweep_block_sizes",
 ]
 
 FrameworkFactory = Callable[[], TracingFramework]
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """One application run on a fresh testbed.
-
-    ``events_executed`` is the testbed simulator's kernel-event count at
-    job end — a determinism fingerprint: two runs of the same spec must
-    match it exactly (the run cache verifies this on every hit).
-    """
+class RunStats:
+    """Pickle-safe summary of one run: the numbers the figures need."""
 
     elapsed: float
     bytes_moved: int
-    job: JobResult
-    events_executed: int = 0
+    events_executed: int
 
     @property
     def aggregate_bandwidth(self) -> float:
@@ -59,6 +55,93 @@ class RunOutcome:
         if self.elapsed <= 0:
             return 0.0
         return self.bytes_moved / self.elapsed
+
+
+#: How a run ended, by the type of its cause (first match wins).
+_STATUSES = (
+    (NodeCrashed, "node-crash"),
+    (SimOSError, "io-error"),
+    (SimTimeoutError, "timeout"),
+    (DeadlockError, "deadlock"),
+)
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """One application run on a fresh testbed, however it ended.
+
+    ``events_executed`` is the testbed simulator's kernel-event count at
+    job end — a determinism fingerprint: two runs of the same spec must
+    match it exactly (the run cache verifies this on every hit).
+
+    ``cause`` is the exception that ended the run (``None`` when every
+    rank completed); ``status`` and ``error`` classify it.  ``bundle`` is
+    the tracer's trace bundle, partial for a failed run, and ``faults``
+    the fault plane's snapshot (log + counters) when one was installed.
+    """
+
+    elapsed: float
+    bytes_moved: int
+    job: JobResult
+    events_executed: int = 0
+    cause: Optional[BaseException] = None
+    bundle: Any = None
+    framework_name: Optional[str] = None
+    faults: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def aggregate_bandwidth(self) -> float:
+        """Total payload bytes over true elapsed seconds."""
+        if self.elapsed <= 0:
+            return 0.0
+        return self.bytes_moved / self.elapsed
+
+    @property
+    def stats(self) -> RunStats:
+        """The run's cacheable numbers."""
+        return RunStats(self.elapsed, self.bytes_moved, self.events_executed)
+
+    @property
+    def status(self) -> str:
+        """``completed``, ``node-crash``, ``io-error``, ``timeout``,
+        ``deadlock`` or ``failed``."""
+        if self.cause is None:
+            return "completed"
+        for kind, status in _STATUSES:
+            if isinstance(self.cause, kind):
+                return status
+        return "failed"
+
+    @property
+    def error(self) -> Optional[str]:
+        """One line naming the cause, or ``None`` for a completed run."""
+        cause = self.cause
+        if cause is None:
+            return None
+        if isinstance(cause, (NodeCrashed, SimTimeoutError)):
+            return str(cause)
+        if isinstance(cause, DeadlockError):
+            return str(cause).splitlines()[0]
+        return "%s: %s" % (type(cause).__name__, cause)
+
+    @property
+    def killed_ranks(self) -> List[int]:
+        """Ranks a node crash killed."""
+        return [
+            r for r, p in enumerate(self.job.des_processes)
+            if isinstance(p.completion.exception, NodeCrashed)
+        ]
+
+    @property
+    def pending_ranks(self) -> List[int]:
+        """Ranks still running when the run ended (a timeout's culprits)."""
+        return [r for r, p in enumerate(self.job.des_processes) if p.alive]
+
+    def raise_cause(self) -> "RunOutcome":
+        """This outcome if the run completed; otherwise raise its cause."""
+        if self.cause is not None:
+            raise self.cause
+        return self
 
 
 def _total_payload(job: JobResult) -> int:
@@ -72,6 +155,68 @@ def _total_payload(job: JobResult) -> int:
     return total
 
 
+def run_once(
+    workload: Callable,
+    workload_args: Dict[str, Any],
+    framework_factory: Optional[FrameworkFactory] = None,
+    config: Optional[TestbedConfig] = None,
+    nprocs: Optional[int] = None,
+    seed: Optional[int] = None,
+    faults: Optional[Any] = None,
+    horizon: Optional[float] = None,
+) -> RunOutcome:
+    """Run the workload once on a fresh testbed: the only code that runs a job.
+
+    Builds the testbed (``seed`` overrides the config's cluster seed),
+    installs a fault plane when ``faults`` (a
+    :class:`~repro.faults.schedule.FaultSchedule`) is given, attaches the
+    tracer ``framework_factory`` builds (untraced when ``None``), then
+    drives the job to its end, bounded by ``horizon`` simulated seconds
+    when given.  The framework lifecycle completes even when ranks die:
+    crash listeners fire and ``finalize`` still assembles the (partial)
+    bundle.  A failed run is returned with its ``cause``, not raised.
+    """
+    tb = build_testbed(config, seed=seed)
+    plane = None
+    if faults is not None:
+        from repro.faults.plane import FaultPlane
+
+        faults.validate_horizon(horizon)
+        plane = FaultPlane(faults).install(tb.cluster, tb.vfs)
+    framework = None
+    app = workload
+    setup = None
+    if framework_factory is not None:
+        framework = framework_factory()
+        framework.prepare(tb)
+        app = framework.wrap_app(workload)
+        setup = framework.setup_rank
+        if plane is not None:
+            plane.register_crash_listener(framework.on_node_crash)
+    job = mpirun(
+        tb.cluster, tb.vfs, app, nprocs=nprocs, args=workload_args,
+        setup=setup, run=False,
+    )
+    cause = drive(job, horizon)
+    bundle = None
+    if framework is not None:
+        try:
+            bundle = framework.finalize(job)
+        except ReproError:
+            if cause is None:
+                raise
+    return RunOutcome(
+        elapsed=job.elapsed,
+        bytes_moved=_total_payload(job),
+        job=job,
+        events_executed=tb.sim.events_executed,
+        cause=cause,
+        bundle=bundle,
+        framework_name=framework.name if framework is not None else None,
+        faults=plane.snapshot() if plane is not None else {},
+    )
+
+
 def run_untraced(
     workload: Callable,
     workload_args: Dict[str, Any],
@@ -83,16 +228,9 @@ def run_untraced(
 
     ``seed`` overrides the config's cluster seed when given; by default
     the config's own seed is used (so two calls with the same config see
-    the same machine, clocks and all).
+    the same machine, clocks and all).  A failed run raises its cause.
     """
-    tb = build_testbed(config, seed=seed)
-    job = mpirun(tb.cluster, tb.vfs, workload, nprocs=nprocs, args=workload_args)
-    return RunOutcome(
-        elapsed=job.elapsed,
-        bytes_moved=_total_payload(job),
-        job=job,
-        events_executed=tb.sim.events_executed,
-    )
+    return run_once(workload, workload_args, None, config, nprocs, seed).raise_cause()
 
 
 def run_traced(
@@ -104,28 +242,11 @@ def run_traced(
     seed: Optional[int] = None,
 ) -> tuple[RunOutcome, TracedRun]:
     """Run the workload with a tracer attached, on an identical testbed."""
-    tb = build_testbed(config, seed=seed)
-    framework = framework_factory()
-    framework.prepare(tb)
-    app = framework.wrap_app(workload)
-    job = mpirun(
-        tb.cluster,
-        tb.vfs,
-        app,
-        nprocs=nprocs,
-        args=workload_args,
-        setup=framework.setup_rank,
-    )
-    bundle = framework.finalize(job)
-    traced = TracedRun(framework_name=framework.name, job=job, bundle=bundle)
-    return (
-        RunOutcome(
-            elapsed=job.elapsed,
-            bytes_moved=_total_payload(job),
-            job=job,
-            events_executed=tb.sim.events_executed,
-        ),
-        traced,
+    outcome = run_once(
+        workload, workload_args, framework_factory, config, nprocs, seed
+    ).raise_cause()
+    return outcome, TracedRun(
+        framework_name=outcome.framework_name, job=outcome.job, bundle=outcome.bundle
     )
 
 
@@ -186,66 +307,3 @@ def sweep_args_for_block_size(
     nobj = max(1, total_bytes_per_rank // block_size)
     return dict(base_args, block_size=block_size, nobj=nobj)
 
-
-def sweep_block_sizes(
-    framework_factory: Any,
-    workload: Any,
-    base_args: Dict[str, Any],
-    block_sizes: Iterable[int],
-    total_bytes_per_rank: int,
-    config: Optional[TestbedConfig] = None,
-    nprocs: Optional[int] = None,
-    seed: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[Any] = None,
-    telemetry: bool = False,
-    progress: Optional[Callable] = None,
-    store: Optional[str] = None,
-) -> List[Any]:
-    """Measure overhead across block sizes at constant bytes per rank.
-
-    With the defaults this is the original serial protocol and returns
-    :class:`OverheadMeasurement` objects (carrying live trace bundles).
-    Passing ``jobs > 1``, a :class:`~repro.harness.runcache.RunCache`, a
-    pickle-safe framework spec (a :class:`~repro.harness.parallel.FrameworkSpec`
-    or registered factory name instead of a closure), ``telemetry=True``,
-    a ``store`` archive root (each point then ingests its traced bundle
-    into that TraceBank), or a ``progress`` callback routes the sweep through
-    :func:`repro.harness.parallel.run_sweep` and returns
-    :class:`~repro.harness.parallel.PointResult` objects — same overhead
-    numbers and fingerprints, no live simulator state.
-    """
-    from repro.harness.parallel import FrameworkSpec, build_sweep_specs, run_sweep
-
-    if (
-        jobs != 1
-        or cache is not None
-        or telemetry
-        or store is not None
-        or progress is not None
-        or isinstance(framework_factory, (FrameworkSpec, str))
-    ):
-        specs = build_sweep_specs(
-            framework_factory,
-            workload,
-            base_args,
-            block_sizes,
-            total_bytes_per_rank,
-            config=config,
-            nprocs=nprocs,
-            seed=seed,
-            telemetry=telemetry,
-            store=store,
-        )
-        return run_sweep(specs, jobs=jobs, cache=cache, progress=progress).points
-    if isinstance(workload, str):
-        from repro.harness.parallel import WORKLOADS
-
-        workload = WORKLOADS[workload]
-    out: List[OverheadMeasurement] = []
-    for bs in block_sizes:
-        args = sweep_args_for_block_size(base_args, bs, total_bytes_per_rank)
-        out.append(
-            measure_overhead(framework_factory, workload, args, config, nprocs, seed)
-        )
-    return out

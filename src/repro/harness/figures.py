@@ -2,8 +2,9 @@
 
 * :func:`paper_testbed` — the calibrated simulated machine standing in for
   the paper's 32-processor cluster (§4.1.2);
-* :func:`figure_series` — one of Figures 2/3/4: LANL-Trace bandwidth and
-  bandwidth-overhead versus block size for a given access pattern;
+* :func:`run_figures` — Figures 2/3/4 as one flat sweep: LANL-Trace
+  bandwidth and bandwidth-overhead versus block size per access pattern
+  (:func:`figure_series` is one figure of it);
 * :func:`elapsed_overhead_range` — the §4.1.1 headline "24% to 222%"
   elapsed-time overhead span across patterns and block sizes.
 
@@ -23,7 +24,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.network import NetworkConfig
-from repro.harness.experiment import sweep_block_sizes
 from repro.harness.parallel import (
     FrameworkSpec,
     SweepReport,
@@ -97,9 +97,9 @@ class FigurePoint:
 class FigureSeries:
     """A full figure: pattern + points ordered by block size.
 
-    ``measurements`` keeps the raw per-point result objects (when the
-    generating sweep provided them) so callers can reach data the
-    :class:`FigurePoint` summary drops — notably telemetry payloads.  It
+    ``measurements`` keeps the sweep's :class:`~repro.harness.parallel.PointResult`
+    objects so callers can reach data the :class:`FigurePoint` summary
+    drops — notably telemetry payloads and archived run ids.  It
     is excluded from equality: point results carry host wall-clock times,
     and two byte-identical series must compare equal across runs.
     """
@@ -124,8 +124,6 @@ class FigureSeries:
 
 
 def _figure_points(sizes: Sequence[int], measurements: Sequence[Any]) -> List[FigurePoint]:
-    # Works for both OverheadMeasurement and parallel.PointResult — the two
-    # expose identical overhead/bandwidth accessors by design.
     return [
         FigurePoint(
             block_size=bs,
@@ -133,66 +131,10 @@ def _figure_points(sizes: Sequence[int], measurements: Sequence[Any]) -> List[Fi
             traced_bandwidth=m.traced.aggregate_bandwidth,
             bandwidth_overhead=m.bandwidth_overhead,
             elapsed_overhead=m.elapsed_overhead,
-            error=getattr(m, "error", None),
+            error=m.error,
         )
         for bs, m in zip(sizes, measurements)
     ]
-
-
-def figure_series(
-    figure_number: int,
-    block_sizes: Optional[Iterable[int]] = None,
-    total_bytes_per_rank: int = 32 * MiB,
-    nprocs: int = 32,
-    seed: int = 0,
-    framework_factory: Optional[Callable] = None,
-    framework: Union[FrameworkSpec, str] = "lanl-trace",
-    jobs: int = 1,
-    cache: Optional[Any] = None,
-    telemetry: bool = False,
-    progress: Optional[Callable] = None,
-    store: Optional[str] = None,
-) -> FigureSeries:
-    """Regenerate Figure 2, 3 or 4.
-
-    ``total_bytes_per_rank`` is the scaled-down stand-in for the paper's
-    100 GB (N-1) / 10 GB-per-rank (N-N) files: constant per block size, so
-    large blocks still amortize per-run costs as in the paper.
-
-    ``framework`` is a pickle-safe spec (or registered factory name); with
-    ``jobs > 1`` the sweep points fan out over worker processes, and with a
-    ``cache`` (:class:`~repro.harness.runcache.RunCache`) previously
-    measured points are served from disk.  The legacy ``framework_factory``
-    closure argument forces the serial in-process path.  All paths produce
-    byte-identical series — the simulator is deterministic.
-    """
-    try:
-        pattern = FIGURE_PATTERNS[figure_number]
-    except KeyError:
-        raise ValueError("paper figures with overhead sweeps are 2, 3, 4") from None
-    sizes = sorted(block_sizes if block_sizes is not None else PAPER_BLOCK_SIZES)
-    measurements = sweep_block_sizes(
-        framework_factory if framework_factory is not None else framework,
-        "mpi_io_test",
-        {"pattern": pattern, "path": "/pfs/mpi_io_test.out"},
-        sizes,
-        total_bytes_per_rank,
-        config=paper_testbed(seed=seed, nprocs=nprocs),
-        nprocs=nprocs,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
-        store=store,
-    )
-    return FigureSeries(
-        figure_number=figure_number,
-        pattern=pattern,
-        nprocs=nprocs,
-        points=_figure_points(sizes, measurements),
-        measurements=list(measurements),
-    )
 
 
 @dataclass
@@ -275,6 +217,40 @@ def run_figures(
         overhead_range={"min": min(overheads), "max": max(overheads)},
         report=result.report,
     )
+
+
+def figure_series(
+    figure_number: int,
+    block_sizes: Optional[Iterable[int]] = None,
+    total_bytes_per_rank: int = 32 * MiB,
+    nprocs: int = 32,
+    seed: int = 0,
+    framework: Union[FrameworkSpec, str] = "lanl-trace",
+    jobs: int = 1,
+    cache: Optional[Any] = None,
+    telemetry: bool = False,
+    progress: Optional[Callable] = None,
+    store: Optional[str] = None,
+) -> FigureSeries:
+    """Regenerate Figure 2, 3 or 4: one figure of :func:`run_figures`.
+
+    ``total_bytes_per_rank`` is the scaled-down stand-in for the paper's
+    100 GB (N-1) / 10 GB-per-rank (N-N) files: constant per block size, so
+    large blocks still amortize per-run costs as in the paper.
+    """
+    return run_figures(
+        (figure_number,),
+        block_sizes=block_sizes,
+        total_bytes_per_rank=total_bytes_per_rank,
+        nprocs=nprocs,
+        seed=seed,
+        framework=framework,
+        jobs=jobs,
+        cache=cache,
+        telemetry=telemetry,
+        progress=progress,
+        store=store,
+    ).series[figure_number]
 
 
 def elapsed_overhead_range(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -30,10 +31,12 @@ from repro.errors import ReproError
 from repro.frameworks.base import TracingFramework
 from repro.harness.experiment import (
     RunOutcome,
-    measure_overhead,
+    RunStats,
+    run_once,
     sweep_args_for_block_size,
 )
 from repro.harness.testbed import TestbedConfig
+from repro.obs.tracepoints import session
 
 __all__ = [
     "FRAMEWORK_FACTORIES",
@@ -222,31 +225,6 @@ def as_framework_spec(framework: Any) -> FrameworkSpec:
 
 
 @dataclass(frozen=True)
-class RunStats:
-    """Pickle-safe summary of one run: the numbers the figures need."""
-
-    elapsed: float
-    bytes_moved: int
-    events_executed: int
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        """Total payload bytes over true elapsed seconds."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.bytes_moved / self.elapsed
-
-    @staticmethod
-    def from_outcome(outcome: RunOutcome) -> "RunStats":
-        """Strip a live :class:`RunOutcome` down to its cacheable numbers."""
-        return RunStats(
-            elapsed=outcome.elapsed,
-            bytes_moved=outcome.bytes_moved,
-            events_executed=outcome.events_executed,
-        )
-
-
-@dataclass(frozen=True)
 class PointResult:
     """One measured sweep point, reduced to pickle-safe numbers.
 
@@ -410,68 +388,59 @@ def ingest_spec_bundle(
 def execute_spec(spec: RunSpec) -> PointResult:
     """Measure one point in this process (the process-pool worker entry).
 
-    Runs the full §3.1 protocol (fresh testbed untraced, identical fresh
-    testbed traced) and reduces the outcome to a :class:`PointResult`.
-    With ``spec.telemetry`` each of the two runs gets its own telemetry
-    session, and the exported payloads ride along on the result.  With
-    ``spec.store`` the traced run's bundle is archived into the TraceBank
-    there and the result carries its run id.
+    Runs the §3.1 protocol — the untraced leg, then the traced leg, each
+    on a fresh identical testbed via :func:`~repro.harness.experiment.run_once`
+    — and reduces the outcomes to a :class:`PointResult`.  With
+    ``spec.telemetry`` every attempt runs in a fresh telemetry session and
+    the last attempt's exported payloads ride along.  Only a timeout is
+    retried, up to ``spec.retries`` times with the horizon doubled: a
+    crash, an injected error or a deadlock reproduces exactly.  A plain
+    spec's failed run raises its cause; a spec carrying ``faults`` or
+    ``sim_timeout`` runs both legs whatever happens and is annotated by
+    :func:`repro.faults.chaos.chaos_annotation`.  With ``spec.store`` the
+    traced run's bundle is archived into the TraceBank there and the
+    result carries its run id.
     """
-    if spec.faults is not None or spec.sim_timeout is not None:
-        from repro.faults.chaos import execute_fault_spec
-
-        return execute_fault_spec(spec)
     t0 = time.perf_counter()
-    if spec.telemetry:
-        from repro.harness.experiment import run_traced, run_untraced
-        from repro.obs.tracepoints import session
+    chaotic = spec.faults is not None or spec.sim_timeout is not None
+    legs: Dict[str, Tuple[RunOutcome, int]] = {}
+    payloads: Dict[str, Any] = {}
+    for leg, factory in (("untraced", None), ("traced", spec.framework.build)):
+        horizon = spec.sim_timeout
+        attempts = 0
+        while True:
+            attempts += 1
+            with (session() if spec.telemetry else nullcontext()) as col:
+                outcome = run_once(
+                    spec.workload_fn(), spec.args_dict(), factory,
+                    config=spec.config, nprocs=spec.nprocs, seed=spec.seed,
+                    faults=spec.faults, horizon=horizon,
+                )
+                if col is not None:
+                    payloads[leg] = col.export(end_time=outcome.elapsed)
+            if outcome.status != "timeout" or attempts > spec.retries:
+                break
+            horizon *= 2.0
+        if not chaotic:
+            outcome.raise_cause()
+        legs[leg] = (outcome, attempts)
+    chaos, error, extra = None, None, None
+    if chaotic:
+        from repro.faults.chaos import chaos_annotation
 
-        with session() as col_u:
-            untraced = run_untraced(
-                spec.workload_fn(),
-                spec.args_dict(),
-                config=spec.config,
-                nprocs=spec.nprocs,
-                seed=spec.seed,
-            )
-            payload_u = col_u.export(end_time=untraced.elapsed)
-        with session() as col_t:
-            traced, traced_run = run_traced(
-                spec.framework.build,
-                spec.workload_fn(),
-                spec.args_dict(),
-                config=spec.config,
-                nprocs=spec.nprocs,
-                seed=spec.seed,
-            )
-            payload_t = col_t.export(end_time=traced.elapsed)
-        # Ingest outside the sessions so archive tracepoints never leak
-        # into the measurement's telemetry payloads.
-        run_id = ingest_spec_bundle(spec, traced_run.bundle)
-        wall = time.perf_counter() - t0
-        return PointResult(
-            params=spec.workload_args,
-            untraced=RunStats.from_outcome(untraced),
-            traced=RunStats.from_outcome(traced),
-            wall_seconds=wall,
-            telemetry={"untraced": payload_u, "traced": payload_t},
-            store_run_id=run_id,
-        )
-    m = measure_overhead(
-        spec.framework.build,
-        spec.workload_fn(),
-        spec.args_dict(),
-        config=spec.config,
-        nprocs=spec.nprocs,
-        seed=spec.seed,
-    )
-    run_id = ingest_spec_bundle(spec, m.traced_run.bundle)
-    wall = time.perf_counter() - t0
+        chaos, error, extra = chaos_annotation(spec, legs)
+    # Ingest outside the sessions so archive tracepoints never leak
+    # into the measurement's telemetry payloads.
+    run_id = ingest_spec_bundle(spec, legs["traced"][0].bundle, extra=extra)
     return PointResult(
-        params=_kv(m.params),
-        untraced=RunStats.from_outcome(m.untraced),
-        traced=RunStats.from_outcome(m.traced),
-        wall_seconds=wall,
+        params=spec.workload_args,
+        untraced=legs["untraced"][0].stats,
+        traced=legs["traced"][0].stats,
+        wall_seconds=time.perf_counter() - t0,
+        telemetry=payloads or None,
+        error=error,
+        attempts=max(attempts for _outcome, attempts in legs.values()),
+        chaos=chaos,
         store_run_id=run_id,
     )
 
@@ -582,7 +551,10 @@ def run_sweep(
                     progress(done, total, point)
         for (i, spec), point in zip(pending, fresh):
             results[i] = point
-            if cache is not None:
+            # A failure that came from an exception (no chaos record) may
+            # not recur — a bad store path, a missing registration — so
+            # only completed and chaos-annotated points are cached.
+            if cache is not None and (point.error is None or point.chaos is not None):
                 cache.put(spec, point)
     report = SweepReport(
         jobs=jobs,

@@ -25,7 +25,7 @@ from repro.simfs.vfs import VFS
 from repro.simmpi.comm import Communicator, MPIRank
 from repro.simos.process import SimProcess
 
-__all__ = ["JobResult", "mpirun"]
+__all__ = ["JobResult", "drive", "mpirun"]
 
 AppFn = Callable[[MPIRank, Dict[str, Any]], Generator[Any, Any, Any]]
 SetupFn = Callable[[int, SimProcess, MPIRank], None]
@@ -68,20 +68,16 @@ def mpirun(
     teardown: Optional[SetupFn] = None,
     base_pid: int = 10000,
     run: bool = True,
-    horizon: Optional[float] = None,
 ) -> JobResult:
     """Launch ``app`` on ``nprocs`` ranks and (by default) run to completion.
 
     Parameters mirror a batch launch: the cluster and mounted VFS are the
     machine, ``app`` is the executable, ``args`` its argv.  ``setup`` and
     ``teardown`` are tracing-framework attach points.  With ``run=False``
-    the job is spawned but the caller drives ``cluster.sim.run()`` itself
-    (used to co-schedule competing jobs).
-
-    ``horizon`` bounds the run in *simulated* seconds from job start: if
-    ranks are still running when it expires, :class:`SimTimeoutError`
-    names them instead of the drain continuing indefinitely — the retry
-    signal the chaos harness's exponential-backoff policy consumes.
+    the job is only spawned, and the caller ends it with :func:`drive`
+    (or runs ``cluster.sim`` itself to co-schedule competing jobs).
+    With ``run=True`` a failed job raises the exception :func:`drive`
+    names as its cause.
     """
     n = nprocs if nprocs is not None else len(cluster.nodes)
     if n < 1:
@@ -135,29 +131,42 @@ def mpirun(
     if not run:
         return result
 
-    try:
-        # Whole-job drains are the simulator's hot loop; run_fast dispatches
-        # the identical event history with the per-event backwards-time
-        # check dropped after its warm-up window.
-        sim.run_fast(until=(start_time + horizon) if horizon is not None else None)
-    except DeadlockError:
-        # A dead rank leaves peers blocked in collectives/recvs; the root
-        # cause is the rank's own exception — surface that, not the
-        # secondary deadlock.
-        for proc in spawned:
-            if proc.completion.done and proc.completion.exception is not None:
-                raise proc.completion.exception from None
-        raise
-    for r, proc in enumerate(spawned):
-        if proc.completion.exception is not None:
-            raise proc.completion.exception
-    if horizon is not None:
-        pending = [r for r, proc in enumerate(spawned) if proc.alive]
-        if pending:
-            raise SimTimeoutError(horizon, pending)
-    result.end_time = max(end_times)
+    cause = drive(result)
+    if cause is not None:
+        raise cause
 
     if teardown is not None:
         for r in range(n):
             teardown(r, procs[r], ranks[r])
     return result
+
+
+def drive(job: JobResult, horizon: Optional[float] = None) -> Optional[BaseException]:
+    """Run a spawned job's simulator until the job ends; return why it failed.
+
+    The one rule for how a job ended.  A rank's own exception beats the
+    :class:`DeadlockError` it leaves its peers blocked in; ranks still
+    running when ``horizon`` (simulated seconds from job start) expires
+    become :class:`SimTimeoutError`; a drained queue with no rank at
+    fault is the deadlock itself.  ``None`` means every rank completed.
+    Sets ``job.end_time``: the last rank's end on success, the
+    simulator's clock at the failure otherwise.
+    """
+    sim = job.comm.sim
+    cause: Optional[BaseException] = None
+    try:
+        # Whole-job drains are the simulator's hot loop; run_fast dispatches
+        # the identical event history with the per-event backwards-time
+        # check dropped after its warm-up window.
+        sim.run_fast(until=(job.start_time + horizon) if horizon is not None else None)
+    except DeadlockError as exc:
+        cause = exc
+    failed = [p.completion.exception for p in job.des_processes
+              if p.completion.exception is not None]
+    pending = [r for r, p in enumerate(job.des_processes) if p.alive]
+    if failed:
+        cause = failed[0]
+    elif cause is None and pending:
+        cause = SimTimeoutError(horizon or 0.0, pending)
+    job.end_time = max(job.rank_end_times) if cause is None else sim.now
+    return cause

@@ -14,11 +14,10 @@ from repro.faults import (
     build_chaos_specs,
     render_chaos_report,
     run_chaos_matrix,
-    run_under_faults,
 )
-from repro.faults.chaos import _attempt_with_retries
+from repro.harness.experiment import run_once
 from repro.harness.figures import paper_testbed
-from repro.harness.parallel import execute_spec
+from repro.harness.parallel import RunSpec, execute_spec
 from repro.units import KiB
 from repro.workloads import mpi_io_test
 
@@ -31,9 +30,18 @@ def _run(schedule, horizon=30.0, **kw):
         horizon=horizon,
     )
     params.update(kw)
-    return run_under_faults(
-        schedule, None, mpi_io_test, dict(QUICK_ARGS), **params
-    )
+    return run_once(mpi_io_test, dict(QUICK_ARGS), faults=schedule, **params)
+
+
+def _untraced_leg(schedule, horizon, retries):
+    """(status, attempts) of a point's untraced leg, run by execute_spec."""
+    point = execute_spec(RunSpec.create(
+        "ptrace", "mpi_io_test", QUICK_ARGS,
+        config=paper_testbed(seed=0, nprocs=2), nprocs=2, seed=0,
+        faults=schedule, sim_timeout=horizon, retries=retries,
+    ))
+    leg = point.chaos["untraced"]
+    return leg["status"], leg["attempts"]
 
 
 class TestClassification:
@@ -73,31 +81,20 @@ class TestClassification:
 
 class TestRetryPolicy:
     def test_timeout_retries_with_doubled_horizon(self):
-        outcome, attempts = _attempt_with_retries(
-            FaultSchedule(), None, mpi_io_test, dict(QUICK_ARGS),
-            paper_testbed(seed=0, nprocs=2), 2, 0,
-            horizon=0.02, retries=5,
-        )
-        assert outcome.status == "completed"
+        status, attempts = _untraced_leg(FaultSchedule(), horizon=0.02, retries=5)
+        assert status == "completed"
         assert attempts > 1  # 0.02s is not enough; a doubled budget was
 
     def test_deterministic_failures_do_not_retry(self):
-        outcome, attempts = _attempt_with_retries(
-            FaultSchedule.of(NodeCrash(at=0.05, node=1)),
-            None, mpi_io_test, dict(QUICK_ARGS),
-            paper_testbed(seed=0, nprocs=2), 2, 0,
-            horizon=30.0, retries=5,
+        status, attempts = _untraced_leg(
+            FaultSchedule.of(NodeCrash(at=0.05, node=1)), horizon=30.0, retries=5
         )
-        assert outcome.status == "node-crash"
+        assert status == "node-crash"
         assert attempts == 1
 
     def test_retry_budget_exhausts_to_timeout(self):
-        outcome, attempts = _attempt_with_retries(
-            FaultSchedule(), None, mpi_io_test, dict(QUICK_ARGS),
-            paper_testbed(seed=0, nprocs=2), 2, 0,
-            horizon=1e-5, retries=1,
-        )
-        assert outcome.status == "timeout"
+        status, attempts = _untraced_leg(FaultSchedule(), horizon=1e-5, retries=1)
+        assert status == "timeout"
         assert attempts == 2
 
 

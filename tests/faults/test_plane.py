@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.errors import DeadlockError, FaultError
+from repro.errors import DeadlockError, FaultError, InjectedIOError
 from repro.faults import (
     DiskErrorStorm,
     DiskSlowdown,
@@ -14,7 +14,6 @@ from repro.faults import (
     NodeCrash,
     install_fault_plane,
 )
-from repro.simfs.faults import InjectedIOError
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import O_CREAT, O_WRONLY, VFS
 

@@ -10,16 +10,24 @@ events it took to compute it:
   the elapsed times, the archived run id, the signature verdict and the
   replay verdict;
 * ``chaos``: the SHA-256 of the ``CHAOS_report.json`` that
-  ``repro chaos --matrix smoke`` writes.
+  ``repro chaos --matrix smoke`` writes;
+* ``chaos_run_ids``: per ``repro chaos --matrix smoke --store`` row, the
+  run id of the archived (possibly partial) traced bundle — a run id
+  hashes the manifest meta too, so this pins the chaos manifest extras;
+* ``figure2_telemetry_sha256``: per Figure 2 point of
+  ``repro figures --quick --telemetry``, the SHA-256 of the canonical
+  telemetry payload file it writes (``fig2_bs<N>.telemetry.json``).
 
 Run ids hash archived segment bytes, so they pin every traced event's
 timestamp and duration too.  ``tests/harness/test_history_corpus.py``
 recomputes :func:`collect` and requires exact equality.  The file here
-was written by commit e911b3f, the last tree whose kernel re-queued a
-process that yielded an already-settled completion::
+was first written by commit e911b3f, the last tree whose kernel
+re-queued a process that yielded an already-settled completion.  It was
+regenerated by commit 13c4911 when the last two keys were added; every
+earlier key came out unchanged::
 
     mkdir -p /tmp/history-writer
-    git archive e911b3f src | tar -x -C /tmp/history-writer
+    git archive 13c4911 src | tar -x -C /tmp/history-writer
     PYTHONPATH=/tmp/history-writer/src python tests/harness/history_corpus/generate.py
 
 Regenerate only when a change is *meant* to alter simulated history, and
@@ -79,11 +87,38 @@ def collect(workdir: Path) -> dict:
     ]
 
     chaos = canonical_json(run_chaos_matrix(matrix="smoke")) + "\n"
+    archived = run_chaos_matrix(matrix="smoke", store=str(workdir / "chaos-store"))
+    chaos_run_ids = [
+        {
+            "framework": row["framework"],
+            "scenario": row["scenario"],
+            "run_id": row["store_run_id"],
+        }
+        for row in archived["rows"]
+    ]
+
+    fig2 = run_figures(
+        figures=(2,),
+        block_sizes=blocks,
+        total_bytes_per_rank=total,
+        nprocs=nprocs,
+        telemetry=True,
+    ).series[2]
+    telemetry = {
+        str(p.block_size): _sha256(canonical_json(m.telemetry) + "\n")
+        for p, m in zip(fig2.points, fig2.measurements)
+    }
     return {
         "figures": figures,
         "zoo": zoo,
-        "chaos_report_sha256": hashlib.sha256(chaos.encode("utf-8")).hexdigest(),
+        "chaos_report_sha256": _sha256(chaos),
+        "chaos_run_ids": chaos_run_ids,
+        "figure2_telemetry_sha256": telemetry,
     }
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def main() -> int:

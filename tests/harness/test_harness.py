@@ -9,7 +9,7 @@ from repro.harness.experiment import (
     RunOutcome,
     measure_overhead,
     run_untraced,
-    sweep_block_sizes,
+    sweep_args_for_block_size,
 )
 from repro.harness.figures import (
     FIGURE_PATTERNS,
@@ -79,14 +79,19 @@ class TestOverheadProtocol:
             elapsed_time_overhead(0.0, 1.0)
 
     def test_sweep_holds_bytes_constant(self):
-        ms = sweep_block_sizes(
-            lambda: LANLTrace(LANLTraceConfig()),
-            mpi_io_test,
-            {"pattern": AccessPattern.N_TO_N, "path": "/pfs/out"},
-            [64 * KiB, 256 * KiB],
-            total_bytes_per_rank=1 * MiB,
-            nprocs=2,
-        )
+        ms = [
+            measure_overhead(
+                lambda: LANLTrace(LANLTraceConfig()),
+                mpi_io_test,
+                sweep_args_for_block_size(
+                    {"pattern": AccessPattern.N_TO_N, "path": "/pfs/out"},
+                    bs,
+                    total_bytes_per_rank=1 * MiB,
+                ),
+                nprocs=2,
+            )
+            for bs in [64 * KiB, 256 * KiB]
+        ]
         assert ms[0].params["nobj"] == 16
         assert ms[1].params["nobj"] == 4
         for m in ms:

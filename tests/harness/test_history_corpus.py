@@ -4,7 +4,8 @@
 ``zoo matrix --smoke`` and ``chaos --matrix smoke`` computed at the
 commit named in ``history_corpus/generate.py``: elapsed times to the
 last bit, archived run ids (which hash every traced event), signature
-and replay verdicts, and the chaos report's SHA-256.  A kernel or stack
+and replay verdicts, the chaos report's SHA-256, the chaos matrix's
+archived run ids, and the SHA-256 of Figure 2's telemetry payloads.  A kernel or stack
 change that only removes work must leave all of it exactly equal; a
 change meant to alter history regenerates the file and says why.
 """
@@ -31,6 +32,8 @@ def test_simulated_history_matches_the_committed_corpus(tmp_path):
     assert got["figures"] == expected["figures"]
     assert got["zoo"] == expected["zoo"]
     assert got["chaos_report_sha256"] == expected["chaos_report_sha256"]
+    assert got["chaos_run_ids"] == expected["chaos_run_ids"]
+    assert got["figure2_telemetry_sha256"] == expected["figure2_telemetry_sha256"]
     assert got == expected
 
 
@@ -41,3 +44,6 @@ def test_corpus_covers_every_sweep_it_names():
     assert len(points) == 6 and all(p["run_id"] for p in points)
     assert len(expected["zoo"]) == 4
     assert all(r["signature_ok"] and r["replay_exact"] for r in expected["zoo"])
+    assert len(expected["chaos_run_ids"]) == 15
+    assert all(r["run_id"] for r in expected["chaos_run_ids"])
+    assert sorted(expected["figure2_telemetry_sha256"]) == ["1048576", "65536"]

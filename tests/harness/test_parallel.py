@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.fanout import parallel_map
+from repro.harness.experiment import run_untraced
 from repro.harness.figures import figure_series, run_figures
 from repro.harness.parallel import (
     FRAMEWORK_FACTORIES,
@@ -19,9 +20,11 @@ from repro.harness.parallel import (
     FrameworkSpec,
     PointResult,
     RunSpec,
+    RunStats,
     as_framework_spec,
     build_sweep_specs,
     execute_spec,
+    execute_spec_safe,
     run_sweep,
 )
 from repro.harness.runcache import RunCache, spec_key
@@ -95,6 +98,17 @@ class TestExecutor:
         with pytest.raises(ReproError):
             run_sweep([], jobs=0)
 
+    def test_failed_plain_run_is_an_annotated_zero_point(self):
+        args = {"path": "/nowhere/out", "block_size": 64 * KiB, "nobj": 2}
+        with pytest.raises(ReproError) as raised:
+            run_untraced(WORKLOADS["mpi_io_test"], args, nprocs=2)
+        point = execute_spec_safe(
+            RunSpec.create("lanl-trace", "mpi_io_test", args, nprocs=2)
+        )
+        assert point.error == "%s: %s" % (type(raised.value).__name__, raised.value)
+        assert point.untraced == point.traced == RunStats(0.0, 0, 0)
+        assert point.chaos is None and point.attempts == 1
+
 
 class TestDeterminismContract:
     """Same seed ⇒ identical series for jobs=1, jobs=4, and a warm cache."""
@@ -138,15 +152,6 @@ class TestDeterminismContract:
         )
         lo, hi = sweep.overhead_range["min"], sweep.overhead_range["max"]
         assert 0 < lo <= hi
-
-    def test_legacy_closure_path_matches_spec_path(self):
-        from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
-
-        legacy = figure_series(
-            4, framework_factory=lambda: LANLTrace(LANLTraceConfig()), **QUICK
-        )
-        spec = figure_series(4, **QUICK)
-        assert legacy == spec
 
 
 class TestParallelMap:

@@ -150,3 +150,26 @@ class TestSweepIntegration:
         third = run_sweep([spec_b], cache=cache)
         assert third.report.cache_hits == 1
         assert third.points[0].cached
+
+    def test_failed_point_is_not_cached(self, tmp_path):
+        # A failure that came from an exception may not recur: caching it
+        # would replay a foreign-schema store's error into a rerun against
+        # a valid store instead of archiving the run there.
+        from dataclasses import replace
+
+        from repro.store.bank import TraceBank
+
+        bad = tmp_path / "badstore"
+        bad.mkdir()
+        (bad / "STORE.json").write_text('{"schema": "other/v9"}')
+        cache = RunCache(tmp_path / "cache")
+        failed = run_sweep([replace(_spec(), store=str(bad))], cache=cache)
+        assert failed.points[0].error.startswith("StoreError: ")
+        assert len(cache) == 0
+
+        good = tmp_path / "goodstore"
+        rerun = run_sweep([replace(_spec(), store=str(good))], cache=cache)
+        point = rerun.points[0]
+        assert point.error is None and not point.cached
+        assert TraceBank(good, create=False).manifest(point.store_run_id)
+        assert len(cache) == 1

@@ -15,8 +15,8 @@ from repro.faults import (
     FaultSchedule,
     NetworkPartition,
     NodeCrash,
-    run_under_faults,
 )
+from repro.harness.experiment import run_once
 from repro.harness.figures import paper_testbed
 from repro.harness.parallel import (
     RunSpec,
@@ -175,14 +175,13 @@ class TestFaultDeterminism:
     @given(schedule=_schedules)
     def test_fault_event_sequence_is_reproducible(self, schedule):
         outcomes = [
-            run_under_faults(
-                schedule,
-                None,
+            run_once(
                 mpi_io_test,
                 dict(_CHAOS_ARGS),
                 config=paper_testbed(seed=0, nprocs=2),
                 nprocs=2,
                 seed=0,
+                faults=schedule,
                 horizon=30.0,
             )
             for _ in range(2)

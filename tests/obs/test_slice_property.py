@@ -15,8 +15,8 @@ from repro.faults import (
     FaultSchedule,
     LinkDegradation,
     NetworkPartition,
-    run_under_faults,
 )
+from repro.harness.experiment import run_once
 from repro.harness.figures import paper_testbed
 from repro.obs.slice import causal_slice
 from repro.obs.tracepoints import session
@@ -28,10 +28,10 @@ ARGS = {"path": "/pfs/x.out", "block_size": 64 * KiB, "nobj": 4}
 
 def _slice_under(schedule):
     with session() as col:
-        outcome = run_under_faults(
-            schedule, None, mpi_io_test, dict(ARGS),
+        outcome = run_once(
+            mpi_io_test, dict(ARGS),
             config=paper_testbed(seed=0, nprocs=2), nprocs=2, seed=0,
-            horizon=120.0,
+            faults=schedule, horizon=120.0,
         )
         assert outcome.status == "completed"
         payload = col.export(end_time=outcome.stats.elapsed)

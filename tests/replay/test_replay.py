@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ReplayError
 from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
-from repro.harness.experiment import run_traced, run_untraced
+from repro.harness.experiment import run_once, run_traced, run_untraced
 from repro.harness.figures import paper_testbed
 from repro.replay import (
     PseudoApp,
@@ -202,16 +202,15 @@ class TestDivergenceDetection:
         capture; replaying the bundle reports divergence immediately."""
         from repro.errors import ReplayDivergence
         from repro.faults import FaultSchedule, NodeCrash
-        from repro.faults.chaos import run_traced_with_faults
 
-        outcome = run_traced_with_faults(
-            FaultSchedule.of(NodeCrash(at=0.03, node=1), name="truncate"),
-            "lanl-trace",
-            "mpi_io_test",
+        outcome = run_once(
+            mpi_io_test,
             {"path": "/pfs/diverge.out", "block_size": 64 * KiB, "nobj": 8},
+            LANLTrace,
             config=paper_testbed(seed=0, nprocs=2),
             nprocs=2,
             seed=0,
+            faults=FaultSchedule.of(NodeCrash(at=0.03, node=1), name="truncate"),
             horizon=120.0,
         )
         assert outcome.status == "node-crash"

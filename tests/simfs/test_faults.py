@@ -1,11 +1,20 @@
-"""Fault-injection layer tests, including tracer behaviour under faults."""
+"""The disk-fault layer (the fault plane's ScheduledFaultFS), including
+tracer behaviour under faults."""
 
-import pytest
-
-from repro.des import Simulator
-from repro.simfs.faults import FaultInjectingFS, FaultPlan, InjectedIOError
+from repro.cluster import Cluster, ClusterConfig
+from repro.errors import InjectedIOError
+from repro.faults import (
+    DiskErrorStorm,
+    DiskSlowdown,
+    FaultSchedule,
+    install_fault_plane,
+)
 from repro.simfs.localfs import LocalFS
-from repro.simfs.vfs import CallerContext, O_CREAT, O_WRONLY
+from repro.simfs.vfs import VFS, CallerContext, O_CREAT, O_WRONLY
+
+#: A storm rate so small no coin of these short tests ever hits, so the
+#: coins are drawn but never end an operation.
+NEVER = 1e-12
 
 
 class FakeNode:
@@ -20,47 +29,29 @@ def ctx():
     return CallerContext(node=FakeNode(), pid=1, uid=1000, user="t")
 
 
-def make(plan, seed=0):
-    sim = Simulator(seed=seed)
-    lower = LocalFS(sim)
-    return sim, FaultInjectingFS(sim, lower, plan)
+def make(*events, seed=0):
+    """(sim, plane, disk layer) for a schedule over a LocalFS at /pfs."""
+    cluster = Cluster(ClusterConfig(n_nodes=1, seed=seed))
+    sim = cluster.sim
+    vfs = VFS(sim)
+    vfs.mount("/", LocalFS(sim))
+    vfs.mount("/pfs", LocalFS(sim))
+    plane = install_fault_plane(FaultSchedule.of(*events), cluster, vfs)
+    return sim, plane, vfs.resolve("/pfs")[0]
 
 
-class TestPlanValidation:
-    def test_rates_bounded(self):
-        with pytest.raises(ValueError):
-            FaultPlan(error_rate=1.5)
-        with pytest.raises(ValueError):
-            FaultPlan(delay_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlan(delay=-1)
-
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FaultPlan(horizon=0.0)
-        with pytest.raises(ValueError):
-            FaultPlan(horizon=-5.0)
-
-    def test_delay_must_fit_inside_horizon(self):
-        with pytest.raises(ValueError, match="shorter than the horizon"):
-            FaultPlan(delay=2.0, horizon=1.0)
-        with pytest.raises(ValueError, match="shorter than the horizon"):
-            FaultPlan(delay=1.0, horizon=1.0)  # equal is also a stall risk
-        # Valid combinations construct fine.
-        assert FaultPlan(delay=0.5, horizon=1.0).horizon == 1.0
-        assert FaultPlan(delay=0.5).horizon is None
+def storm(rate, ops=("write",), at=0.0, duration=100.0, mount="/pfs"):
+    return DiskErrorStorm(
+        at=at, duration=duration, error_rate=rate, mount=mount, ops=frozenset(ops)
+    )
 
 
 class TestDrawOrder:
-    """Regression: every eligible op draws exactly two coins, delay first.
+    """Every eligible op draws one coin per storm, in schedule order;
+    slowdowns and ineligible ops draw nothing."""
 
-    The old ``before_op`` short-circuited draws when a rate was 0.0, so
-    switching one fault type off shifted the *other* coin sequence and
-    broke cross-plan comparisons.  These tests pin the contract.
-    """
-
-    def _error_sequence(self, plan, n=40, seed=11):
-        sim, fs = make(plan, seed=seed)
+    def _error_sequence(self, *events, n=40, seed=11):
+        sim, _plane, fs = make(*events, seed=seed)
         hits = []
 
         def body():
@@ -76,31 +67,31 @@ class TestDrawOrder:
         return hits
 
     def test_error_sequence_unchanged_by_delay_rate(self):
-        """Turning delays on/off must not reshuffle which ops error."""
-        plain = self._error_sequence(FaultPlan(error_rate=0.3, ops={"write"}))
+        """Adding a slowdown must not reshuffle which ops error."""
+        plain = self._error_sequence(storm(0.3))
         delayed = self._error_sequence(
-            FaultPlan(error_rate=0.3, delay_rate=0.2, delay=1e-4, ops={"write"})
+            storm(0.3), DiskSlowdown(at=0.0, duration=100.0, extra_latency=1e-4)
         )
         assert plain == delayed
         assert any(plain) and not all(plain)
 
     def test_two_draws_per_eligible_op(self):
-        sim, fs = make(FaultPlan(ops={"write"}))
+        _sim, _plane, fs = make(storm(NEVER), storm(NEVER))
         before = [fs._rng.random() for _ in range(4)]
-        sim2, fs2 = make(FaultPlan(ops={"write"}))
+        sim2, _plane2, fs2 = make(storm(NEVER), storm(NEVER))
 
         def body():
             ino = yield from fs2.op_open(ctx(), "f", O_WRONLY | O_CREAT)
             yield from fs2.op_write(ctx(), ino, 0, 10, stream="s")
             return [fs2._rng.random() for _ in range(2)]
 
-        # After one eligible op, the stream must sit exactly two draws in:
-        # the next values are draws 3 and 4 of the untouched stream.
+        # Two storms: after one eligible op the stream sits exactly two
+        # draws in, so the next values are draws 3 and 4.
         assert sim2.run_process(body()) == before[2:4]
 
     def test_ineligible_ops_draw_nothing(self):
-        sim, fs = make(FaultPlan(error_rate=1.0, ops={"unlink"}))
-        probe_sim, probe_fs = make(FaultPlan(error_rate=1.0, ops={"unlink"}))
+        sim, _plane, fs = make(storm(1.0, ops=("unlink",)))
+        _probe_sim, _probe_plane, probe_fs = make(storm(1.0, ops=("unlink",)))
         expected = probe_fs._rng.random()
 
         def body():
@@ -114,18 +105,19 @@ class TestDrawOrder:
 
 class TestInjection:
     def test_zero_rates_transparent(self):
-        sim, fs = make(FaultPlan())
+        sim, plane, fs = make(storm(1.0, at=50.0, duration=1.0))
 
         def body():
             ino = yield from fs.op_open(ctx(), "f", O_WRONLY | O_CREAT)
             yield from fs.op_write(ctx(), ino, 0, 100, stream="s")
             return (yield from fs.op_fstat(ctx(), ino)).size
 
+        # Outside its window a storm neither injects nor draws.
         assert sim.run_process(body()) == 100
-        assert fs.errors_injected == 0
+        assert "disk.errors" not in plane.counters
 
     def test_certain_failure(self):
-        sim, fs = make(FaultPlan(error_rate=1.0, ops={"write"}))
+        sim, plane, fs = make(storm(1.0))
 
         def body():
             ino = yield from fs.op_open(ctx(), "f", O_WRONLY | O_CREAT)
@@ -135,10 +127,10 @@ class TestInjection:
                 return "EIO"
 
         assert sim.run_process(body()) == "EIO"
-        assert fs.errors_injected == 1
+        assert plane.counters["disk.errors"] == 1
 
     def test_op_scoping(self):
-        sim, fs = make(FaultPlan(error_rate=1.0, ops={"unlink"}))
+        sim, _plane, fs = make(storm(1.0, ops=("unlink",)))
 
         def body():
             ino = yield from fs.op_open(ctx(), "f", O_WRONLY | O_CREAT)
@@ -148,19 +140,32 @@ class TestInjection:
         assert sim.run_process(body()) == 0
 
     def test_path_scoping(self):
-        sim, fs = make(FaultPlan(error_rate=1.0, path_substring="bad"))
+        """A storm hits its mount only: /tmp is untouched, /pfs fails."""
+        from repro.simos.process import SimProcess
+
+        cluster = Cluster(ClusterConfig(n_nodes=1))
+        sim = cluster.sim
+        vfs = VFS(sim)
+        vfs.mount("/", LocalFS(sim))
+        vfs.mount("/pfs", LocalFS(sim))
+        install_fault_plane(
+            FaultSchedule.of(storm(1.0, ops=("open",))), cluster, vfs
+        )
+        proc = SimProcess(sim, cluster.node(0), vfs, pid=1)
 
         def body():
-            yield from fs.op_open(ctx(), "good-file", O_WRONLY | O_CREAT)
+            yield from proc.open("/good-file", O_WRONLY | O_CREAT)
             try:
-                yield from fs.op_open(ctx(), "bad-file", O_WRONLY | O_CREAT)
+                yield from proc.open("/pfs/bad-file", O_WRONLY | O_CREAT)
             except InjectedIOError:
                 return "EIO"
 
         assert sim.run_process(body()) == "EIO"
 
     def test_delay_injection_costs_time(self):
-        sim, fs = make(FaultPlan(delay_rate=1.0, delay=0.5, ops={"write"}))
+        sim, plane, fs = make(
+            DiskSlowdown(at=0.0, duration=100.0, extra_latency=0.5, ops={"write"})
+        )
 
         def body():
             ino = yield from fs.op_open(ctx(), "f", O_WRONLY | O_CREAT)
@@ -169,11 +174,11 @@ class TestInjection:
             return sim.now - t0
 
         assert sim.run_process(body()) >= 0.5
-        assert fs.delays_injected == 1
+        assert plane.counters["disk.delays"] == 1
 
     def test_deterministic_per_seed(self):
         def run(seed):
-            sim, fs = make(FaultPlan(error_rate=0.3, ops={"write"}), seed=seed)
+            sim, _plane, fs = make(storm(0.3), seed=seed)
             failures = []
 
             def body():
@@ -194,53 +199,36 @@ class TestInjection:
 
 
 class TestTracersUnderFaults:
+    """Plane schedules run through the one run function."""
+
     def test_traced_run_records_errno_lines(self):
         """strace-style capture of failed calls: '= -1 EIO'."""
-        from repro.cluster import Cluster, ClusterConfig
-        from repro.simfs.vfs import VFS
-        from repro.simos.interpose import Interposer
-        from repro.simos.process import SimProcess
-        from repro.trace.events import EventLayer
-        from repro.trace.records import TraceFile
+        from repro.frameworks.lanltrace import LANLTrace
+        from repro.harness.experiment import run_once
 
-        cluster = Cluster(ClusterConfig(n_nodes=1, clock_skew_stddev=0, clock_drift_stddev=0))
-        sim = cluster.sim
-        lower = LocalFS(sim)
-        faulty = FaultInjectingFS(sim, lower, FaultPlan(error_rate=1.0, ops={"write"}))
-        vfs = VFS(sim)
-        vfs.mount("/", faulty)
-        proc = SimProcess(sim, cluster.node(0), vfs, pid=1)
-        sink = TraceFile()
-        proc.attach(Interposer(sink, per_event_cost=0), EventLayer.SYSCALL)
-
-        def body():
-            fd = yield from proc.open("/f", O_WRONLY | O_CREAT)
+        def app(mpi, args):
+            fd = yield from mpi.proc.open("/pfs/f", O_WRONLY | O_CREAT)
             try:
-                yield from proc.write(fd, 100)
+                yield from mpi.proc.write(fd, 100)
             except InjectedIOError:
                 pass
-            yield from proc.close(fd)
+            yield from mpi.proc.close(fd)
 
-        sim.run_process(body())
-        write_events = [e for e in sink if e.name == "SYS_write"]
+        outcome = run_once(
+            app, {}, LANLTrace, nprocs=1, faults=FaultSchedule.of(storm(1.0))
+        )
+        assert outcome.status == "completed"
+        write_events = [
+            e for e in outcome.bundle.files[0] if e.name == "SYS_write"
+        ]
         assert write_events[0].result == "-1 EIO"
 
     def test_workload_survives_flaky_storage(self):
         """End-to-end: a retry loop completes on a 20%-failure disk."""
-        from repro.cluster import Cluster, ClusterConfig
-        from repro.simfs.vfs import VFS
-        from repro.simmpi import mpirun
-
-        cluster = Cluster(ClusterConfig(n_nodes=1, seed=3))
-        sim = cluster.sim
-        faulty = FaultInjectingFS(
-            sim, LocalFS(sim), FaultPlan(error_rate=0.2, ops={"write"})
-        )
-        vfs = VFS(sim)
-        vfs.mount("/", faulty)
+        from repro.harness.experiment import run_once
 
         def app(mpi, args):
-            fd = yield from mpi.proc.open("/out", O_WRONLY | O_CREAT)
+            fd = yield from mpi.proc.open("/pfs/out", O_WRONLY | O_CREAT)
             written = 0
             attempts = 0
             while written < 200 and attempts < 500:
@@ -252,7 +240,9 @@ class TestTracersUnderFaults:
             yield from mpi.proc.close(fd)
             return written, attempts
 
-        job = mpirun(cluster, vfs, app, nprocs=1)
-        written, attempts = job.results[0]
+        outcome = run_once(
+            app, {}, nprocs=1, seed=3, faults=FaultSchedule.of(storm(0.2))
+        )
+        written, attempts = outcome.raise_cause().job.results[0]
         assert written == 20 * 10
         assert attempts > 20  # some retries actually happened
