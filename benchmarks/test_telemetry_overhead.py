@@ -14,6 +14,7 @@ own).
 """
 
 import gc
+from heapq import heappop
 from time import perf_counter
 
 import pytest
@@ -45,15 +46,16 @@ def _storm(n=N_EVENTS):
 def _baseline_drain(sim, until=None, check_first=512):
     """Inline replica of the telemetry-free ``run_fast`` batch drain.
 
-    Identical to the shipped loop minus the ``STATE.collector`` check and
-    wall-clock accounting — i.e. exactly the costs the telemetry layer is
-    allowed to add.  The per-batch ``try/finally`` stays: it is the
-    kernel's exception-resumability contract, not telemetry.
+    Identical to the shipped loop minus the ``STATE.collector`` check,
+    the ``until`` range check and wall-clock accounting — i.e. exactly
+    the costs the telemetry layer is allowed to add.  The per-batch
+    ``try/except`` stays: it is the kernel's exception-resumability
+    contract, not telemetry.  A drained bucket is retired inline, as the
+    shipped loop does.
     """
     queue = sim._queue
     times = queue._times
     buckets = queue._buckets
-    release = queue.release_bucket
     executed = 0
     while times:
         t = times[0]
@@ -71,9 +73,15 @@ def _baseline_drain(sim, until=None, check_first=512):
                 args = bucket[i + 1]
                 i += 2
                 callback(*args)
-        finally:
+        except BaseException:
             executed += (i - start) >> 1
-            release(t, bucket, i)
+            queue.release_bucket(t, bucket, i)
+            raise
+        n = (i - start) >> 1
+        executed += n
+        queue._len -= n
+        heappop(times)
+        del buckets[t]
     sim._events_executed += executed
     return sim._now
 

@@ -11,6 +11,7 @@ time; :class:`AllOf`/:class:`AnyOf` compose completions.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -73,10 +74,12 @@ class Completion:
 
     def succeed(self, value: Any = None) -> "Completion":
         """Settle successfully with ``value`` and schedule callbacks now."""
-        if self.done:
+        # Inline of ``self.done``: every resource grant and join settles here.
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("completion %r already settled" % (self.name,))
         self._value = value
-        self._dispatch()
+        if self._callbacks:
+            self._dispatch()
         return self
 
     def fail(self, exception: BaseException) -> "Completion":
@@ -90,16 +93,25 @@ class Completion:
         return self
 
     def _dispatch(self) -> None:
-        # Direct queue push: settling is the kernel's hottest edge, and the
-        # zero delay needs no range check.  Most settles (a free resource's
-        # grant, a ready store item) have no waiter yet.
+        # Direct append to the current instant's calendar bucket (an inline
+        # EventQueue.push per waiter, in registration order): settling is
+        # the kernel's hottest edge, and the zero delay needs no range
+        # check.  Most settles (a free resource's grant, a ready store
+        # item) have no waiter yet.
         if not self._callbacks:
             return
         callbacks, self._callbacks = self._callbacks, []
         sim = self._sim
         queue, now = sim._queue, sim._now
+        bucket = queue._buckets.get(now)
+        if bucket is None:
+            heappush(queue._times, now)
+            bucket = queue._buckets[now] = [1]
+        args = (self,)
         for cb in callbacks:
-            queue.push(now, cb, (self,))
+            bucket.append(cb)
+            bucket.append(args)
+        queue._len += len(callbacks)
 
     # -- waiting ----------------------------------------------------------
 

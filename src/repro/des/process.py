@@ -27,6 +27,7 @@ wait on each other like threads being joined.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.des.events import AllOf, AnyOf, Completion, Timeout, _PENDING
@@ -128,8 +129,19 @@ class Process:
         grant, a pre-filled store's item), their values are sent straight
         back in this same dispatch.  It is a loop, not recursion, so a body
         draining thousands of ready items never deepens the Python stack.
-        Pending and failed completions, timeouts and composite waits go
-        through :meth:`_handle` and the event queue.
+
+        The two commands that dominate every simulation are handled
+        inline: a non-negative bare-number sleep is appended to its
+        calendar bucket (an inline :meth:`EventQueue.push`), and a pending
+        exact :class:`Completion` gets :meth:`_on_completion` appended to
+        its callbacks.  Everything else — failed completions, ``Timeout``
+        objects, composite waits, negative sleeps, subclasses — goes
+        through :meth:`_handle`, exactly as before.
+
+        The bound method is built afresh for each wait, never cached on
+        the instance: ``self._resume = self._resume_send`` would make
+        every process a reference cycle, and the cyclic collector's extra
+        passes cost more than the attribute lookup saves.
         """
         # Inline of ``not self.alive`` (cancelled/interrupted after
         # scheduling): this runs once per kernel event, so the two
@@ -147,9 +159,35 @@ class Process:
             except BaseException as exc:
                 self._finish_fail(exc)
                 return
-            # ``_value`` is set only by succeed(): a failed completion
-            # keeps it pending and is thrown in through the queue.
-            if isinstance(command, Completion) and command._value is not _PENDING:
+            cls = command.__class__
+            if cls is float or cls is int:
+                if command >= 0:
+                    # Bare-number sleep: the shared ``_RESUME_NONE`` tuple
+                    # carries the None resume value.
+                    self._waiting_on = command
+                    sim = self._sim
+                    time = sim._now + command
+                    queue = sim._queue
+                    bucket = queue._buckets.get(time)
+                    if bucket is None:
+                        heappush(queue._times, time)
+                        queue._buckets[time] = [1, self._resume_send, _RESUME_NONE]
+                    else:
+                        bucket.append(self._resume_send)
+                        bucket.append(_RESUME_NONE)
+                    queue._len += 1
+                    return
+            elif cls is Completion:
+                # ``_value`` is set only by succeed(): a failed completion
+                # keeps it pending and is thrown in through the queue.
+                if command._value is not _PENDING:
+                    value = command._value
+                    continue
+                if command._exception is None:
+                    self._waiting_on = command
+                    command._callbacks.append(self._on_completion)
+                    return
+            elif isinstance(command, Completion) and command._value is not _PENDING:
                 value = command._value
                 continue
             self._handle(command)
@@ -175,7 +213,9 @@ class Process:
 
     def _handle(self, command: Any) -> None:
         """Arrange for the process to be resumed when ``command`` settles."""
-        # Fast paths for the two commands that dominate every simulation.
+        # The general path: ``_resume_send`` handles non-negative numbers
+        # and pending completions inline and sends everything else here;
+        # ``_resume_throw`` sends every command here.
         # The raw command is stored instead of a formatted description
         # (see ``waiting_on``), and a validated Timeout goes straight onto
         # the queue — its delay was range-checked at construction, so the
@@ -220,8 +260,8 @@ class Process:
             self._sim.schedule(0.0, self._resume_throw, exc)
 
     def _on_completion(self, completion: Completion) -> None:
-        if completion.exception is not None:
-            self._resume_throw(completion.exception)
+        if completion._exception is not None:
+            self._resume_throw(completion._exception)
         else:
             self._resume_send(completion._value)
 

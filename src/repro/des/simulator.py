@@ -44,6 +44,7 @@ snapshots, which must stay deterministic.)
 
 from __future__ import annotations
 
+from heapq import heappop
 from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
@@ -212,15 +213,25 @@ class Simulator:
                 culprits, wait_reasons=wait_reasons, recent_events=recent
             )
 
+    def _check_until(self, until: Optional[float]) -> None:
+        """A horizon before the current instant would rewind the clock."""
+        if until is not None and until < self._now:
+            raise SimTimeError(
+                "run(until=%r) is before the current time %r" % (until, self._now)
+            )
+
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until the queue drains (or simulated ``until``).
 
         Returns the final simulated time.  Raises
         :class:`~repro.errors.DeadlockError` if the queue drains while
-        non-daemon processes remain blocked.  Stopping at ``until`` leaves
-        later events queued (see :attr:`pending_events`); a subsequent
-        ``run()`` resumes from them.
+        non-daemon processes remain blocked, and
+        :class:`~repro.errors.SimTimeError` if ``until`` lies before the
+        current time.  Stopping at ``until`` leaves later events queued
+        (see :attr:`pending_events`); a subsequent ``run()`` resumes from
+        them.
         """
+        self._check_until(until)
         col = _TELEMETRY.collector
         if col is not None:
             return self._run_observed(until, col)
@@ -229,7 +240,6 @@ class Simulator:
         queue = self._queue
         times = queue._times
         buckets = queue._buckets
-        release = queue.release_bucket
         executed = 0
         t0_wall = perf_counter()
         try:
@@ -255,9 +265,18 @@ class Simulator:
                         args = bucket[i + 1]
                         i += 2
                         callback(*args)
-                finally:
+                except BaseException:
+                    # Persist partial progress so a later run() resumes.
                     executed += (i - start) >> 1
-                    release(t, bucket, i)
+                    queue.release_bucket(t, bucket, i)
+                    raise
+                # Drained: retire the bucket inline (what release_bucket
+                # does for a full drain, without the call).
+                n = (i - start) >> 1
+                executed += n
+                queue._len -= n
+                heappop(times)
+                del buckets[t]
         finally:
             self._events_executed += executed
             self._wall_seconds += perf_counter() - t0_wall
@@ -280,13 +299,13 @@ class Simulator:
         so stopping at a horizon and resuming later costs nothing — no
         pop-then-reschedule churn at the boundary.
         """
+        self._check_until(until)
         col = _TELEMETRY.collector
         if col is not None:
             return self._run_observed(until, col)
         queue = self._queue
         times = queue._times
         buckets = queue._buckets
-        release = queue.release_bucket
         peek_time = queue.peek_time
         executed = 0
         t0_wall = perf_counter()
@@ -309,9 +328,15 @@ class Simulator:
                         args = bucket[i + 1]
                         i += 2
                         callback(*args)
-                finally:
+                except BaseException:
                     executed += (i - start) >> 1
-                    release(t, bucket, i)
+                    queue.release_bucket(t, bucket, i)
+                    raise
+                n = (i - start) >> 1
+                executed += n
+                queue._len -= n
+                heappop(times)
+                del buckets[t]
         finally:
             self._events_executed += executed
             self._wall_seconds += perf_counter() - t0_wall

@@ -138,7 +138,12 @@ class MPIFile:
     # -- data access --------------------------------------------------------------
 
     def write_at(self, offset: int, nbytes: int) -> Generator[Any, Any, int]:
-        """MPI_File_write_at: explicit-offset write (seek + write)."""
+        """MPI_File_write_at: explicit-offset write (seek + write).
+
+        Returns the libcall generator itself rather than forwarding it
+        (one frame less per resume); callers drive it with ``yield from``
+        at once, so the closed-file check runs at the same instant.
+        """
         self._check_open()
         proc = self.mpi.proc
 
@@ -146,20 +151,19 @@ class MPIFile:
             yield from proc.lseek(self.fd, offset, SEEK_SET)
             return (yield from proc.write(self.fd, nbytes))
 
-        return (
-            yield from proc._libcall(
-                "MPI_File_write_at",
-                (self.path, offset, nbytes),
-                body(),
-                path=self.path,
-                nbytes=nbytes,
-                offset=offset,
-                fd=self.fd,
-            )
+        return proc._libcall(
+            "MPI_File_write_at",
+            (self.path, offset, nbytes),
+            body(),
+            path=self.path,
+            nbytes=nbytes,
+            offset=offset,
+            fd=self.fd,
         )
 
     def read_at(self, offset: int, nbytes: int) -> Generator[Any, Any, int]:
-        """MPI_File_read_at: explicit-offset read (seek + read)."""
+        """MPI_File_read_at: explicit-offset read (seek + read); returns the
+        libcall generator, like :meth:`write_at`."""
         self._check_open()
         proc = self.mpi.proc
 
@@ -167,16 +171,14 @@ class MPIFile:
             yield from proc.lseek(self.fd, offset, SEEK_SET)
             return (yield from proc.read(self.fd, nbytes))
 
-        return (
-            yield from proc._libcall(
-                "MPI_File_read_at",
-                (self.path, offset, nbytes),
-                body(),
-                path=self.path,
-                nbytes=nbytes,
-                offset=offset,
-                fd=self.fd,
-            )
+        return proc._libcall(
+            "MPI_File_read_at",
+            (self.path, offset, nbytes),
+            body(),
+            path=self.path,
+            nbytes=nbytes,
+            offset=offset,
+            fd=self.fd,
         )
 
     def write_at_all(

@@ -133,7 +133,9 @@ class SimProcess:
             )
         col = _TELEMETRY.collector
         t0_sim = self.sim.now if col is not None else 0.0
-        t0_local = node.now_local()
+        # Only a traced call needs the node-local clock (the event's
+        # timestamp and duration); tracers attach before a process runs.
+        t0_local = node.now_local() if interposers else 0.0
         # The charge helpers are inlined here (this generator runs for
         # every simulated syscall/libcall): a ``yield from self._charge(x)``
         # costs a generator object plus two extra frame switches per use,
@@ -300,7 +302,11 @@ class SimProcess:
             if handle.flags & O_APPEND:
                 handle.position = handle.fs.ns.by_ino(handle.ino).size
             offset = handle.position
-            yield from self._charge(self.node.copy_cost(nbytes))
+            seconds = self.node.copy_cost(nbytes)
+            if _TELEMETRY.collector is not None:
+                yield from self._charge(seconds)
+            elif seconds > 0:
+                yield seconds * self.cpu_factor
             n = yield from handle.fs.op_write(
                 self.ctx, handle.ino, offset, nbytes, self._io_stream(handle)
             )
@@ -329,7 +335,11 @@ class SimProcess:
             n = yield from handle.fs.op_read(
                 self.ctx, handle.ino, offset, nbytes, self._io_stream(handle)
             )
-            yield from self._charge(self.node.copy_cost(n))
+            seconds = self.node.copy_cost(n)
+            if _TELEMETRY.collector is not None:
+                yield from self._charge(seconds)
+            elif seconds > 0:
+                yield seconds * self.cpu_factor
             handle.position = offset + n
             return n
 
@@ -351,7 +361,11 @@ class SimProcess:
             handle = self._handle(fd)
             if not handle.writable:
                 raise BadFileDescriptor("fd %d not open for writing" % fd)
-            yield from self._charge(self.node.copy_cost(nbytes))
+            seconds = self.node.copy_cost(nbytes)
+            if _TELEMETRY.collector is not None:
+                yield from self._charge(seconds)
+            elif seconds > 0:
+                yield seconds * self.cpu_factor
             return (
                 yield from handle.fs.op_write(
                     self.ctx, handle.ino, offset, nbytes, self._io_stream(handle)
@@ -379,7 +393,11 @@ class SimProcess:
             n = yield from handle.fs.op_read(
                 self.ctx, handle.ino, offset, nbytes, self._io_stream(handle)
             )
-            yield from self._charge(self.node.copy_cost(n))
+            seconds = self.node.copy_cost(n)
+            if _TELEMETRY.collector is not None:
+                yield from self._charge(seconds)
+            elif seconds > 0:
+                yield seconds * self.cpu_factor
             return n
 
         handle = self.fds.get(fd)

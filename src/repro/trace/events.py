@@ -16,7 +16,7 @@ requires the skew/drift machinery in :mod:`repro.analysis.skew`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Tuple
 
 __all__ = ["EventLayer", "TraceEvent"]
@@ -42,7 +42,7 @@ class EventLayer(str, enum.Enum):
     NET = "net"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One traced event.
 
@@ -68,6 +68,13 @@ class TraceEvent:
         anonymization; ``rank`` is None for non-MPI processes.
     path / fd / nbytes / offset:
         Typed I/O fields for events that have them (None otherwise).
+
+    Every traced call builds one, so the constructor is written out
+    rather than generated: it fills the slots through their member
+    descriptors (``_SET_*`` below), which skips the frozen
+    ``__setattr__`` that a generated ``__init__`` pays once per field.
+    A string ``layer`` becomes an :class:`EventLayer`, any iterable
+    ``args`` a tuple, and a negative ``duration`` raises ``ValueError``.
     """
 
     timestamp: float
@@ -85,13 +92,55 @@ class TraceEvent:
     nbytes: Optional[int] = None
     offset: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
+    def __init__(
+        self,
+        timestamp: float,
+        duration: float,
+        layer: EventLayer,
+        name: str,
+        args: Tuple[Any, ...] = (),
+        result: Optional[Any] = None,
+        pid: int = 0,
+        rank: Optional[int] = None,
+        hostname: str = "",
+        user: str = "",
+        path: Optional[str] = None,
+        fd: Optional[int] = None,
+        nbytes: Optional[int] = None,
+        offset: Optional[int] = None,
+    ) -> None:
+        if duration < 0:
             raise ValueError("event duration must be non-negative")
-        if not isinstance(self.layer, EventLayer):
-            object.__setattr__(self, "layer", EventLayer(self.layer))
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
+        if layer.__class__ is not EventLayer:
+            layer = EventLayer(layer)
+        if args.__class__ is not tuple:
+            args = tuple(args)
+        _SET_TIMESTAMP(self, timestamp)
+        _SET_DURATION(self, duration)
+        _SET_LAYER(self, layer)
+        _SET_NAME(self, name)
+        _SET_ARGS(self, args)
+        _SET_RESULT(self, result)
+        _SET_PID(self, pid)
+        _SET_RANK(self, rank)
+        _SET_HOSTNAME(self, hostname)
+        _SET_USER(self, user)
+        _SET_PATH(self, path)
+        _SET_FD(self, fd)
+        _SET_NBYTES(self, nbytes)
+        _SET_OFFSET(self, offset)
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor: the same on every Python, and
+        # cheaper than the per-field state a frozen slotted class pickles.
+        return (
+            TraceEvent,
+            (
+                self.timestamp, self.duration, self.layer, self.name,
+                self.args, self.result, self.pid, self.rank, self.hostname,
+                self.user, self.path, self.fd, self.nbytes, self.offset,
+            ),
+        )
 
     # -- convenience ----------------------------------------------------------
 
@@ -114,3 +163,10 @@ class TraceEvent:
         argstr = ", ".join(repr(a) for a in self.args)
         res = "" if self.result is None else " = %s" % (self.result,)
         return "%s(%s)%s <%0.6f>" % (self.name, argstr, res, self.duration)
+
+
+(
+    _SET_TIMESTAMP, _SET_DURATION, _SET_LAYER, _SET_NAME, _SET_ARGS,
+    _SET_RESULT, _SET_PID, _SET_RANK, _SET_HOSTNAME, _SET_USER, _SET_PATH,
+    _SET_FD, _SET_NBYTES, _SET_OFFSET,
+) = (TraceEvent.__dict__[f.name].__set__ for f in fields(TraceEvent))

@@ -1,9 +1,12 @@
 """Unit tests for the DES kernel run loop, processes, and commands."""
 
+import contextlib
+
 import pytest
 
 from repro.des import AllOf, AnyOf, Completion, Simulator, Timeout
 from repro.errors import DeadlockError, ProcessError, SimTimeError, SimulationError
+from repro.obs.tracepoints import session
 
 
 def test_empty_simulation_runs_to_time_zero():
@@ -444,6 +447,33 @@ def test_run_fast_honors_until_and_resumes():
     assert sim.pending_events == 1
     assert sim.run_fast() == pytest.approx(10.0)
     assert proc.completion.value == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("loop", ["run", "run_fast", "observed"])
+def test_until_in_the_past_is_refused_not_rewound(loop):
+    def drain(sim, until):
+        if loop == "run_fast":
+            return sim.run_fast(until=until)
+        return sim.run(until=until)
+
+    def sleeper():
+        yield 10.0
+        yield 10.0
+
+    with session() if loop == "observed" else contextlib.nullcontext():
+        sim = Simulator()
+        sim.spawn(sleeper(), name="sleeper")
+        assert drain(sim, 15.0) == 15.0
+        with pytest.raises(SimTimeError, match="before the current time"):
+            drain(sim, 5.0)
+        # Nothing moved: the clock, the pending 20.0 resume and the count.
+        assert sim.now == 15.0
+        assert sim.pending_events == 1
+        executed = sim.events_executed
+        assert drain(sim, 15.0) == 15.0  # the current instant is allowed
+        assert sim.events_executed == executed
+        assert drain(sim, None) == 20.0
+        assert sim.is_idle
 
 
 def test_run_fast_still_checks_warmup_window():

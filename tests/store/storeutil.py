@@ -6,6 +6,7 @@ within a test.  ``corpus/`` holds a committed legacy archive (see
 :func:`corpus_bank`).
 """
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -105,7 +106,11 @@ def bundle_json(bundle):
             "rank": tf.rank,
             "framework": tf.framework,
             "events": [
-                dict(vars(e), layer=e.layer.value, args=list(e.args))
+                dict(
+                    {f.name: getattr(e, f.name) for f in dataclasses.fields(e)},
+                    layer=e.layer.value,
+                    args=list(e.args),
+                )
                 for e in tf.events
             ],
         }

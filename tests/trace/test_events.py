@@ -1,5 +1,9 @@
 """TraceEvent model and container tests."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.trace.events import EventLayer, TraceEvent
@@ -26,16 +30,23 @@ def ev(name="SYS_write", ts=1.0, dur=0.01, **kw):
 
 class TestTraceEvent:
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             ev(dur=-0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            TraceEvent(0.0, -1e-9, EventLayer.SYSCALL, "SYS_write")
+        assert ev(dur=0.0).duration == 0.0
 
     def test_layer_coerced_from_string(self):
         e = ev(layer="vfs")
         assert e.layer is EventLayer.VFS
+        with pytest.raises(ValueError):
+            ev(layer="nosuchlayer")
 
     def test_args_coerced_to_tuple(self):
         e = ev(args=[1, 2])
         assert e.args == (1, 2)
+        e = ev(args=iter([1, "x"]))
+        assert e.args == (1, "x") and type(e.args) is tuple
 
     def test_end_timestamp(self):
         assert ev(ts=5.0, dur=0.25).end_timestamp == 5.25
@@ -53,6 +64,83 @@ class TestTraceEvent:
     def test_brief_rendering(self):
         text = ev(name="SYS_open", args=("/etc/hosts", 0), result=3).brief()
         assert "SYS_open" in text and "'/etc/hosts'" in text and "= 3" in text
+
+
+class TestTraceEventContract:
+    """What callers rely on, independent of how the constructor is built.
+
+    ``TraceEvent`` is a frozen, slotted dataclass with a hand-written
+    ``__init__``; these pin the dataclass behaviour that must survive it
+    on every supported Python (the coercions and the duration check are
+    in :class:`TestTraceEvent`).
+    """
+
+    FIELDS = [
+        "timestamp", "duration", "layer", "name", "args", "result", "pid",
+        "rank", "hostname", "user", "path", "fd", "nbytes", "offset",
+    ]
+
+    def test_fields_in_declaration_order(self):
+        assert [f.name for f in dataclasses.fields(TraceEvent)] == self.FIELDS
+        assert dataclasses.is_dataclass(ev())
+
+    def test_positional_and_keyword_construction_agree(self):
+        e = ev(path="/pfs/f", fd=3, offset=8)
+        assert TraceEvent(*(getattr(e, f) for f in self.FIELDS)) == e
+
+    def test_defaults(self):
+        e = TraceEvent(1.0, 0.0, EventLayer.VFS, "vfs_read")
+        assert (e.args, e.result, e.pid, e.rank, e.hostname, e.user) == (
+            (), None, 0, None, "", "",
+        )
+        assert (e.path, e.fd, e.nbytes, e.offset) == (None, None, None, None)
+
+    def test_eq_and_hash_follow_the_fields(self):
+        a, b = ev(), ev()
+        assert a == b and hash(a) == hash(b)
+        assert a != ev(ts=2.0)
+        assert len({a, b, ev(ts=2.0)}) == 2
+
+    def test_repr_names_every_field(self):
+        text = repr(ev(name="SYS_open", args=("/etc/hosts",)))
+        assert text.startswith("TraceEvent(timestamp=1.0, duration=0.01, ")
+        assert "layer=<EventLayer.SYSCALL: 'syscall'>" in text
+        assert "name='SYS_open', args=('/etc/hosts',)" in text
+        assert text.endswith("nbytes=4096, offset=None)")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        e = ev(path="/pfs/f", fd=3, offset=8)
+        back = pickle.loads(pickle.dumps(e, protocol=protocol))
+        assert back == e and type(back) is TraceEvent
+        assert back.layer is EventLayer.SYSCALL
+
+    def test_copy_and_deepcopy(self):
+        e = ev()
+        assert copy.copy(e) == e
+        assert copy.deepcopy(e) == e
+
+    def test_replace_and_with_fields(self):
+        e = ev()
+        r = dataclasses.replace(e, name="SYS_read", layer="vfs", args=[7])
+        assert r.name == "SYS_read" and r.layer is EventLayer.VFS
+        assert r.args == (7,)
+        assert e.with_fields(user="anon") == dataclasses.replace(e, user="anon")
+        with pytest.raises(ValueError):
+            dataclasses.replace(e, duration=-1.0)
+
+    def test_assignment_and_deletion_are_refused(self):
+        e = ev()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.name = "SYS_read"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del e.user
+        with pytest.raises((AttributeError, TypeError)):
+            e.extra = 1
+        assert e.name == "SYS_write"
+
+    def test_slotted(self):
+        assert not hasattr(ev(), "__dict__")
 
 
 class TestTraceFile:
