@@ -1,12 +1,12 @@
 """Atomic file replacement, optionally durable.
 
 Every on-disk artifact the library rewrites in place — archive segments
-and manifests, store markers, WAL entries, the manifest index cache, run
-cache entries — lands through :func:`atomic_write`: the bytes go to a
-``*.tmp`` sibling which then replaces the target in one ``os.replace``,
-so readers (and concurrent writers) see the old file or the new one,
-never a torn mix.  ``*.tmp`` droppings of a crashed writer are what
-``TraceBank.gc`` reclaims.
+and manifests, store markers, WAL entries, run cache entries — lands
+through :func:`atomic_write`: the bytes go to a ``*.tmp`` sibling which
+then replaces the target in one ``os.replace``, so readers (and
+concurrent writers) see the old file or the new one, never a torn mix.
+``*.tmp`` droppings of a crashed writer are what ``TraceBank.gc``
+reclaims.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def atomic_write(path: Path, data: bytes, durable: bool = True) -> None:
     directory after it, so an acknowledged write (segment, manifest,
     store marker, WAL entry) survives an OS crash or power loss, not just
     a process crash; platforms that refuse directory fsync degrade
-    gracefully.  Rebuildable caches pass ``durable=False`` and skip both
-    fsyncs.
+    gracefully.  The run cache, which is rebuildable, passes
+    ``durable=False`` and skips both fsyncs.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")

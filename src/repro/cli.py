@@ -102,7 +102,7 @@ from repro.core.casestudy import paper_table2
 from repro.core.requirements import Requirements, recommend
 from repro.core.summary_table import render_csv, render_markdown, render_summary_table
 from repro.errors import ReproError
-from repro.trace import binary_format, text_format
+from repro.trace import binary_format, decode_trace_bytes, text_format
 from repro.trace.anonymize import (
     ANONYMIZABLE_FIELDS,
     FieldSelectiveAnonymizer,
@@ -114,10 +114,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _load_trace(path: Path) -> TraceFile:
-    data = path.read_bytes()
-    if data[:4] == binary_format.MAGIC:
-        return binary_format.decode_trace_file(data)
-    return text_format.decode_trace_file(data.decode("utf-8"))
+    return decode_trace_bytes(path.read_bytes())
 
 
 def _store_trace(tf: TraceFile, path: Path) -> None:
@@ -502,22 +499,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
 
     path = Path(args.path)
     if _is_store_dir(path):
-        from repro.store import TraceBank, render_store_summary
-
-        bank = TraceBank(path, create=False)
-        print(render_store_summary(bank.stats()), end="")
-        for m in bank.manifests():
-            print(
-                "  %s  %-6s %-12s %4d seg  %6d events"
-                % (
-                    m.run_id[:12],
-                    str(m.meta.get("kind", "?")),
-                    str(m.meta.get("framework", "?")),
-                    len(m.segments),
-                    m.n_events,
-                )
-            )
-        return 0
+        return _print_store_listing(path)
     obj = json.loads(path.read_text("utf-8"))
     # Accept all three artifact shapes: a combined {untraced, traced} file,
     # a single payload, or a bare Chrome trace (validate-only).
@@ -856,7 +838,6 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
     from repro.store import TraceBank
     from repro.trace.records import TraceBundle
 
-    bank = TraceBank(args.store)
     bundle = TraceBundle()
     for i, name in enumerate(args.traces):
         tf = _load_trace(Path(name))
@@ -869,7 +850,9 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
         key, sep, value = item.partition("=")
         if sep and key:
             meta[key] = value
-    result = bank.ingest_bundle(bundle, meta=meta)
+    # Every file is decoded before the archive is created, so a bad
+    # file leaves no empty archive behind.
+    result = TraceBank(args.store).ingest_bundle(bundle, meta=meta)
     print(
         "ingested run %s: %d segment(s) (%d new, %d deduped), %d event(s)"
         % (
@@ -883,10 +866,12 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_ls(args: argparse.Namespace) -> int:
+def _print_store_listing(store) -> int:
+    """Print an archive's summary and one line per run (``store ls``,
+    ``observe <store-dir>``)."""
     from repro.store import TraceBank, render_store_summary
 
-    bank = TraceBank(args.store, create=False)
+    bank = TraceBank(store, create=False)
     print(render_store_summary(bank.stats()), end="")
     for m in bank.manifests():
         print(
@@ -900,6 +885,10 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
             )
         )
     return 0
+
+
+def _cmd_store_ls(args: argparse.Namespace) -> int:
+    return _print_store_listing(args.store)
 
 
 def _cmd_store_query(args: argparse.Namespace) -> int:
@@ -1044,9 +1033,10 @@ def _cmd_service_serve(args: argparse.Namespace) -> int:
 def _cmd_service_ingest(args: argparse.Namespace) -> int:
     import json as _json
 
-    for i, name in enumerate(args.traces):
-        body = Path(name).read_bytes()
-        tf = _load_trace(Path(name))
+    # Decode every file first: a bad one fails before any request is sent.
+    bodies = [Path(name).read_bytes() for name in args.traces]
+    traces = [decode_trace_bytes(body) for body in bodies]
+    for i, (name, body, tf) in enumerate(zip(args.traces, bodies, traces)):
         rank = tf.rank if tf.rank is not None else i
         target = "%s/v1/t/%s/ingest?sync=1&rank=%d" % (
             args.url.rstrip("/"), args.tenant, int(rank),

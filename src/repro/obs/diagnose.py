@@ -211,23 +211,18 @@ def fingerprint_run(bank, run_id: str) -> Dict[str, Any]:
     return json.loads(canonical_json(fingerprint))
 
 
-def _fingerprint_task(task: Tuple[str, str]) -> Dict[str, Any]:
-    """Parallel-map worker entry: fingerprint one archived run."""
-    root, run_id = task
-    from repro.store.bank import TraceBank
-
-    return fingerprint_run(TraceBank(root, create=False), run_id)
+def _fingerprint_task(task: Tuple[Any, str]) -> Dict[str, Any]:
+    """Parallel-map worker entry: fingerprint one run of the given bank."""
+    bank, run_id = task
+    return fingerprint_run(bank, run_id)
 
 
-def _slice_task(task: Tuple[str, str, int]) -> Optional[Dict[str, Any]]:
+def _slice_task(task: Tuple[Any, str, int]) -> Optional[Dict[str, Any]]:
     """Parallel-map worker entry: auto-slice one outlier (straggler)."""
-    root, run_id, max_roots = task
-    from repro.store.bank import TraceBank
-
+    bank, run_id, max_roots = task
     try:
         return slice_from_store(
-            TraceBank(root, create=False), run_id, anchor="straggler",
-            max_roots=max_roots,
+            bank, run_id, anchor="straggler", max_roots=max_roots,
         )
     except (TelemetryError, StoreError):
         return None
@@ -410,7 +405,7 @@ def diagnose_archive(
     fp_ids = list(run_ids)
     if against_id is not None and against_id not in fp_ids:
         fp_ids.append(against_id)
-    tasks = [(str(bank.root), run_id) for run_id in fp_ids]
+    tasks = [(bank, run_id) for run_id in fp_ids]
     fingerprints = parallel_map(_fingerprint_task, tasks, jobs=jobs)
     by_id = {fp["run_id"]: fp for fp in fingerprints}
     candidates = [by_id[r] for r in run_ids if r != against_id]
@@ -481,9 +476,7 @@ def diagnose_archive(
     outliers.sort(key=lambda o: (-o["score"], o["run_id"]))
 
     if slice_outliers and outliers:
-        slice_tasks = [
-            (str(bank.root), o["run_id"], max_roots) for o in outliers
-        ]
+        slice_tasks = [(bank, o["run_id"], max_roots) for o in outliers]
         slices = parallel_map(_slice_task, slice_tasks, jobs=jobs)
         for o, s in zip(outliers, slices):
             o["slice"] = s

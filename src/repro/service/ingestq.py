@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.errors import IngestQueueFull, ServiceError, TraceError
 from repro.atomicfile import atomic_write
 from repro.store.bank import IngestResult
-from repro.trace import binary_format, text_format
+from repro.trace import binary_format, decode_trace_bytes
 from repro.trace.records import TraceBundle, TraceFile
 
 __all__ = ["WAL_SCHEMA", "WalEntry", "IngestQueue", "decode_upload"]
@@ -61,16 +61,7 @@ def decode_upload(body: bytes) -> TraceFile:
     """
     if not body:
         raise TraceError("empty upload body")
-    if body[: len(binary_format.MAGIC)] == binary_format.MAGIC:
-        trace = binary_format.decode_trace_file(body)
-    else:
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceError(
-                "upload is neither binary-trace nor UTF-8: %s" % exc
-            ) from None
-        trace = text_format.decode_trace_file(text)
+    trace = decode_trace_bytes(body)
     binary_format.check_string_limits(trace)
     return trace
 

@@ -10,7 +10,6 @@ A service store is a normal TraceBank root with one extra directory::
             STORE.json                  # {"segments_root": "../../segments",
                                         #  "tenant": "<name>", ...}
             manifests/<run_id>.json     # the tenant's private run index
-            index.json                  # per-tenant warm manifest cache
 
 A tenant namespace is a real :class:`~repro.store.bank.TraceBank` — the
 query/DFG engine, ``verify``, ``ls`` and the worker processes all operate
@@ -19,7 +18,7 @@ and writes at the *root's* pool.  Content addressing then makes
 cross-tenant dedup free: two tenants ingesting the same trace bytes land
 on the same ``<sha>.seg`` file, while each sees only the runs its own
 ``manifests/`` directory names.  Isolation is structural, not filtered —
-a tenant's manifest index simply cannot reach another tenant's runs, even
+a tenant's manifest files simply cannot name another tenant's runs, even
 when every underlying segment is shared and even when two tenants hold
 the same (content-derived) run id.
 

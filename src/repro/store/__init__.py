@@ -8,9 +8,9 @@ them queryable without re-running anything:
   storage units encoded with the existing binary trace codec, plus the
   manifest-resident summaries predicate pushdown consults;
 * :mod:`repro.store.manifest` — versioned per-run index records with
-  content-derived run ids (idempotent ingest, free dedup);
-* :mod:`repro.store.index` — the warm manifest cache (an accelerator
-  only; results are byte-identical cold or warm);
+  content-derived run ids (idempotent ingest, free dedup); the manifest
+  files are the archive's only index, and a run id is looked up by its
+  file name;
 * :mod:`repro.store.bank` — :class:`TraceBank` itself: ingest, read,
   ``verify``, ``gc``, stats;
 * :mod:`repro.store.query` — the parallel query engine (filter +
@@ -31,7 +31,6 @@ from repro.store.bank import (
     render_store_summary,
 )
 from repro.store.dfg import build_dfg, render_dfg_dot, render_dfg_text
-from repro.store.index import ManifestIndex
 from repro.store.manifest import MANIFEST_SCHEMA, RunManifest, compute_run_id
 from repro.store.query import (
     AGGREGATES,
@@ -48,7 +47,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "STORE_SCHEMA",
     "IngestResult",
-    "ManifestIndex",
     "Query",
     "RunManifest",
     "SegmentMeta",

@@ -7,31 +7,34 @@ sweep worker processes)::
         STORE.json                    # {"schema": "repro/store/v1", ...}
         segments/<sha[:2]>/<sha>.seg  # content-addressed encoded TraceFiles
         manifests/<run_id>.json       # one versioned manifest per run
-        index.json                    # warm manifest cache (rebuildable)
 
 Segments shard by the first digest byte (256 fan-out) exactly like the
 run cache, so directories stay small at archive scale.  Ingest is
 idempotent: a segment whose file already exists is *deduped* (counted,
 not rewritten), and a run's manifest path is derived from its content so
-re-ingesting a sweep adds nothing.  ``verify`` re-hashes and re-decodes
-every referenced segment against its manifest summary; ``gc`` removes
-segment files no manifest references (the only way data leaves the
-archive — dropping a run means deleting its manifest, then ``gc``).
+re-ingesting a sweep adds nothing.  The manifest files are the archive's
+only index: a run id is looked up by its file name, a listing parses
+``manifests/*.json``, and no read writes into the archive (the manifest
+cache file older releases kept at the root is ignored).  ``verify``
+re-hashes and re-decodes every referenced segment against its manifest
+summary; ``gc`` removes segment files no manifest references (the only
+way data leaves the archive — dropping a run means deleting its
+manifest, then ``gc``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.atomicfile import atomic_write
 from repro.errors import StoreCorruptionError, StoreError, StoreNotFound
 from repro.fanout import parallel_map
 from repro.obs.tracepoints import STATE
-from repro.store.index import ManifestIndex
 from repro.store.manifest import (
     MANIFEST_SCHEMA,
     RunManifest,
@@ -71,6 +74,10 @@ DEFAULT_STORE_DIR = ".repro-store"
 #: so it never changes; legacy columnar runs carry ``"format": "v2"``.
 SEGMENT_CODEC: Mapping[str, Any] = {"compressed": True, "checksum": True}
 
+#: What a run id (or a prefix of one) may contain: run ids are SHA-256
+#: hex digests, so any other character matches no run.
+_RUN_ID_PREFIX = re.compile(r"[0-9a-f]{0,64}")
+
 
 @dataclass(frozen=True)
 class IngestResult:
@@ -102,7 +109,6 @@ class TraceBank:
         self.root = Path(root)
         self.segments_dir = self.root / "segments"
         self.manifests_dir = self.root / "manifests"
-        self.index = ManifestIndex(self.root)
         #: True for tenant namespaces whose ``segments/`` lives in a parent
         #: service store (``segments_root`` in STORE.json); such banks own
         #: their manifests but share segment files with every sibling.
@@ -222,17 +228,39 @@ class TraceBank:
 
     # -- reads ---------------------------------------------------------------
 
+    def _manifest_files(self) -> List[Path]:
+        """This bank's manifest files, sorted by name (none if the
+        directory is missing)."""
+        return sorted(self.manifests_dir.glob("*.json"))
+
     def manifests(self) -> List[RunManifest]:
-        """Every run manifest, sorted by ``run_id`` (warm-cache path)."""
-        return self.index.load()
+        """Every run manifest, sorted by ``run_id``.
+
+        Unreadable files, and files whose body names another run, are
+        skipped here — ``verify`` is the path that *reports* them.
+        """
+        found = _read_manifests(self._manifest_files())
+        return sorted((m for path, m in found if m.run_id == path.stem),
+                      key=lambda m: m.run_id)
 
     def run_ids(self) -> List[str]:
         """All archived run ids, sorted."""
         return [m.run_id for m in self.manifests()]
 
     def manifest(self, run_id: str) -> RunManifest:
-        """One run's manifest; ``run_id`` may be a unique prefix."""
-        matches = [m for m in self.manifests() if m.run_id.startswith(run_id)]
+        """One run's manifest; ``run_id`` may be a unique prefix.
+
+        A full id reads its one file; a prefix lists file names and
+        parses only those it starts.  A prefix that is not lowercase hex
+        matches nothing (it is never a glob or a path).
+        """
+        if not _RUN_ID_PREFIX.fullmatch(run_id):
+            paths: List[Path] = []
+        elif len(run_id) == 64:
+            paths = [self.manifest_path(run_id)]
+        else:
+            paths = [p for p in self._manifest_files() if p.stem.startswith(run_id)]
+        matches = [m for path, m in _read_manifests(paths) if m.run_id == path.stem]
         if not matches:
             raise StoreError("no archived run matches %r" % run_id)
         if len(matches) > 1:
@@ -377,11 +405,11 @@ class TraceBank:
     def verify(self, jobs: int = 1) -> Dict[str, Any]:
         """Full-archive integrity check; returns a canonical-JSON report.
 
-        Re-reads every manifest from disk (bypassing the warm cache),
-        re-hashes and re-decodes every referenced segment, and recomputes
-        each segment's summary against the manifest's copy.  ``jobs > 1``
-        fans segment checks over worker processes; the report is
-        byte-identical for any job count.  ``ok`` is True iff no errors.
+        Re-reads every manifest from disk, re-hashes and re-decodes every
+        referenced segment, and recomputes each segment's summary against
+        the manifest's copy.  ``jobs > 1`` fans segment checks over worker
+        processes; the report is byte-identical for any job count.  ``ok``
+        is True iff no errors.
 
         Safe to run while a concurrent ingest is mid-atomic-write: the
         writer's ``*.tmp`` files are never opened or reported as errors
@@ -392,31 +420,19 @@ class TraceBank:
         orphan; the service root's verify owns that question.
         """
         errors: List[Dict[str, Any]] = []
-        tasks: List[Tuple[str, str, int, str]] = []
+        tasks: List[Tuple[TraceBank, str, SegmentMeta]] = []
         referenced: set = set()
-        n_manifests = 0
-        if self.manifests_dir.is_dir():
-            for path in sorted(self.manifests_dir.glob("*.json")):
-                n_manifests += 1
-                try:
-                    m = RunManifest.loads(path.read_text("utf-8"))
-                except (OSError, StoreCorruptionError) as exc:
-                    errors.append(
-                        {"run_id": path.stem, "rank": None, "sha256": None,
-                         "error": "manifest unreadable: %s" % exc}
-                    )
-                    continue
-                if m.run_id != path.stem:
-                    errors.append(
-                        {"run_id": path.stem, "rank": None, "sha256": None,
-                         "error": "manifest run_id %s does not match its "
-                                  "filename" % m.run_id[:12]}
-                    )
-                for seg in m.segments:
-                    referenced.add(seg.sha256)
-                    tasks.append(
-                        (str(self.root), m.run_id, seg.rank, seg.sha256)
-                    )
+        paths = self._manifest_files()
+        for path, m in _read_manifests(paths, errors):
+            if m.run_id != path.stem:
+                errors.append(
+                    {"run_id": path.stem, "rank": None, "sha256": None,
+                     "error": "manifest run_id %s does not match its "
+                              "filename" % m.run_id[:12]}
+                )
+            for seg in m.segments:
+                referenced.add(seg.sha256)
+                tasks.append((self, m.run_id, seg))
         for err in parallel_map(_verify_segment_task, tasks, jobs=jobs):
             if err is not None:
                 errors.append(err)
@@ -425,17 +441,13 @@ class TraceBank:
             orphans: List[str] = []
         else:
             pinned = set(referenced)
-            for path in self._tenant_manifest_paths():
-                try:
-                    pinned.update(
-                        RunManifest.loads(path.read_text("utf-8")).segment_shas()
-                    )
-                except (OSError, StoreCorruptionError):
-                    continue  # the tenant's own verify reports it
+            # A tenant's unreadable manifest is its own verify's to report.
+            for _path, m in _read_manifests(self._tenant_manifest_paths()):
+                pinned.update(m.segment_shas())
             orphans = sorted(set(self.disk_segments()) - pinned)
         return {
             "schema": "repro/store/verify/v1",
-            "runs": n_manifests,
+            "runs": len(paths),
             "segments_checked": len(tasks),
             "ok": not errors,
             "errors": errors,
@@ -446,13 +458,13 @@ class TraceBank:
     def gc(self, dry_run: bool = False, tmp_ttl_seconds: float = 3600.0) -> Dict[str, Any]:
         """Remove segment files no manifest references.
 
-        Manifests are the root set (read directly from disk, not the
-        cache): this bank's own plus every tenant namespace's under
-        ``tenants/*/manifests/`` — tenant runs pin shared segments.
-        Anything under ``segments/`` not reachable from one is deleted —
-        or merely listed with ``dry_run``.  Never touches manifests
-        themselves: to drop a run, delete its manifest file and then
-        ``gc``.
+        Manifests are the root set: this bank's own plus every tenant
+        namespace's under ``tenants/*/manifests/`` — tenant runs pin
+        shared segments, and so does a manifest filed under another
+        run's name.  Anything under ``segments/`` not reachable from one
+        is deleted — or merely listed with ``dry_run``.  Never touches
+        manifests themselves: to drop a run, delete its manifest file and
+        then ``gc``.
 
         In-flight ``*.tmp`` atomic-write files are left alone unless
         older than ``tmp_ttl_seconds`` (crashed-writer residue; reclaimed
@@ -475,15 +487,9 @@ class TraceBank:
                 % str(self.root)
             )
         referenced: set = set()
-        roots: List[Path] = []
-        if self.manifests_dir.is_dir():
-            roots.extend(sorted(self.manifests_dir.glob("*.json")))
-        roots.extend(self._tenant_manifest_paths())
-        for path in roots:
-            try:
-                m = RunManifest.loads(path.read_text("utf-8"))
-            except (OSError, StoreCorruptionError):
-                continue  # verify reports it; gc must not widen damage
+        # An unreadable manifest pins nothing: verify reports it.
+        roots = self._manifest_files() + self._tenant_manifest_paths()
+        for _path, m in _read_manifests(roots):
             referenced.update(m.segment_shas())
         removed: List[str] = []
         freed = 0
@@ -534,21 +540,45 @@ class TraceBank:
         }
 
 
-def _verify_segment_task(task: Tuple[str, str, int, str]) -> Optional[Dict[str, Any]]:
-    """Check one referenced segment (parallel-map worker entry).
+def _read_manifests(
+    paths: Iterable[Path], errors: Optional[List[Dict[str, Any]]] = None
+) -> Iterator[Tuple[Path, RunManifest]]:
+    """Parse manifest files in order, yielding ``(path, manifest)``.
+
+    The one loop every manifest read goes through.  A file that cannot
+    be read or parsed is skipped, and recorded in ``errors`` as a
+    ``verify`` error record when that list is given.  Whether the body
+    names the run its file name does is left to the caller.
+    """
+    for path in paths:
+        try:
+            m = RunManifest.loads(path.read_text("utf-8"))
+        except (OSError, UnicodeDecodeError, StoreCorruptionError) as exc:
+            if errors is not None:
+                errors.append(
+                    {"run_id": path.stem, "rank": None, "sha256": None,
+                     "error": "manifest unreadable: %s" % exc}
+                )
+            continue
+        yield path, m
+
+
+def _verify_segment_task(task: Tuple[TraceBank, str, SegmentMeta]) -> Optional[Dict[str, Any]]:
+    """Check one referenced segment against its manifest summary.
 
     Returns ``None`` when the segment is healthy, else an error record.
-    Lives at module level so it pickles into worker processes.
+    The task carries the bank and the :class:`SegmentMeta` its parent
+    read, so a worker opens nothing but the segment.  Lives at module
+    level so it pickles into worker processes.
     """
-    root, run_id, rank, sha = task
-    bank = TraceBank(root, create=False)
+    bank, run_id, stored = task
+    sha, rank = stored.sha256, stored.rank
 
     def err(msg: str) -> Dict[str, Any]:
         return {"run_id": run_id, "rank": rank, "sha256": sha, "error": msg}
 
-    path = bank.segment_path(sha)
     try:
-        blob = path.read_bytes()
+        blob = bank.segment_path(sha).read_bytes()
     except OSError:
         return err("segment file missing")
     if content_address(blob) != sha:
@@ -557,14 +587,7 @@ def _verify_segment_task(task: Tuple[str, str, int, str]) -> Optional[Dict[str, 
         tf = decode_segment(blob)
     except Exception as exc:  # decode must never crash verify
         return err("undecodable: %s" % exc)
-    recomputed = summarize_segment(tf, rank, sha, len(blob))
-    m = RunManifest.loads(bank.manifest_path(run_id).read_text("utf-8"))
-    stored = next(
-        (s for s in m.segments if s.sha256 == sha and s.rank == rank), None
-    )
-    if stored is None:
-        return err("segment not in manifest (index drift)")
-    if recomputed != stored:
+    if summarize_segment(tf, rank, sha, len(blob)) != stored:
         return err("summary drift: manifest summary does not match events")
     return None
 

@@ -30,7 +30,7 @@ __all__ = ["DFG_SCHEMA", "build_dfg", "render_dfg_text", "render_dfg_dot"]
 DFG_SCHEMA = "repro/store/dfg/v1"
 
 
-def _dfg_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
+def _dfg_shard(task: Tuple[TraceBank, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
     """One shard's partial graph (parallel-map worker entry).
 
     Reads only the ``name`` column and the two time columns that weight
@@ -85,7 +85,7 @@ def build_dfg(bank: TraceBank, query: Query, jobs: int = 1) -> Dict[str, Any]:
     query.validate()
     _selected, shards, scan = select_shards(bank, query)
     plan = query.plan()
-    tasks = [(root, run_id, rank, sha, plan) for root, run_id, rank, sha in shards]
+    tasks = [(bank, run_id, rank, sha, plan) for run_id, rank, sha in shards]
     partials = parallel_map(_dfg_shard, tasks, jobs=jobs)
     nodes: Dict[str, int] = {}
     edges: Dict[str, Dict[str, int]] = {}

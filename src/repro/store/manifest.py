@@ -3,9 +3,9 @@
 One manifest describes one ingested run: its free-form metadata (framework,
 access pattern, block size, nprocs, fault schedule...), the codec its
 segments were encoded with, and one :class:`~repro.store.segments.SegmentMeta`
-per ``(run, rank)`` segment.  The manifest *is* the index — queries read
-manifests (through the warm cache in :mod:`repro.store.index`) and only
-touch segment files that survive predicate pushdown.
+per ``(run, rank)`` segment.  The manifest files *are* the index — a run
+id is looked up by its file name, queries parse ``manifests/*.json`` and
+only touch segment files that survive predicate pushdown.
 
 ``run_id`` is itself content-derived: a SHA-256 over the canonical JSON of
 the metadata plus the ordered ``(rank, sha256)`` segment list.  Ingesting
@@ -123,7 +123,7 @@ class RunManifest:
                 n_events=int(obj["n_events"]),
                 n_barriers=int(obj.get("n_barriers", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StoreCorruptionError("malformed manifest: %s" % exc) from None
 
     @staticmethod

@@ -3,7 +3,7 @@
 A query is answered in three stages:
 
 1. **Select** — run manifests are filtered by metadata equality
-   (``where``) and run-id prefixes, via the warm manifest index;
+   (``where``) and run-id prefixes;
 2. **Prune** — each candidate segment's manifest summary is checked
    against the query's rank/op/layer/time predicates
    (:meth:`~repro.store.segments.SegmentMeta.may_match`): segments that
@@ -16,8 +16,8 @@ A query is answered in three stages:
 Partial results are merged in shard order (sorted by ``(run_id, rank,
 sha)``) regardless of worker completion order, and every report is
 normalized through canonical JSON — so query output is byte-identical
-across ``jobs=1``, ``jobs=N``, and cold/warm manifest caches, the same
-determinism contract the sweep harness pins down.
+across ``jobs=1`` and ``jobs=N``, the same determinism contract the
+sweep harness pins down.
 
 Aggregates: ``events`` (the matching events themselves), ``ops``
 (per-function call/time histogram, the Figure-1 summary shape), ``bytes``
@@ -166,15 +166,15 @@ def _run_selected(m: RunManifest, query: Query) -> bool:
 
 def select_shards(
     bank: TraceBank, query: Query
-) -> Tuple[List[RunManifest], List[Tuple[str, str, int, str]], Dict[str, int]]:
+) -> Tuple[List[RunManifest], List[Tuple[str, int, str]], Dict[str, int]]:
     """Stages 1+2: pick runs, prune segments; returns deterministic shards.
 
-    Shards are ``(root, run_id, rank, sha)`` tuples sorted by
-    ``(run_id, rank, sha)`` — the merge order every aggregate uses.
+    Shards are sorted ``(run_id, rank, sha)`` tuples — the merge order
+    every aggregate uses.
     """
     manifests = bank.manifests()
     selected = [m for m in manifests if _run_selected(m, query)]
-    shards: List[Tuple[str, str, int, str]] = []
+    shards: List[Tuple[str, int, str]] = []
     total = pruned = 0
     ranks = set(query.ranks) if query.ranks is not None else None
     names = set(query.names) if query.names is not None else None
@@ -189,10 +189,10 @@ def select_shards(
                 since=query.since,
                 until=query.until,
             ):
-                shards.append((str(bank.root), m.run_id, seg.rank, seg.sha256))
+                shards.append((m.run_id, seg.rank, seg.sha256))
             else:
                 pruned += 1
-    shards.sort(key=lambda s: (s[1], s[2], s[3]))
+    shards.sort()
     stats = {
         "runs_total": len(manifests),
         "runs_selected": len(selected),
@@ -228,7 +228,7 @@ def _filter_columns(plan: Dict[str, Any]) -> List[str]:
 
 
 def scan_columns(
-    task: Tuple[str, str, int, str, Dict[str, Any]], fields: Sequence[str]
+    task: Tuple[TraceBank, str, int, str, Dict[str, Any]], fields: Sequence[str]
 ) -> Tuple[Dict[str, List[Any]], Sequence[int]]:
     """Read one shard's columns and select the events the plan keeps.
 
@@ -237,12 +237,13 @@ def scan_columns(
     and time bounds that whole segments fail were already pruned by
     :meth:`~repro.store.segments.SegmentMeta.may_match`; this applies the
     same predicates per event.  The path glob is evaluated once per
-    distinct path, not once per event.
+    distinct path, not once per event.  The task carries the caller's
+    opened bank, so a worker reads only the shard's segment.
     """
-    root, _run_id, _rank, sha, plan = task
+    bank, _run_id, _rank, sha, plan = task
     need = set(fields)
     need.update(_filter_columns(plan))
-    cols = TraceBank(root, create=False).read_columns(sha, sorted(need))
+    cols = bank.read_columns(sha, sorted(need))
     n = len(cols[fields[0]])
     names = set(plan["names"]) if plan["names"] is not None else None
     layers = set(plan["layers"]) if plan["layers"] is not None else None
@@ -277,14 +278,14 @@ def scan_columns(
     return cols, keep
 
 
-def _scan_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
+def _scan_shard(task: Tuple[TraceBank, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
     """Project + filter + partially aggregate one shard (worker entry).
 
     Module-level so it pickles into :func:`~repro.fanout.parallel_map`
     worker processes.  Partial results use only plain JSON types; float
     sums (``ops`` durations) accumulate in segment order.
     """
-    _root, run_id, rank, _sha, plan = task
+    _bank, run_id, rank, _sha, plan = task
     agg = plan["agg"]
     cols, idxs = scan_columns(task, _AGG_COLUMNS[agg])
     out: Dict[str, Any] = {"matched": len(idxs)}
@@ -401,7 +402,7 @@ def run_query(
     query.validate()
     _selected, shards, scan = select_shards(bank, query)
     plan = query.plan()
-    tasks = [(root, run_id, rank, sha, plan) for root, run_id, rank, sha in shards]
+    tasks = [(bank, run_id, rank, sha, plan) for run_id, rank, sha in shards]
     partials = parallel_map(_scan_shard, tasks, jobs=jobs)
     result, matched = _merge_result(query, partials)
     col = STATE.collector

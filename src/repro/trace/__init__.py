@@ -7,6 +7,7 @@ the formats the taxonomy distinguishes (human-readable vs. binary, §3.1
 merge tool that aggregates heterogeneous per-node traces onto one timeline.
 """
 
+from repro.errors import TraceFormatError
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile, TraceBundle, BarrierStamp
 
@@ -16,4 +17,25 @@ __all__ = [
     "TraceFile",
     "TraceBundle",
     "BarrierStamp",
+    "decode_trace_bytes",
 ]
+
+
+def decode_trace_bytes(data: bytes) -> TraceFile:
+    """Decode one trace file's bytes: binary if they start with the
+    binary format's magic, else UTF-8 text.
+
+    Raises :class:`~repro.errors.TraceFormatError` (never a
+    ``UnicodeDecodeError``) for bytes that are neither.
+    """
+    from repro.trace import binary_format, text_format
+
+    if data[: len(binary_format.MAGIC)] == binary_format.MAGIC:
+        return binary_format.decode_trace_file(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            "not a binary trace and not UTF-8 text: %s" % exc
+        ) from None
+    return text_format.decode_trace_file(text)

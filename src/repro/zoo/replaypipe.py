@@ -31,6 +31,7 @@ from repro.obs.metrics import canonical_json
 from repro.replay.fidelity import fidelity_report
 from repro.replay.pseudoapp import _LIBCALL_KINDS, _SYNC_LIBCALLS, build_pseudoapp
 from repro.replay.replayer import replay
+from repro.trace import decode_trace_bytes
 from repro.trace.events import EventLayer
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -75,15 +76,9 @@ def _bundle_from_strace(text: Union[str, bytes], label: str) -> Tuple[TraceBundl
 
 def _bundle_from_files(paths: Sequence[Path]) -> Tuple[TraceBundle, Dict[str, Any]]:
     """Library trace file(s) — binary or text — as a bundle, one per rank."""
-    from repro.trace import binary_format, text_format
-
     bundle = TraceBundle(metadata={"source": str(paths[0])})
     for idx, path in enumerate(paths):
-        data = path.read_bytes()
-        if data[:4] == binary_format.MAGIC:
-            tf = binary_format.decode_trace_file(data)
-        else:
-            tf = text_format.decode_trace_file(data.decode("utf-8"))
+        tf = decode_trace_bytes(path.read_bytes())
         rank = tf.rank if tf.rank is not None else idx
         bundle.add_file(rank, tf)
         if tf.framework and "framework" not in bundle.metadata:

@@ -50,7 +50,6 @@ def main() -> int:
             "dfg": build_dfg(bank, Query.create(runs=[run_id])),
             "bundle": bundle_json(bank.load_run_bundle(run_id)),
         }
-    (store / "index.json").unlink()
     (HERE / "expected.json").write_text(canonical_json(expected) + "\n")
     return 0
 

@@ -170,7 +170,6 @@ class TestVerify:
         body = m.to_json()
         body["segments"][0] = drifted
         mpath.write_text(RunManifest.from_json(body).dumps())
-        bank.index.invalidate()
         report = bank.verify()
         assert not report["ok"]
         assert any("drift" in e["error"] for e in report["errors"])
@@ -198,7 +197,6 @@ class TestGC:
         keep = bank.ingest_bundle(make_bundle(n=4))
         drop = bank.ingest_bundle(make_bundle(n=6))
         bank.manifest_path(drop.run_id).unlink()
-        bank.index.invalidate()
         # ttl=0: no live writer in this test, reclaim fresh orphans now.
         dry = bank.gc(dry_run=True, tmp_ttl_seconds=0.0)
         assert len(dry["removed_segments"]) == 2

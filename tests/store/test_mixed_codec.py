@@ -18,7 +18,7 @@ from storeutil import CORPUS_QUERIES, bundle_json, corpus_bank, corpus_bundle
 
 from repro.errors import TraceFormatError
 from repro.obs.metrics import canonical_json
-from repro.store import Query, TraceBank, run_query
+from repro.store import Query, run_query
 from repro.store.dfg import build_dfg
 from repro.store.segments import decode_segment, segment_columns
 from repro.trace import columnar
@@ -134,15 +134,6 @@ class TestCrossCodecIdentity:
                 assert canonical_json(rep) == canonical_json(want), (label, jobs)
             graphs[label] = rep["graph"]
         assert canonical_json(graphs["rtbf"]) == canonical_json(graphs["rtcf"])
-
-    def test_cold_and_warm_manifest_cache_agree(self, tmp_path):
-        bank, expected = corpus_bank(tmp_path)
-        q = Query.create(agg="ops", runs=[expected["runs"]["rtcf"]])
-        warm = run_query(bank, q)
-        warm_again = run_query(bank, q)
-        (bank.root / "index.json").unlink()
-        cold = run_query(TraceBank(bank.root, create=False), q)
-        assert canonical_json(cold) == canonical_json(warm) == canonical_json(warm_again)
 
     def test_load_run_bundle_lossless_for_v2(self, tmp_path):
         bank, expected = corpus_bank(tmp_path)

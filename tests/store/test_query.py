@@ -127,22 +127,6 @@ class TestDeterminism:
             parallel = canonical_json(run_query(bank, q, jobs=4))
             assert serial == parallel, agg
 
-    def test_warm_manifest_cache_identical(self, bank):
-        q = Query(agg="ops")
-        cold = canonical_json(run_query(bank, q))
-        assert bank.index.parsed >= 0  # first load already cached on ingest
-        warm = canonical_json(run_query(bank, q))
-        assert bank.index.reused == 2 and bank.index.parsed == 0
-        assert cold == warm
-
-    def test_deleted_cache_identical(self, bank):
-        q = Query(agg="ops")
-        warm = canonical_json(run_query(bank, q))
-        bank.index.invalidate()
-        cold = canonical_json(run_query(bank, q))
-        assert bank.index.parsed == 2
-        assert warm == cold
-
     def test_report_is_canonical_json_clean(self, bank):
         import json
 

@@ -97,7 +97,6 @@ class TestGcFreshSegmentGrace:
         bank = TraceBank(tmp_path / "bank")
         drop = bank.ingest_bundle(make_bundle())
         bank.manifest_path(drop.run_id).unlink()
-        bank.index.invalidate()
         report = bank.gc()
         assert report["removed_segments"] == []
         assert report["kept_fresh_segments"] == 2
@@ -107,7 +106,6 @@ class TestGcFreshSegmentGrace:
         bank = TraceBank(tmp_path / "bank")
         drop = bank.ingest_bundle(make_bundle())
         bank.manifest_path(drop.run_id).unlink()
-        bank.index.invalidate()
         ancient = 1_000_000.0
         for sha in bank.disk_segments():
             os.utime(bank.segment_path(sha), (ancient, ancient))

@@ -112,6 +112,45 @@ class TestConvert:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNonUtf8Trace:
+    """Bytes that are neither a binary trace nor UTF-8 text are an
+    ``error:`` line and exit 1 in every command that reads a trace file,
+    not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "{bad}", "{out}"],
+            ["summarize", "{bad}"],
+            ["anonymize", "{bad}", "{out}"],
+            ["store", "ingest", "--store", "{store}", "{bad}"],
+            ["zoo", "replay", "--store", "{store}", "{bad}"],
+            ["service", "ingest", "--url", "http://127.0.0.1:9", "alice",
+             "{good}", "{bad}"],
+        ],
+        ids=["convert", "summarize", "anonymize", "store-ingest", "zoo-replay",
+             "service-ingest"],
+    )
+    def test_clean_error(self, argv, capsys, tmp_path, trace_file, monkeypatch):
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(b"\xff\xfe\x00garbage")
+        sent = []
+        monkeypatch.setattr("repro.cli._http_request",
+                            lambda *a, **kw: sent.append(a))
+        argv = [
+            a.format(bad=bad, good=trace_file, out=tmp_path / "out.trace",
+                     store=tmp_path / "store")
+            for a in argv
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
+        assert sent == []  # service ingest fails before any request
+        assert not (tmp_path / "store").exists()  # no empty archive left
+        assert not (tmp_path / "out.trace").exists()
+
+
 class TestAnonymize:
     def test_randomize(self, capsys, trace_file, tmp_path):
         out_path = tmp_path / "anon.trace"
