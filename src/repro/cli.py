@@ -872,8 +872,9 @@ def _print_store_listing(store) -> int:
     from repro.store import TraceBank, render_store_summary
 
     bank = TraceBank(store, create=False)
-    print(render_store_summary(bank.stats()), end="")
-    for m in bank.manifests():
+    manifests = bank.manifests()
+    print(render_store_summary(bank.stats(manifests)), end="")
+    for m in manifests:
         print(
             "  %s  %-6s %-12s %4d seg  %6d events"
             % (

@@ -221,8 +221,6 @@ class Tracefs(TracingFramework):
                 "compute node (§2.2: 'dealing with root permissions')"
             )
         lower = testbed.vfs.unmount(self.config.target_mount)
-        if not lower.parallel_compatible and lower.fstype == "pfs":
-            pass  # unreachable: pfs is parallel_compatible; kept for clarity
         if lower.fstype == "pfs" and not self.config.force_parallel_port:
             testbed.vfs.mount(self.config.target_mount, lower)  # restore
             raise NotTraceable(

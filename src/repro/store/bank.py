@@ -71,7 +71,8 @@ DEFAULT_STORE_DIR = ".repro-store"
 
 #: The manifest's ``codec`` record for the segments ingest writes (RTBF,
 #: compressed and checksummed).  It is part of every run id's hash input,
-#: so it never changes; legacy columnar runs carry ``"format": "v2"``.
+#: so it never changes.  Runs of the retired columnar format (RTCF)
+#: carry ``"format": "v2"``; their segments fail to decode.
 SEGMENT_CODEC: Mapping[str, Any] = {"compressed": True, "checksum": True}
 
 #: What a run id (or a prefix of one) may contain: run ids are SHA-256
@@ -233,15 +234,30 @@ class TraceBank:
         directory is missing)."""
         return sorted(self.manifests_dir.glob("*.json"))
 
-    def manifests(self) -> List[RunManifest]:
-        """Every run manifest, sorted by ``run_id``.
+    def select_manifests(
+        self, runs: Optional[Iterable[str]] = None
+    ) -> Tuple[int, List[RunManifest]]:
+        """``(manifest files in the archive, manifests of the runs selected)``.
 
-        Unreadable files, and files whose body names another run, are
-        skipped here — ``verify`` is the path that *reports* them.
+        ``runs=None`` selects every run.  Otherwise ``runs`` are run id
+        prefixes, and only the files whose names they start are parsed;
+        a prefix that is not lowercase hex names no file (it is never a
+        glob or a path).  The selected manifests are sorted by
+        ``run_id``.  Unreadable files, and files whose body names
+        another run, are counted but never selected — ``verify`` is the
+        path that *reports* them.
         """
-        found = _read_manifests(self._manifest_files())
-        return sorted((m for path, m in found if m.run_id == path.stem),
-                      key=lambda m: m.run_id)
+        paths = self._manifest_files()
+        named = paths
+        if runs is not None:
+            prefixes = tuple(r for r in runs if _RUN_ID_PREFIX.fullmatch(r))
+            named = [p for p in paths if p.stem.startswith(prefixes)]
+        return len(paths), sorted(_named_manifests(named), key=lambda m: m.run_id)
+
+    def manifests(self) -> List[RunManifest]:
+        """Every run manifest, sorted by ``run_id`` (see
+        :meth:`select_manifests`)."""
+        return self.select_manifests()[1]
 
     def run_ids(self) -> List[str]:
         """All archived run ids, sorted."""
@@ -251,16 +267,12 @@ class TraceBank:
         """One run's manifest; ``run_id`` may be a unique prefix.
 
         A full id reads its one file; a prefix lists file names and
-        parses only those it starts.  A prefix that is not lowercase hex
-        matches nothing (it is never a glob or a path).
+        parses only those it starts (:meth:`select_manifests`).
         """
-        if not _RUN_ID_PREFIX.fullmatch(run_id):
-            paths: List[Path] = []
-        elif len(run_id) == 64:
-            paths = [self.manifest_path(run_id)]
+        if len(run_id) == 64 and _RUN_ID_PREFIX.fullmatch(run_id):
+            matches = _named_manifests([self.manifest_path(run_id)])
         else:
-            paths = [p for p in self._manifest_files() if p.stem.startswith(run_id)]
-        matches = [m for path, m in _read_manifests(paths) if m.run_id == path.stem]
+            matches = self.select_manifests([run_id])[1]
         if not matches:
             raise StoreError("no archived run matches %r" % run_id)
         if len(matches) > 1:
@@ -355,9 +367,14 @@ class TraceBank:
             return []
         return sorted(tenants_dir.glob("*/manifests/*.json"))
 
-    def stats(self) -> Dict[str, Any]:
-        """Archive-wide summary: runs, segments, dedup ratio, bytes."""
-        manifests = self.manifests()
+    def stats(self, manifests: Optional[List[RunManifest]] = None) -> Dict[str, Any]:
+        """Archive-wide summary: runs, segments, dedup ratio, bytes.
+
+        ``manifests`` is :meth:`manifests`' result when the caller holds
+        it already (``store ls`` prints both), so no file is parsed twice.
+        """
+        if manifests is None:
+            manifests = self.manifests()
         referenced: Dict[str, int] = {}
         frameworks: Dict[str, int] = {}
         events = 0
@@ -561,6 +578,12 @@ def _read_manifests(
                 )
             continue
         yield path, m
+
+
+def _named_manifests(paths: Iterable[Path]) -> List[RunManifest]:
+    """The manifests among ``paths`` whose body names the run their file
+    name does (unreadable files are skipped)."""
+    return [m for path, m in _read_manifests(paths) if m.run_id == path.stem]
 
 
 def _verify_segment_task(task: Tuple[TraceBank, str, SegmentMeta]) -> Optional[Dict[str, Any]]:

@@ -152,11 +152,7 @@ def _meta_lookup(meta: Mapping[str, Any], dotted: str) -> Any:
     return node
 
 
-def _run_selected(m: RunManifest, query: Query) -> bool:
-    if query.runs is not None and not any(
-        m.run_id.startswith(p) for p in query.runs
-    ):
-        return False
+def _where_matches(m: RunManifest, query: Query) -> bool:
     for key, want in query.where:
         got = _meta_lookup(m.meta, key)
         if got is None or str(got) != want:
@@ -169,11 +165,13 @@ def select_shards(
 ) -> Tuple[List[RunManifest], List[Tuple[str, int, str]], Dict[str, int]]:
     """Stages 1+2: pick runs, prune segments; returns deterministic shards.
 
-    Shards are sorted ``(run_id, rank, sha)`` tuples — the merge order
-    every aggregate uses.
+    Only the manifests ``query.runs`` names are parsed
+    (:meth:`~repro.store.bank.TraceBank.select_manifests`), so a full run
+    id reads one file whatever the archive's size.  Shards are sorted
+    ``(run_id, rank, sha)`` tuples — the merge order every aggregate uses.
     """
-    manifests = bank.manifests()
-    selected = [m for m in manifests if _run_selected(m, query)]
+    runs_total, named = bank.select_manifests(query.runs)
+    selected = [m for m in named if _where_matches(m, query)]
     shards: List[Tuple[str, int, str]] = []
     total = pruned = 0
     ranks = set(query.ranks) if query.ranks is not None else None
@@ -194,7 +192,7 @@ def select_shards(
                 pruned += 1
     shards.sort()
     stats = {
-        "runs_total": len(manifests),
+        "runs_total": runs_total,
         "runs_selected": len(selected),
         "segments_total": total,
         "segments_scanned": len(shards),

@@ -9,11 +9,14 @@ field order), so re-ingesting an identical run re-derives the same
 bytes, the same digest, and therefore the same on-disk file: the
 archive dedups for free.
 
-Readers sniff the magic, so archives that also hold legacy columnar
-(RTCF, :mod:`repro.trace.columnar`) segments stay readable:
-:func:`decode_segment` rebuilds events from either format and
-:func:`segment_columns` projects logical columns from either without
-building events — the scan path every archive aggregate uses.
+RTBF is the only segment format, read or written.  Both readers walk
+its records once: :func:`decode_segment` rebuilds events and
+:func:`segment_columns` projects logical columns without building
+events — the scan path every archive aggregate uses.  A segment in the
+retired columnar format (RTCF) fails the walker's magic check with an
+error that names bf847e2, the last commit that reads RTCF; read through
+:class:`~repro.store.bank.TraceBank` it is archive corruption
+(:func:`archive_errors`).
 
 Every segment carries a :class:`SegmentMeta` summary in its run manifest —
 time range, per-op and per-layer counts, payload bytes — which is what the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import StoreCorruptionError, TraceError
-from repro.trace import binary_format, columnar
+from repro.trace import binary_format
 from repro.trace.records import TraceFile
 
 __all__ = [
@@ -82,36 +85,24 @@ def encode_segment(tf: TraceFile) -> Tuple[bytes, str]:
     return blob, content_address(blob)
 
 
-def decode_segment(blob: bytes, expected_sha: str = "") -> TraceFile:
-    """Decode a segment blob (RTBF or legacy RTCF) into a :class:`TraceFile`.
+def decode_segment(blob: bytes) -> TraceFile:
+    """Decode an RTBF segment blob into a :class:`TraceFile`.
 
-    When ``expected_sha`` is given the blob's digest is verified first and
-    decode failures are reported as archive corruption
-    (:func:`archive_errors`) rather than plain trace format errors.
+    Raises :class:`~repro.errors.TraceError` for bytes that are not a
+    valid segment; callers reading the archive verify the address first
+    and wrap this in :func:`archive_errors`.
     """
-    if not expected_sha:
-        return _decode(blob)
-    check_address(blob, expected_sha)
-    with archive_errors(expected_sha):
-        return _decode(blob)
-
-
-def _decode(blob: bytes) -> TraceFile:
-    if columnar.is_columnar(blob):
-        return columnar.decode_trace_file_columnar(blob)
     return binary_format.decode_trace_file(blob)
 
 
 def segment_columns(blob: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
-    """Project logical per-event columns out of one segment.
+    """Project logical per-event columns out of one RTBF segment.
 
     ``fields`` are :class:`~repro.trace.events.TraceEvent` field names;
     columns come back as :func:`repro.trace.binary_format.read_columns`
     describes (``layer`` as its string value, ``None`` for absent
-    optionals) whichever format wrote the blob, without building events.
+    optionals), without building events.
     """
-    if columnar.is_columnar(blob):
-        return columnar.read_columns(blob, fields)
     return binary_format.read_columns(blob, fields)
 
 

@@ -55,6 +55,14 @@ __all__ = [
 MAGIC = b"RTBF"
 VERSION = 1
 
+#: What the magic check says about bytes in a format no longer read.
+#: RTCF was the archive's columnar segment format.
+_RETIRED_MAGIC = {
+    b"RTCF": "legacy columnar (RTCF) segment: RTCF is no longer read; "
+             "bf847e2 is the last commit that reads it (load the run "
+             "there and re-ingest it)",
+}
+
 _RECORD = struct.Struct("<ddBIqqqBi")
 # timestamp f8 | duration f8 | layer u8 | pid u32 | fd q | nbytes q |
 # offset q | flags u8 | rank i32; six length-prefixed strings follow
@@ -403,7 +411,9 @@ def _walk(data: bytes) -> Tuple[Dict[str, Any], List[tuple]]:
     framing, checksums, counts and record bounds the same way.
     """
     if data[: len(MAGIC)] != MAGIC:
-        raise TraceFormatError("not a binary trace (bad magic)")
+        raise TraceFormatError(
+            _RETIRED_MAGIC.get(data[: len(MAGIC)], "not a binary trace (bad magic)")
+        )
     pos = len(MAGIC)
     if pos + 2 > len(data):
         raise TraceTruncatedError("version truncated")

@@ -13,7 +13,7 @@ from typing import Tuple
 
 from repro.errors import TraceChecksumError, TraceTruncatedError
 
-__all__ = ["frame", "unframe", "frame_span", "crc32"]
+__all__ = ["frame", "unframe", "crc32"]
 
 _HEADER = struct.Struct("<II")
 
@@ -51,23 +51,3 @@ def unframe(data: bytes, offset: int = 0) -> Tuple[bytes, int]:
     if digest != 0 and crc32(payload) != digest:
         raise TraceChecksumError("frame at offset %d failed CRC32" % offset)
     return payload, end
-
-
-def frame_span(data: bytes, offset: int = 0) -> int:
-    """Offset just past the frame at ``offset`` — without touching its body.
-
-    The columnar reader uses this to hop over columns a projection does
-    not need: only the 8-byte header is read, so skipped columns cost
-    neither a CRC pass nor a decompression.  Raises
-    :class:`TraceTruncatedError` if the frame does not fit.
-    """
-    if offset + _HEADER.size > len(data):
-        raise TraceTruncatedError("frame header truncated at offset %d" % offset)
-    (length, _digest) = _HEADER.unpack_from(data, offset)
-    end = offset + _HEADER.size + length
-    if end > len(data):
-        raise TraceTruncatedError(
-            "frame payload truncated: need %d bytes at %d, have %d"
-            % (length, offset + _HEADER.size, len(data) - offset - _HEADER.size)
-        )
-    return end

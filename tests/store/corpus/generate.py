@@ -1,16 +1,13 @@
-"""Regenerate the legacy two-format archive in this directory.
+"""Regenerate the legacy-corpus archive in this directory.
 
-The archive holds :func:`storeutil.corpus_bundle` ingested twice: once
-as RTBF (row-major Tracefs binary) segments and once as RTCF (columnar)
-segments, plus ``expected.json``, the query, DFG and bundle reports the
-writing release gave for both runs.  RTCF is read-only in the current
-tree, so this script must run against a release that still writes it,
-one whose ``TraceBank.ingest_bundle`` takes ``codec=`` (the archive here
-was written by commit 3190e05)::
+The archive holds :func:`storeutil.corpus_bundle` ingested once, as RTBF
+segments, plus ``expected.json``: the query, DFG and bundle reports for
+that run.  Commit 3190e05 wrote the committed archive, and the current
+tree writes the same files byte for byte (``test_mixed_codec.py``'s
+``TestCorpusBytes`` checks this), so it regenerates from this checkout::
 
-    mkdir -p /tmp/rtcf-writer
-    git archive 3190e05 src | tar -x -C /tmp/rtcf-writer
-    PYTHONPATH=/tmp/rtcf-writer/src python tests/store/corpus/generate.py
+    rm -r tests/store/corpus/archive
+    PYTHONPATH=src python tests/store/corpus/generate.py
 
 It refuses to overwrite an existing archive.
 """
@@ -36,20 +33,20 @@ def main() -> int:
         print("%s exists; delete it first" % store, file=sys.stderr)
         return 1
     bank = TraceBank(store)
-    runs = {
-        "rtbf": bank.ingest_bundle(corpus_bundle(), codec="v1").run_id,
-        "rtcf": bank.ingest_bundle(corpus_bundle(), codec="v2").run_id,
+    run_id = bank.ingest_bundle(corpus_bundle()).run_id
+    expected = {
+        "runs": {"rtbf": run_id},
+        "reports": {
+            "rtbf": {
+                "queries": [
+                    run_query(bank, replace(q, runs=(run_id,)))
+                    for q in CORPUS_QUERIES
+                ],
+                "dfg": build_dfg(bank, Query.create(runs=[run_id])),
+                "bundle": bundle_json(bank.load_run_bundle(run_id)),
+            }
+        },
     }
-    expected = {"runs": runs, "reports": {}}
-    for label, run_id in runs.items():
-        expected["reports"][label] = {
-            "queries": [
-                run_query(bank, replace(q, runs=(run_id,)))
-                for q in CORPUS_QUERIES
-            ],
-            "dfg": build_dfg(bank, Query.create(runs=[run_id])),
-            "bundle": bundle_json(bank.load_run_bundle(run_id)),
-        }
     (HERE / "expected.json").write_text(canonical_json(expected) + "\n")
     return 0
 

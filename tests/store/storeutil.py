@@ -11,8 +11,10 @@ import json
 import shutil
 from pathlib import Path
 
-from repro.store.bank import TraceBank
+from repro.store.bank import SEGMENT_CODEC, TraceBank
+from repro.store.manifest import RunManifest, compute_run_id
 from repro.store.query import Query
+from repro.store.segments import SegmentMeta, content_address
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -55,14 +57,12 @@ def make_bundle(nranks=2, n=8, **kw):
 
 
 def corpus_bundle():
-    """The run archived twice (RTBF and RTCF) in ``corpus/``.
+    """The run archived in ``corpus/``.
 
-    ``make_bundle(nranks=3, n=24)`` plus the cases the legacy columnar
-    reader must keep handling: varied ops, layers and missing optionals
-    on rank 1 (including the numeric-looking string result ``"42"``,
-    which RTBF re-parses as the int 42 and RTCF keeps as text), offsets
-    on rank 2 that overflow a 64-bit delta (RTCF falls back to raw
-    integer packing), and an empty rank 3 segment.
+    ``make_bundle(nranks=3, n=24)`` plus the cases old archives hold:
+    varied ops, layers and missing optionals on rank 1 (including the
+    numeric-looking string result ``"42"``, which RTBF re-parses as the
+    int 42), offsets of 2**62 on rank 2, and an empty rank 3 segment.
     """
     bundle = make_bundle(nranks=3, n=24)
     r1 = bundle.files[1].events
@@ -117,20 +117,47 @@ def bundle_json(bundle):
     return {"metadata": bundle.metadata, "files": files}
 
 
-#: The committed legacy archive: ``corpus_bundle()`` stored as RTBF and
-#: as RTCF segments by the last release that wrote RTCF, plus the
-#: reports that release gave (``corpus/generate.py``).
+#: The committed legacy archive: ``corpus_bundle()`` stored as RTBF
+#: segments by commit 3190e05, plus the reports the current tree gives
+#: for it (``corpus/generate.py``).  Ingesting ``corpus_bundle()`` today
+#: writes the same files byte for byte.
 CORPUS = Path(__file__).parent / "corpus"
 
 
 def corpus_bank(tmp_path):
     """A writable copy of the corpus archive plus its ``expected.json``.
 
-    ``expected["runs"]`` maps ``"rtbf"``/``"rtcf"`` to run ids;
-    ``expected["reports"][label]`` holds that run's ``queries`` (one
+    ``expected["runs"]["rtbf"]`` is the run id, and
+    ``expected["reports"]["rtbf"]`` holds that run's ``queries`` (one
     report per :data:`CORPUS_QUERIES` entry), ``dfg`` and ``bundle``.
     """
     root = tmp_path / "corpus"
     shutil.copytree(CORPUS / "archive", root)
     expected = json.loads((CORPUS / "expected.json").read_text("utf-8"))
     return TraceBank(root, create=False), expected
+
+
+def plant_rtcf_run(bank):
+    """File a one-segment run in the retired columnar format (RTCF).
+
+    The segment starts with the RTCF magic and version; its manifest
+    is filed as an RTCF writer filed one (``"format": "v2"`` codec, a
+    summary of the events it held).  Returns ``(run_id, sha)``.
+    """
+    blob = b"RTCF\x02\x00" + bytes(26)
+    sha = content_address(blob)
+    path = bank.segment_path(sha)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(blob)
+    seg = SegmentMeta(
+        rank=0, sha256=sha, n_events=1, t_min=0.0, t_max=0.001,
+        total_duration=0.001, payload_bytes=4096, encoded_bytes=len(blob),
+        ops=(("SYS_write", 1),), layers=(("syscall", 1),),
+    )
+    codec = dict(SEGMENT_CODEC, format="v2")
+    meta = {"framework": "lanl-trace", "workload": "unit"}
+    run_id = compute_run_id(meta, [seg], codec)
+    manifest = RunManifest(run_id=run_id, meta=meta, codec=codec,
+                           segments=(seg,), n_events=1)
+    bank.manifest_path(run_id).write_text(manifest.dumps())
+    return run_id, sha

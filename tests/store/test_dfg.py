@@ -2,7 +2,7 @@
 
 import pytest
 
-from storeutil import corpus_bank, make_event
+from storeutil import make_event
 
 from repro.obs.metrics import canonical_json
 from repro.store import Query, TraceBank, build_dfg, render_dfg_dot, render_dfg_text
@@ -122,17 +122,6 @@ class TestEdgeTimes:
         for a, row in graph["edge_times"].items():
             for b, cell in row.items():
                 assert cell["count"] == graph["edges"][a][b]
-
-    def test_columnar_and_row_codecs_attribute_identically(self, tmp_path):
-        # The committed legacy archive holds one run as RTBF and RTCF.
-        bank, expected = corpus_bank(tmp_path)
-        g1, g2 = (
-            build_dfg(bank, Query.create(runs=[expected["runs"][label]]))["graph"]
-            for label in ("rtbf", "rtcf")
-        )
-        assert g1["edge_times"] and g1["n_edges"] > 1
-        assert canonical_json(g1["edge_times"]) == canonical_json(g2["edge_times"])
-        assert canonical_json(g1["edges"]) == canonical_json(g2["edges"])
 
     def test_render_shows_mean_gap(self, tmp_path):
         bank = make_bank(tmp_path, [seq_file(["open", "close"], rank=0)])

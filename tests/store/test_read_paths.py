@@ -11,6 +11,7 @@ import pytest
 
 from storeutil import make_bundle
 
+from repro.cli import main
 from repro.errors import StoreError
 from repro.obs.diagnose import diagnose_archive
 from repro.obs.slice import slice_from_store
@@ -31,6 +32,20 @@ def archive(tmp_path):
         for seed in range(5)
     ]
     return bank, ids
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every manifest body ``RunManifest.loads`` parses from here on."""
+    calls = []
+    real = RunManifest.loads
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(RunManifest, "loads", staticmethod(counting))
+    return calls
 
 
 def _snapshot(root):
@@ -139,20 +154,51 @@ class TestLookupByName:
             (ids[4], "manifest unreadable")
         ]
 
-    def test_full_id_parses_one_manifest(self, archive, monkeypatch):
+    def test_full_id_parses_one_manifest(self, archive, parses):
         bank, ids = archive
-        calls = []
-        real = RunManifest.loads
-
-        def counting(text):
-            calls.append(text)
-            return real(text)
-
-        monkeypatch.setattr(RunManifest, "loads", staticmethod(counting))
         assert bank.manifest(ids[3]).run_id == ids[3]
-        assert len(calls) == 1
+        assert len(parses) == 1
         assert bank.manifest(ids[3][:12]).run_id == ids[3]
-        assert len(calls) == 2
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["store", "ls", "--store", "{store}"], 5),
+            (["observe", "{store}"], 5),
+            (["store", "query", "--store", "{store}", "--runs", "{run}"], 1),
+            (["store", "dfg", "--store", "{store}", "--runs", "{run}"], 1),
+            (["obs", "slice", "--store", "{store}", "{run}"], 4),
+        ],
+        ids=["store-ls", "observe", "store-query", "store-dfg", "obs-slice"],
+    )
+    def test_commands_parse_only_the_runs_they_report(self, archive, parses, argv, want):
+        # A listing parses each manifest once; a command given one full
+        # run id parses that run's file, whatever the archive's size.
+        bank, ids = archive
+        assert main([a.format(store=bank.root, run=ids[2]) for a in argv]) == 0
+        assert len(parses) == want
+
+    def test_queries_select_runs_by_file_name(self, archive):
+        # ``runs`` prefixes follow ``manifest()``'s rule, and
+        # ``runs_total`` counts the archive's manifest files.
+        bank, ids = archive
+        cases = [
+            ([ids[1]], [ids[1]]),
+            ([ids[1][:12], ids[3][:12]], sorted([ids[1], ids[3]])),
+            ([""], sorted(ids)),
+            (["*"], []),
+            ([ids[1].upper()], []),
+            (["../manifests/" + ids[1]], []),
+        ]
+        for runs, want in cases:
+            rep = run_query(bank, Query.create(agg="events", runs=runs))
+            assert rep["scan"]["runs_total"] == 5
+            assert rep["scan"]["runs_selected"] == len(want)
+            assert sorted({row["run"] for row in rep["result"]["events"]}) == want
+        bank.manifest_path(ids[4]).write_text("{not json")
+        scan = run_query(bank, Query())["scan"]
+        assert (scan["runs_total"], scan["runs_selected"]) == (5, 4)
 
     def test_stale_index_file_is_ignored(self, archive):
         bank, ids = archive
