@@ -670,15 +670,13 @@ def _cmd_obs_slice(args: argparse.Namespace) -> int:
             payload, anchor=anchor, value=value, max_roots=args.max_roots
         )
     else:
-        from repro.store import TraceBank, telemetry_view
+        from repro.store import TraceBank
 
         bank = TraceBank(args.store, create=False)
-        report = slice_from_store(
+        report, payload = slice_from_store(
             bank, args.source, anchor=anchor, value=value,
             max_roots=args.max_roots,
         )
-        if args.flame or args.perfetto:
-            payload = telemetry_view(bank, report["source"]["run_id"])
     if args.json:
         print(canonical_json(report))
     else:
@@ -718,7 +716,9 @@ def _cmd_obs_diagnose(args: argparse.Namespace) -> int:
     if args.report_out:
         Path(args.report_out).write_text(canonical_json(report) + "\n")
         print("wrote %s" % args.report_out)
-    if args.fail_on_outlier and report["summary"]["outliers"] > 0:
+    if report["unreadable"] or (
+        args.fail_on_outlier and report["summary"]["outliers"] > 0
+    ):
         return 1
     return 0
 

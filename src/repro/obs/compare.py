@@ -34,10 +34,10 @@ from repro.errors import TelemetryError
 from repro.obs.metrics import canonical_json
 from repro.obs.critpath import (
     STACK_LAYERS,
+    build_forest,
     payload_spans,
-    stack_layer,
+    span_rollup,
     track_names,
-    track_stats,
 )
 
 __all__ = [
@@ -80,16 +80,22 @@ def _hist_divergence(a: Optional[Dict[str, Any]], b: Optional[Dict[str, Any]]) -
 def _span_index(
     payload: Dict[str, Any],
 ) -> Tuple[
+    int,
     Dict[Tuple[int, int, str], Dict[str, float]],
     Dict[Tuple[int, int], Dict[str, Any]],
 ]:
-    """Span stats keyed ``(node, rank, name)`` plus the raw track stats."""
-    stats = track_stats(payload)
+    """Span count, span stats keyed ``(node, rank, name)``, and the
+    per-track rollups, from one forest of the payload."""
+    spans = payload_spans(payload)  # validates schema
+    stats = {
+        track: span_rollup(roots, track[0])
+        for track, roots in build_forest(spans).items()
+    }
     keyed: Dict[Tuple[int, int, str], Dict[str, float]] = {}
     for (pid, tid), s in stats.items():
         for name, cell in s["names"].items():
             keyed[(pid, tid, name)] = cell
-    return keyed, stats
+    return len(spans), keyed, stats
 
 
 def compare_payloads(
@@ -105,8 +111,8 @@ def compare_payloads(
     *reported* condition (``tracks.only_a`` / ``tracks.only_b``), not an
     error — fault-plane captures with crashed ranks diff cleanly.
     """
-    spans_a = payload_spans(payload_a)  # validates schema
-    spans_b = payload_spans(payload_b)
+    n_spans_a, keyed_a, stats_a = _span_index(payload_a)
+    n_spans_b, keyed_b, stats_b = _span_index(payload_b)
 
     # --- metrics: counters -------------------------------------------------
     counters_a = _counters(payload_a)
@@ -151,8 +157,6 @@ def compare_payloads(
         )
 
     # --- spans: (node, rank, name) alignment -------------------------------
-    keyed_a, stats_a = _span_index(payload_a)
-    keyed_b, stats_b = _span_index(payload_b)
     span_rows = []
     for key in sorted(set(keyed_a) | set(keyed_b)):
         pid, tid, name = key
@@ -228,13 +232,13 @@ def compare_payloads(
         "a": {
             "label": label_a,
             "end_time": end_a,
-            "n_spans": len(spans_a),
+            "n_spans": n_spans_a,
             "n_tracks": len(tracks_a),
         },
         "b": {
             "label": label_b,
             "end_time": end_b,
-            "n_spans": len(spans_b),
+            "n_spans": n_spans_b,
             "n_tracks": len(tracks_b),
         },
         "end_time_delta": end_b - end_a,

@@ -10,15 +10,18 @@ those flat interval lists into answers about *where time went*:
   (``des`` / ``simos`` / ``network`` / ``simfs`` / ``simmpi`` /
   ``framework``), where *self time* charged to ``simfs`` is the
   blockdev-bound data path (read/write/fsync service time);
-* :func:`track_stats` — per-track totals: busy time, self time by span
-  name and by layer, and the track's last-completion instant;
+* :func:`span_rollup` — the one self-time rollup every report sums:
+  busy time, self time by span name and by layer, and the last
+  completion instant, optionally clipped to a time window;
 * :func:`critical_path` — the slowest-rank chain that bounds elapsed
   time (the paper's N-to-1 stragglers made visible): the straggler
   track, its per-layer self-time profile, and the root-to-leaf span
   chain ending at the run's final completion;
 * :func:`flamegraph_lines` — collapsed-stack lines
   (``node0;rank 1;MPI_File_open;SYS_open 42``) for any flamegraph
-  renderer, self-time-weighted in integer microseconds.
+  renderer, self-time-weighted in integer microseconds, written by
+  :func:`collapsed_stacks` (which the slice and request flamegraphs
+  share).
 
 Everything here is a pure function of the payload; with the simulator's
 determinism contract the output is byte-identical across ``jobs=1`` /
@@ -28,10 +31,11 @@ determinism contract the output is byte-identical across ``jobs=1`` /
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.errors import TelemetryError
 from repro.obs.metrics import canonical_json
+from repro.obs.perfetto import _US
 from repro.obs.spans import KERNEL_PID
 
 __all__ = [
@@ -42,7 +46,9 @@ __all__ = [
     "stack_layer",
     "payload_spans",
     "build_forest",
-    "track_stats",
+    "span_rollup",
+    "straggler",
+    "collapsed_stacks",
     "critical_path",
     "flamegraph_lines",
     "render_critical_path",
@@ -66,7 +72,7 @@ DATA_SYSCALLS = frozenset(
     {"SYS_read", "SYS_write", "SYS_pread64", "SYS_pwrite64", "SYS_fsync"}
 )
 
-_US = 1e6  # Chrome trace microseconds <-> simulated seconds
+_K = TypeVar("_K")
 
 
 def stack_layer(cat: str, name: str, pid: Optional[int] = None) -> str:
@@ -199,41 +205,77 @@ def build_forest(
     return forest
 
 
-def _walk(node: SpanNode):
-    yield node
-    for child in node.children:
-        yield from _walk(child)
+def span_rollup(
+    roots: Iterable[SpanNode],
+    pid: Optional[int] = None,
+    window: Optional[Tuple[float, float]] = None,
+) -> Dict[str, Any]:
+    """Self-time rollup of span trees: the one walk every report sums.
 
-
-def track_stats(payload: Dict[str, Any]) -> Dict[Tuple[int, int], Dict[str, Any]]:
-    """Per-track rollup: busy/self totals, layer and name attribution.
-
-    Returns ``(pid, tid) ->`` a dict with ``busy`` (root span seconds),
-    ``end`` (last completion), ``layers`` (layer -> self seconds) and
-    ``names`` (span name -> ``{count, total, self}``).
+    Visits every node under ``roots`` depth first (a parent before its
+    children, children in forest order) and returns ``busy`` (summed
+    root durations), ``end`` (latest completion), ``layers`` (layer ->
+    self seconds, :func:`stack_layer` with ``pid``) and ``names`` (span
+    name -> ``{count, total, self}``).  With ``window=(t0, t1)`` only
+    nodes overlapping the window count.  Sums accumulate node by node
+    in visit order, so a caller that wants per-track sums rolls each
+    track up on its own, and one that wants a run-wide sum passes every
+    track's roots at once.
     """
-    forest = build_forest(payload_spans(payload))
-    stats: Dict[Tuple[int, int], Dict[str, Any]] = {}
-    for track, roots in forest.items():
-        pid, _tid = track
-        layers: Dict[str, float] = {}
-        names: Dict[str, Dict[str, float]] = {}
-        end = 0.0
-        busy = 0.0
-        for root in roots:
-            busy += root.dur
-            for node in _walk(root):
-                end = max(end, node.end)
-                layer = stack_layer(node.cat, node.name, pid)
-                layers[layer] = layers.get(layer, 0.0) + node.self_time
-                cell = names.setdefault(
-                    node.name, {"count": 0, "total": 0.0, "self": 0.0}
-                )
-                cell["count"] += 1
-                cell["total"] += node.dur
-                cell["self"] += node.self_time
-        stats[track] = {"busy": busy, "end": end, "layers": layers, "names": names}
-    return stats
+    layers: Dict[str, float] = {}
+    names: Dict[str, Dict[str, float]] = {}
+    end = 0.0
+    busy = 0.0
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(reversed(node.children))
+            node_end = node.ts + node.dur
+            if window is not None and (node_end <= window[0] or node.ts >= window[1]):
+                continue
+            if node is root:
+                busy += node.dur
+            if node_end > end:
+                end = node_end
+            self_t = node.self_time
+            layer = stack_layer(node.cat, node.name, pid)
+            layers[layer] = layers.get(layer, 0.0) + self_t
+            cell = names.get(node.name)
+            if cell is None:
+                cell = names[node.name] = {"count": 0, "total": 0.0, "self": 0.0}
+            cell["count"] += 1
+            cell["total"] += node.dur
+            cell["self"] += self_t
+    return {"busy": busy, "end": end, "layers": layers, "names": names}
+
+
+def straggler(ends: Mapping[_K, float]) -> _K:
+    """The key with the latest end; ties break toward the smallest key,
+    so the pick is deterministic."""
+    return min(ends, key=lambda k: (-ends[k], k))
+
+
+def collapsed_stacks(tracks: Iterable[Tuple[str, Iterable[SpanNode]]]) -> List[str]:
+    """Collapsed-stack flamegraph lines for ``(prefix, roots)`` pairs.
+
+    Each line is ``prefix;frame;frame value``: one frame per span from
+    the root down, weighted by that span's self time in integer
+    microseconds.  A ``;`` inside a span name becomes ``,`` so the name
+    stays one frame.  Zero-weight stacks are dropped, equal stacks sum,
+    and the lines come out sorted.
+    """
+    weights: Dict[str, int] = {}
+    for prefix, roots in tracks:
+        todo = [(prefix, root) for root in roots]
+        while todo:
+            parent, node = todo.pop()
+            stack = "%s;%s" % (parent, node.name.replace(";", ","))
+            us = int(round(node.self_time * _US))
+            if us > 0:
+                weights[stack] = weights.get(stack, 0) + us
+            todo.extend((stack, child) for child in node.children)
+    return ["%s %d" % (stack, us) for stack, us in sorted(weights.items())]
 
 
 def critical_path(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -247,7 +289,7 @@ def critical_path(payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     spans = payload_spans(payload)
     forest = build_forest(spans)
-    stats = track_stats(payload)
+    stats = {track: span_rollup(roots, track[0]) for track, roots in forest.items()}
     labels = track_names(payload)
 
     tracks_report = []
@@ -268,15 +310,14 @@ def critical_path(payload: Dict[str, Any]) -> Dict[str, Any]:
             }
         )
 
-    straggler = None
+    straggler_row = None
     chain: List[Dict[str, Any]] = []
     end_time = 0.0
     if stats:
-        # max end; ties resolve to the smallest (pid, tid) for determinism.
-        track = min(stats, key=lambda t: (-stats[t]["end"], t))
+        track = straggler({t: s["end"] for t, s in stats.items()})
         end_time = stats[track]["end"]
         pid, tid = track
-        straggler = {
+        straggler_row = {
             "node": pid,
             "rank": tid,
             "track": labels.get(track, "node%d rank %d" % (pid, tid)),
@@ -303,7 +344,7 @@ def critical_path(payload: Dict[str, Any]) -> Dict[str, Any]:
         "end_time": end_time,
         "n_spans": len(spans),
         "tracks": tracks_report,
-        "straggler": straggler,
+        "straggler": straggler_row,
         "chain": chain,
         "layers": {k: v for k, v in sorted(total_layers.items())},
     }
@@ -322,25 +363,14 @@ def flamegraph_lines(payload: Dict[str, Any]) -> List[str]:
     """
     forest = build_forest(payload_spans(payload))
     labels = track_names(payload)
-    weights: Dict[str, int] = {}
 
-    def add(prefix: str, node: SpanNode) -> None:
-        stack = "%s;%s" % (prefix, node.name)
-        us = int(round(node.self_time * _US))
-        if us > 0:
-            weights[stack] = weights.get(stack, 0) + us
-        for child in node.children:
-            add(stack, child)
-
-    for (pid, tid), roots in sorted(forest.items()):
+    def prefix(pid: int, tid: int) -> str:
         label = labels.get((pid, tid))
-        if label:
-            prefix = label.replace(";", ",")
-        else:
-            prefix = "node%d;rank %d" % (pid, tid)
-        for root in roots:
-            add(prefix, root)
-    return ["%s %d" % (stack, us) for stack, us in sorted(weights.items())]
+        return label.replace(";", ",") if label else "node%d;rank %d" % (pid, tid)
+
+    return collapsed_stacks(
+        (prefix(pid, tid), roots) for (pid, tid), roots in forest.items()
+    )
 
 
 def render_critical_path(report: Dict[str, Any]) -> str:

@@ -32,9 +32,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import StoreError, TelemetryError
+from repro.errors import StoreCorruptionError, StoreError, TelemetryError
 from repro.fanout import parallel_map
-from repro.obs.critpath import build_forest, stack_layer
+from repro.obs.critpath import build_forest, span_rollup, straggler
 from repro.obs.metrics import canonical_json
 from repro.obs.slice import MAX_CHAIN_ROOTS, slice_from_store
 
@@ -125,27 +125,27 @@ def _segment_seq(bank, sha: str) -> List[Tuple[str, str, float, float]]:
     ]
 
 
-def fingerprint_run(bank, run_id: str) -> Dict[str, Any]:
+def fingerprint_run(bank, manifest) -> Dict[str, Any]:
     """One run's diagnosis fingerprint, straight from archived segments.
 
-    DFG shape (edge set + per-edge mean gap), per-layer self-time vector
-    (span containment recovered per rank, exactly the critpath rules),
-    per-op totals, and per-rank completion profile.  Timestamps are
-    shifted to the run's first event so fingerprints from different
-    capture epochs compare.
+    ``manifest`` is the run's :class:`~repro.store.manifest.RunManifest`,
+    as the caller listed it.  DFG shape (edge set), per-layer and per-op
+    self time (span containment recovered per rank, exactly the critpath
+    rules, summed node by node across every rank), and per-rank
+    completion.  Timestamps are shifted to the run's first event so
+    fingerprints from different capture epochs compare.  Raises
+    :class:`~repro.errors.StoreCorruptionError` for a segment that is
+    missing, mis-hashed or undecodable.
     """
-    m = bank.manifest(run_id)
     per_rank: Dict[int, List[Tuple[str, str, float, float]]] = {}
     edges: Dict[str, int] = {}
-    edge_gaps: Dict[str, List[float]] = {}
-    for seg in m.segments:
+    for seg in manifest.segments:
         seq = _segment_seq(bank, seg.sha256)
         per_rank.setdefault(seg.rank, []).extend(seq)
-        for (a, _la, a_ts, a_dur), (b, _lb, b_ts, _bd) in zip(seq, seq[1:]):
+        names = [step[0] for step in seq]
+        for a, b in zip(names, names[1:]):
             key = "%s->%s" % (a, b)
             edges[key] = edges.get(key, 0) + 1
-            cell = edge_gaps.setdefault(key, [0.0])
-            cell[0] += b_ts - (a_ts + a_dur)
 
     origin = min(
         (ts for seq in per_rank.values() for (_n, _l, ts, _d) in seq),
@@ -157,64 +157,42 @@ def fingerprint_run(bank, run_id: str) -> Dict[str, Any]:
         for (name, layer, ts, dur) in per_rank[rank]
     ]
     forest = build_forest(spans)
-
-    layers: Dict[str, float] = {}
-    ops: Dict[str, Dict[str, float]] = {}
-    ranks: List[Dict[str, Any]] = []
-    for track in sorted(forest):
-        _pid, rank = track
-        end = 0.0
-        self_total = 0.0
-        rank_layers: Dict[str, float] = {}
-        stack = list(forest[track])
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            end = max(end, node.end)
-            layer = stack_layer(node.cat, node.name)
-            self_t = node.self_time
-            self_total += self_t
-            rank_layers[layer] = rank_layers.get(layer, 0.0) + self_t
-            layers[layer] = layers.get(layer, 0.0) + self_t
-            cell = ops.setdefault(node.name, {"count": 0, "total": 0.0, "self": 0.0})
-            cell["count"] += 1
-            cell["total"] += node.dur
-            cell["self"] += self_t
-        ranks.append(
-            {
-                "rank": rank,
-                "end": end,
-                "self": self_total,
-                "layers": {k: v for k, v in sorted(rank_layers.items())},
-            }
-        )
+    total = span_rollup(root for track in sorted(forest) for root in forest[track])
+    ends: Dict[int, float] = {}
+    for _pid, rank, _name, _layer, ts, dur in spans:
+        ends[rank] = max(ends.get(rank, 0.0), ts + dur)
+    ranks = [{"rank": rank, "end": ends[rank]} for rank in sorted(ends)]
 
     fingerprint = {
-        "run_id": m.run_id,
+        "run_id": manifest.run_id,
         "meta": {
-            k: m.meta[k]
+            k: manifest.meta[k]
             for k in ("kind", "scenario", "status", "framework", "workload",
                       "nprocs", "seed")
-            if k in m.meta
+            if k in manifest.meta
         },
-        "group": canonical_json({k: m.meta.get(k) for k in GROUP_KEYS}),
-        "n_events": m.n_events,
+        "group": canonical_json({k: manifest.meta.get(k) for k in GROUP_KEYS}),
+        "n_events": manifest.n_events,
         "elapsed": max((r["end"] for r in ranks), default=0.0),
-        "layers": {k: v for k, v in sorted(layers.items())},
-        "ops": {k: ops[k] for k in sorted(ops)},
+        "layers": {k: v for k, v in sorted(total["layers"].items())},
+        "ops": {k: total["names"][k] for k in sorted(total["names"])},
         "edges": {k: edges[k] for k in sorted(edges)},
-        "edge_mean_gap": {
-            k: edge_gaps[k][0] / edges[k] for k in sorted(edge_gaps)
-        },
         "ranks": ranks,
     }
     return json.loads(canonical_json(fingerprint))
 
 
-def _fingerprint_task(task: Tuple[Any, str]) -> Dict[str, Any]:
-    """Parallel-map worker entry: fingerprint one run of the given bank."""
-    bank, run_id = task
-    return fingerprint_run(bank, run_id)
+def _fingerprint_task(task: Tuple[Any, Any]) -> Dict[str, Any]:
+    """Parallel-map worker entry: fingerprint one run of the given bank.
+
+    A run whose segments cannot be read comes back as ``{run_id,
+    error}`` instead of stopping the whole diagnosis.
+    """
+    bank, manifest = task
+    try:
+        return fingerprint_run(bank, manifest)
+    except StoreCorruptionError as exc:
+        return {"run_id": manifest.run_id, "error": str(exc)}
 
 
 def _slice_task(task: Tuple[Any, str, int]) -> Optional[Dict[str, Any]]:
@@ -223,7 +201,7 @@ def _slice_task(task: Tuple[Any, str, int]) -> Optional[Dict[str, Any]]:
     try:
         return slice_from_store(
             bank, run_id, anchor="straggler", max_roots=max_roots,
-        )
+        )[0]
     except (TelemetryError, StoreError):
         return None
 
@@ -333,7 +311,7 @@ def _suspect_rank(fp: Dict[str, Any]) -> Optional[int]:
     """The run's straggler rank (latest completion, ties to smallest)."""
     if not fp["ranks"]:
         return None
-    return min(fp["ranks"], key=lambda r: (-r["end"], r["rank"]))["rank"]
+    return straggler({r["rank"]: r["end"] for r in fp["ranks"]})
 
 
 def _suspect_op(
@@ -380,36 +358,42 @@ def diagnose_archive(
 ) -> Dict[str, Any]:
     """Diagnose every (selected) archived run; return the ranked report.
 
-    ``run_prefixes`` restricts the candidate set (any-prefix match);
-    ``against`` pins a baseline run (prefix) every candidate is scored
-    against instead of its group median.  Fan-out over ``jobs`` worker
-    processes changes wall time only — the report is byte-identical.
+    ``run_prefixes`` restricts the candidate set (any-prefix match, by
+    manifest file name); ``against`` pins a baseline run (prefix) every
+    candidate is scored against instead of its group median.  Fan-out
+    over ``jobs`` worker processes changes wall time only — the report
+    is byte-identical.
+
+    A run whose segments cannot be read (missing, mis-hashed or
+    undecodable) is listed under ``unreadable`` with its error and left
+    out of groups, clusters and outliers; the other runs are diagnosed.
     """
     from repro.store.bank import TraceBank
 
     bank = TraceBank(store_root, create=False)
-    manifests = bank.manifests()
-    if run_prefixes:
-        manifests = [
-            m for m in manifests
-            if any(m.run_id.startswith(p) for p in run_prefixes)
-        ]
+    _total, manifests = bank.select_manifests(run_prefixes or None)
     if not manifests:
         raise StoreError(
             "no archived runs match%s in %s"
             % (" prefixes %s" % run_prefixes if run_prefixes else "", store_root)
         )
-    against_id = bank.manifest(against).run_id if against else None
+    against_m = bank.manifest(against) if against else None
+    against_id = against_m.run_id if against_m else None
 
-    run_ids = sorted(m.run_id for m in manifests)
-    fp_ids = list(run_ids)
-    if against_id is not None and against_id not in fp_ids:
-        fp_ids.append(against_id)
-    tasks = [(bank, run_id) for run_id in fp_ids]
-    fingerprints = parallel_map(_fingerprint_task, tasks, jobs=jobs)
-    by_id = {fp["run_id"]: fp for fp in fingerprints}
-    candidates = [by_id[r] for r in run_ids if r != against_id]
-    against_fp = by_id.get(against_id) if against_id else None
+    tasks = [(bank, m) for m in manifests]
+    if against_m is not None and against_id not in {m.run_id for m in manifests}:
+        tasks.append((bank, against_m))
+    by_id = {r["run_id"]: r for r in parallel_map(_fingerprint_task, tasks, jobs=jobs)}
+    against_fp = by_id[against_id] if against_id else None
+    if against_fp is not None and "error" in against_fp:
+        raise StoreCorruptionError(
+            "baseline run %s is unreadable: %s" % (against_id[:12], against_fp["error"])
+        )
+    unreadable = [by_id[m.run_id] for m in manifests if "error" in by_id[m.run_id]]
+    candidates = [
+        by_id[m.run_id] for m in manifests
+        if m.run_id != against_id and "error" not in by_id[m.run_id]
+    ]
 
     # Group peers; collect group-wide feature series.
     groups: Dict[str, List[Dict[str, Any]]] = {}
@@ -519,6 +503,7 @@ def diagnose_archive(
         "groups": group_rows,
         "clusters": clusters,
         "outliers": outliers,
+        "unreadable": unreadable,
         "summary": {
             "runs": len(candidates),
             "groups": len(group_rows),
@@ -527,6 +512,7 @@ def diagnose_archive(
             ),
             "clusters": len(clusters),
             "outliers": len(outliers),
+            "unreadable": len(unreadable),
         },
     }
     return json.loads(canonical_json(report))
@@ -541,6 +527,8 @@ def render_diagnose(report: Dict[str, Any]) -> str:
         % (s["runs"], s["groups"], s["insufficient_groups"], s["clusters"],
            s["outliers"])
     ]
+    for u in report["unreadable"]:
+        lines.append("unreadable: %s: %s" % (u["run_id"][:12], u["error"]))
     if not report["outliers"]:
         lines.append("no outliers — every run sits inside its group's band")
         return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -27,6 +27,7 @@ __all__ = [
     "canonical_json",
     "quantile_from_buckets",
     "quantile_from_snapshot",
+    "time_weighted_mean",
 ]
 
 #: Bucket key for zero/negative observations (sorts below any exponent).
@@ -161,6 +162,21 @@ def quantile_from_snapshot(snapshot: Dict[str, Any], q: float) -> float:
     return quantile_from_buckets(buckets, int(snapshot.get("count", 0)), q)
 
 
+def time_weighted_mean(samples: Sequence[Sequence[float]], end_time: float) -> float:
+    """Mean of step samples ``(t, value)`` over [first sample, end_time]
+    (0 if there are none): a :class:`Timeline`'s, or its snapshot's."""
+    if not samples:
+        return 0.0
+    area = 0.0
+    for (t0, v0), (t1, _v1) in zip(samples, samples[1:]):
+        area += v0 * (t1 - t0)
+    last_t, last_v = samples[-1]
+    if end_time > last_t:
+        area += last_v * (end_time - last_t)
+    span = max(end_time, last_t) - samples[0][0]
+    return area / span if span > 0 else samples[0][1]
+
+
 class Timeline:
     """Step samples ``(t, value)`` of one quantity over simulated time.
 
@@ -192,19 +208,6 @@ class Timeline:
                     return
             self.samples.append([t, value])
         self._offered += 1
-
-    def time_weighted_mean(self, end_time: float) -> float:
-        """Mean value over [first sample, end_time] (0 if no samples)."""
-        if not self.samples:
-            return 0.0
-        area = 0.0
-        for (t0, v0), (t1, _v1) in zip(self.samples, self.samples[1:]):
-            area += v0 * (t1 - t0)
-        last_t, last_v = self.samples[-1]
-        if end_time > last_t:
-            area += last_v * (end_time - last_t)
-        span = max(end_time, last_t) - self.samples[0][0]
-        return area / span if span > 0 else self.samples[0][1]
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-JSON rendering: stride, offered count, retained samples."""

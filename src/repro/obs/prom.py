@@ -26,6 +26,8 @@ import math
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import time_weighted_mean
+
 __all__ = [
     "escape_label_value",
     "split_labels",
@@ -113,20 +115,6 @@ def _label_str(labels: Dict[str, str]) -> str:
     return "{%s}" % inner
 
 
-def _timeline_mean(tl: Dict[str, Any], end_time: float) -> float:
-    samples = tl.get("samples") or []
-    if not samples:
-        return 0.0
-    area = 0.0
-    for (t0, v0), (t1, _v1) in zip(samples, samples[1:]):
-        area += v0 * (t1 - t0)
-    last_t, last_v = samples[-1]
-    if end_time > last_t:
-        area += last_v * (end_time - last_t)
-    span = max(end_time, last_t) - samples[0][0]
-    return area / span if span > 0 else samples[0][1]
-
-
 def render_prometheus(
     snapshot: Dict[str, Any], namespace: str = "repro"
 ) -> str:
@@ -162,7 +150,7 @@ def render_prometheus(
         )
         if end_time is not None:
             gauge_families.setdefault(base + ".mean", []).append(
-                (labels, _timeline_mean(tl, float(end_time)))
+                (labels, time_weighted_mean(tl.get("samples") or [], float(end_time)))
             )
     if end_time is not None:
         gauge_families.setdefault("end_time_seconds", []).append(

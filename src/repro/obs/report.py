@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.errors import TelemetryError
-from repro.obs.metrics import quantile_from_snapshot
+from repro.obs.metrics import quantile_from_snapshot, time_weighted_mean
 
 __all__ = ["summarize_payload", "render_payload_summary"]
 
@@ -27,20 +27,6 @@ def _fmt_bytes(n: float) -> str:
             return "%.1f %s" % (n, unit) if unit != "B" else "%d B" % n
         n /= 1024.0
     return "%d B" % n  # pragma: no cover - loop always returns
-
-
-def _timeline_mean(tl: Dict[str, Any], end_time: float) -> float:
-    samples = tl.get("samples") or []
-    if not samples:
-        return 0.0
-    area = 0.0
-    for (t0, v0), (t1, _v1) in zip(samples, samples[1:]):
-        area += v0 * (t1 - t0)
-    last_t, last_v = samples[-1]
-    if end_time > last_t:
-        area += last_v * (end_time - last_t)
-    span = max(end_time, last_t) - samples[0][0]
-    return area / span if span > 0 else samples[0][1]
 
 
 def summarize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -69,7 +55,7 @@ def summarize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "counters": counters,
         "histograms": histograms,
         "utilizations": {
-            name: _timeline_mean(tl, end_time) for name, tl in sorted(timelines.items())
+            name: time_weighted_mean(tl.get("samples") or [], end_time) for name, tl in sorted(timelines.items())
         },
         "n_spans": len(spans),
         "n_counter_samples": sum(1 for e in events if e.get("ph") == "C"),

@@ -26,8 +26,9 @@ trail.  This module closes that loop ReLayTracer-style:
   existing :mod:`repro.obs.perfetto` machinery (validated Chrome
   trace-event JSON, one Perfetto process row per component track);
   :func:`trace_flamegraph_lines` emits the same collapsed-stack format
-  as :func:`repro.obs.critpath.flamegraph_lines`, reusing its
-  :class:`~repro.obs.critpath.SpanNode` self-time accounting.
+  as :func:`repro.obs.critpath.flamegraph_lines`, through the same
+  writer (:func:`~repro.obs.critpath.collapsed_stacks`) over critpath
+  :class:`~repro.obs.critpath.SpanNode` trees.
 
 Timestamps are microseconds of server uptime (monotonic); ids are the
 only thing two runs share, which is exactly the join the taxonomy's
@@ -40,7 +41,7 @@ import hashlib
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.critpath import SpanNode
+from repro.obs.critpath import SpanNode, collapsed_stacks
 from repro.obs.metrics import quantile_from_snapshot
 from repro.obs.perfetto import to_chrome_trace
 from repro.obs.spans import SpanRecorder
@@ -389,20 +390,7 @@ def trace_flamegraph_lines(report: Dict[str, Any]) -> List[str]:
     containment supplying the nesting.
     """
     roots, _tracks = _span_tree(report)
-    weights: Dict[str, int] = {}
-
-    def add(prefix: str, node: SpanNode) -> None:
-        stack = "%s;%s" % (prefix, node.name.replace(";", ","))
-        us = int(round(node.self_time * 1e6))
-        if us > 0:
-            weights[stack] = weights.get(stack, 0) + us
-        for child in sorted(node.children, key=lambda n: (n.ts, n.name)):
-            add(stack, child)
-
-    prefix = str(report.get("route") or "other")
-    for root in sorted(roots, key=lambda n: (n.ts, n.name)):
-        add(prefix, root)
-    return ["%s %d" % (stack, us) for stack, us in sorted(weights.items())]
+    return collapsed_stacks([(str(report.get("route") or "other"), roots)])
 
 
 def render_trace(report: Dict[str, Any]) -> str:

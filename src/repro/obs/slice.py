@@ -39,11 +39,15 @@ from repro.errors import TelemetryError
 from repro.obs.critpath import (
     SpanNode,
     build_forest,
+    flamegraph_lines,
     payload_spans,
+    span_rollup,
     stack_layer,
+    straggler,
     track_names,
 )
 from repro.obs.metrics import canonical_json
+from repro.obs.perfetto import _US
 
 __all__ = [
     "SLICE_SCHEMA",
@@ -76,25 +80,6 @@ FAULT_SUSPECT_LAYER = {
 #: Chain roots kept before truncation (kept = widest, re-sorted by time).
 MAX_CHAIN_ROOTS = 32
 
-_US = 1e6  # Chrome trace microseconds <-> simulated seconds
-
-
-def _walk(node: SpanNode):
-    yield node
-    for child in node.children:
-        yield from _walk(child)
-
-
-def _track_ends(forest) -> Dict[Tuple[int, int], float]:
-    ends: Dict[Tuple[int, int], float] = {}
-    for track, roots in forest.items():
-        end = 0.0
-        for root in roots:
-            for node in _walk(root):
-                end = max(end, node.end)
-        ends[track] = end
-    return ends
-
 
 def _resolve_anchor(
     forest,
@@ -105,7 +90,7 @@ def _resolve_anchor(
 ) -> Tuple[Tuple[int, int], Tuple[float, float], Optional[Dict[str, Any]]]:
     """Resolve the anchor to ``(track, window, anchor_span)``."""
     if kind == "straggler":
-        track = min(ends, key=lambda t: (-ends[t], t))
+        track = straggler(ends)
         t0 = min(r.ts for r in forest[track])
         return track, (t0, ends[track]), None
     if kind == "rank":
@@ -116,20 +101,22 @@ def _resolve_anchor(
                 "no track for rank %d (ranks present: %s)"
                 % (rank, sorted({t[1] for t in forest}))
             )
-        track = min(candidates, key=lambda t: (-ends[t], t))
+        track = straggler({t: ends[t] for t in candidates})
         t0 = min(r.ts for r in forest[track])
         return track, (t0, ends[track]), None
     if kind == "op":
         name = str(value)
         best: Optional[Tuple[float, float, Tuple[int, int], SpanNode]] = None
         for track in sorted(forest):
-            for root in forest[track]:
-                for node in _walk(root):
-                    if node.name != name:
-                        continue
-                    key = (-node.dur, node.ts, track, node)
-                    if best is None or key[:3] < best[:3]:
-                        best = key
+            stack = list(reversed(forest[track]))
+            while stack:
+                node = stack.pop()
+                stack.extend(reversed(node.children))
+                if node.name != name:
+                    continue
+                key = (-node.dur, node.ts, track, node)
+                if best is None or key[:3] < best[:3]:
+                    best = key
         if best is None:
             raise TelemetryError("no span named %r in this run" % name)
         node = best[3]
@@ -161,11 +148,11 @@ def _resolve_anchor(
             t1 = ts + dur if t1 is None else max(t1, ts + dur)
         if t0 is None:
             raise TelemetryError("no events with a path matching %r" % glob)
-        rank = min(per_rank, key=lambda r: (-per_rank[r], r))
+        rank = straggler(per_rank)
         candidates = [t for t in forest if t[1] == rank]
         if not candidates:
             raise TelemetryError("path glob matched rank %d, which has no track" % rank)
-        track = min(candidates, key=lambda t: (-ends[t], t))
+        track = straggler({t: ends[t] for t in candidates})
         return track, (t0, t1), None
     raise TelemetryError(
         "unknown anchor kind %r (expected one of %s)" % (kind, ", ".join(ANCHOR_KINDS))
@@ -174,25 +161,6 @@ def _resolve_anchor(
 
 def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
-
-
-def _window_rollup(
-    roots: List[SpanNode], t0: float, t1: float, pid: int
-) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]]]:
-    """Per-layer and per-op self time of spans overlapping the window."""
-    layers: Dict[str, float] = {}
-    ops: Dict[str, Dict[str, float]] = {}
-    for root in roots:
-        for node in _walk(root):
-            if node.end <= t0 or node.ts >= t1:
-                continue
-            layer = stack_layer(node.cat, node.name, pid)
-            layers[layer] = layers.get(layer, 0.0) + node.self_time
-            cell = ops.setdefault(node.name, {"count": 0, "self": 0.0, "total": 0.0})
-            cell["count"] += 1
-            cell["self"] += node.self_time
-            cell["total"] += node.dur
-    return layers, ops
 
 
 def _dominant_path(root: SpanNode, pid: int) -> List[Dict[str, Any]]:
@@ -315,7 +283,7 @@ def causal_slice(
         )
     forest = build_forest(spans)
     labels = track_names(payload)
-    ends = _track_ends(forest)
+    ends = {track: span_rollup(roots)["end"] for track, roots in forest.items()}
     origin = min(s[4] for s in spans)
     elapsed = max(ends.values()) - origin
 
@@ -324,11 +292,15 @@ def causal_slice(
     )
     pid, tid = track
 
-    layers_track, ops = _window_rollup(forest[track], t0, t1, pid)
+    in_window = {
+        other: span_rollup(roots, other[0], (t0, t1))
+        for other, roots in forest.items()
+    }
+    layers_track = in_window[track]["layers"]
+    ops = in_window[track]["names"]
     layers_all: Dict[str, float] = {}
-    for other in sorted(forest):
-        got, _ = _window_rollup(forest[other], t0, t1, other[0])
-        for layer, v in got.items():
+    for got in in_window.values():
+        for layer, v in got["layers"].items():
             layers_all[layer] = layers_all.get(layer, 0.0) + v
 
     # Bounding chain: window roots in time order, each extended down its
@@ -373,7 +345,7 @@ def causal_slice(
     if anchor == "op":
         focus_op = str(value)
     elif ops:
-        focus_op = min(ops, key=lambda n: (-ops[n]["self"], n))
+        focus_op = straggler({n: cell["self"] for n, cell in ops.items()})
 
     report = {
         "schema": SLICE_SCHEMA,
@@ -416,16 +388,21 @@ def slice_from_store(
     value: Any = None,
     max_roots: int = MAX_CHAIN_ROOTS,
     with_dfg: bool = True,
-) -> Dict[str, Any]:
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Slice a store-archived run: resolve the prefix, synthesize the
     telemetry view, and thread in everything only the archive knows —
     the injected fault schedule from the manifest, per-event paths for
     path anchors, and the run's directly-follows graph.
+
+    Returns ``(report, payload)``: the telemetry view is built from the
+    same decode as the path events, and renderings of the slice
+    (:func:`slice_trace`, :func:`slice_flamegraph_lines`) reuse it.
     """
-    from repro.store.query import Query, telemetry_view
+    from repro.store.query import Query, events_telemetry
 
     manifest = bank.manifest(run_prefix)
-    payload = telemetry_view(bank, manifest.run_id)
+    rows = list(bank.iter_run_events(manifest))
+    payload = events_telemetry(manifest.run_id, rows)
     fault_events = None
     faults = manifest.meta.get("faults")
     if isinstance(faults, dict):
@@ -439,7 +416,7 @@ def slice_from_store(
                 "dur": e.duration or 0.0,
                 "path": e.path,
             }
-            for rank, e in bank.iter_run_events(manifest.run_id)
+            for rank, e in rows
         ]
     dfg = None
     if with_dfg:
@@ -448,7 +425,7 @@ def slice_from_store(
         dfg = build_dfg(bank, Query.create(runs=[manifest.run_id]), jobs=1)
     meta_keys = ("kind", "scenario", "status", "framework", "workload", "nprocs", "seed")
     meta = {k: manifest.meta[k] for k in meta_keys if k in manifest.meta}
-    return causal_slice(
+    report = causal_slice(
         payload,
         anchor=anchor,
         value=value,
@@ -459,6 +436,7 @@ def slice_from_store(
         source={"kind": "store", "run_id": manifest.run_id},
         meta=meta,
     )
+    return report, payload
 
 
 def slice_trace(payload: Dict[str, Any], report: Dict[str, Any]) -> Dict[str, Any]:
@@ -490,8 +468,6 @@ def slice_flamegraph_lines(
     payload: Dict[str, Any], report: Dict[str, Any]
 ) -> List[str]:
     """Collapsed-stack flamegraph lines for the slice only."""
-    from repro.obs.critpath import flamegraph_lines
-
     sliced = {
         "schema": "repro/telemetry/v1",
         "trace": slice_trace(payload, report),

@@ -490,8 +490,8 @@ class ServiceApp:
         if path == "/v1/stats":
             return "stats", await self._stats(request)
         if path == "/v1/metrics":
-            # end_time is real server uptime so Timeline.time_weighted_mean
-            # (queue depth over the life of the process) is meaningful.
+            # end_time is real server uptime so a timeline's time-weighted
+            # mean (queue depth over the life of the process) is meaningful.
             snap = self.metrics.snapshot(end_time=self.uptime())
             if request.param("format") == "prom":
                 return "metrics", Response(

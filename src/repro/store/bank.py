@@ -310,20 +310,24 @@ class TraceBank:
         check_address(blob, sha)
         return blob
 
-    def iter_run_events(self, run_id: str) -> Iterator[Tuple[int, TraceEvent]]:
-        """Yield ``(rank, event)`` for one run, rank-major, capture order."""
-        for seg in self.manifest(run_id).segments:
+    def iter_run_events(self, manifest: RunManifest) -> Iterator[Tuple[int, TraceEvent]]:
+        """Yield ``(rank, event)`` for one run, rank-major, capture order.
+
+        Takes the manifest the caller resolved (:meth:`manifest`), so a
+        command resolves its run once however many readers it feeds.
+        """
+        for seg in manifest.segments:
             tf = self.read_segment(seg.sha256)
             for e in tf.events:
                 yield seg.rank, e
 
-    def load_run_bundle(self, run_id: str) -> TraceBundle:
-        """Reassemble one run as a :class:`TraceBundle` (analysis entry)."""
-        m = self.manifest(run_id)
+    def load_run_bundle(self, manifest: RunManifest) -> TraceBundle:
+        """Reassemble one run as a :class:`TraceBundle` (analysis entry),
+        from the manifest the caller resolved."""
         files: Dict[int, TraceFile] = {}
-        for seg in m.segments:
+        for seg in manifest.segments:
             files[seg.rank] = self.read_segment(seg.sha256)
-        return TraceBundle(files=files, metadata=dict(m.meta))
+        return TraceBundle(files=files, metadata=dict(manifest.meta))
 
     def disk_segments(self) -> List[str]:
         """Every segment digest present on disk (referenced or not).

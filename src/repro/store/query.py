@@ -38,8 +38,16 @@ from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
 from repro.store.manifest import RunManifest
+from repro.trace.events import TraceEvent
 
-__all__ = ["AGGREGATES", "Query", "run_query", "scan_events", "telemetry_view"]
+__all__ = [
+    "AGGREGATES",
+    "Query",
+    "run_query",
+    "scan_events",
+    "telemetry_view",
+    "events_telemetry",
+]
 
 #: The supported ``Query.agg`` values.
 AGGREGATES: Tuple[str, ...] = ("events", "ops", "bytes", "bandwidth")
@@ -437,15 +445,23 @@ def telemetry_view(bank: TraceBank, run_id: str) -> Dict[str, Any]:
     absent, which is fine for diffing what the *frameworks* saw.
 
     Purely content-derived, so the payload is byte-identical wherever
-    and whenever the view is built.  Raises
+    and whenever the view is built.  Resolves the run once.  Raises
     :class:`~repro.errors.StoreError` on unknown/ambiguous prefixes.
     """
+    m = bank.manifest(run_id)
+    return events_telemetry(m.run_id, list(bank.iter_run_events(m)))
+
+
+def events_telemetry(
+    run_id: str, rows: Sequence[Tuple[int, TraceEvent]]
+) -> Dict[str, Any]:
+    """:func:`telemetry_view`'s payload from a run's decoded
+    ``(rank, event)`` rows, for callers that read the events for
+    something else too."""
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.perfetto import to_chrome_trace
     from repro.obs.spans import SpanRecorder
 
-    m = bank.manifest(run_id)
-    rows = list(bank.iter_run_events(m.run_id))
     hostnames = sorted({e.hostname or ("rank%d" % rank) for rank, e in rows})
     node_index = {h: i for i, h in enumerate(hostnames)}
 
@@ -471,6 +487,6 @@ def telemetry_view(bank: TraceBank, run_id: str) -> Dict[str, Any]:
         "schema": "repro/telemetry/v1",
         "metrics": registry.snapshot(end_time=end_time),
         "trace": to_chrome_trace(recorder),
-        "source": {"kind": "store", "run_id": m.run_id},
+        "source": {"kind": "store", "run_id": run_id},
     }
     return json.loads(canonical_json(payload))

@@ -133,7 +133,8 @@ def _signature_cell(
         return None
     from repro.store.bank import TraceBank
 
-    bundle = TraceBank(store).load_run_bundle(point.store_run_id)
+    bank = TraceBank(store)
+    bundle = bank.load_run_bundle(bank.manifest(point.store_run_id))
     app = build_pseudoapp(bundle, layer=EventLayer.SYSCALL)
     profile = schedule_profile(app)
     violations = check_signature(scenario, profile)

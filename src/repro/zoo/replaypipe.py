@@ -119,8 +119,9 @@ def load_source(
         from repro.store.bank import TraceBank
 
         bank = TraceBank(store, create=False)
-        run_id = bank.manifest(first).run_id
-        bundle = bank.load_run_bundle(run_id)
+        manifest = bank.manifest(first)
+        run_id = manifest.run_id
+        bundle = bank.load_run_bundle(manifest)
         # An archived bundle's metadata IS the manifest meta (workload,
         # framework, args...) — it rides into the report as provenance.
         return bundle, {

@@ -10,12 +10,13 @@ from repro.obs.critpath import (
     STACK_LAYERS,
     SpanNode,
     build_forest,
+    collapsed_stacks,
     critical_path,
     flamegraph_lines,
     payload_spans,
     render_critical_path,
+    span_rollup,
     stack_layer,
-    track_stats,
 )
 from repro.obs.metrics import canonical_json
 from repro.obs.spans import KERNEL_PID
@@ -118,8 +119,8 @@ class TestBuildForest:
 
 class TestTrackStats:
     def test_busy_layers_and_names(self):
-        stats = track_stats(make_payload(SPANS))
-        s = stats[(0, 0)]
+        forest = build_forest(payload_spans(make_payload(SPANS)))
+        s = span_rollup(forest[(0, 0)], 0)
         assert s["busy"] == pytest.approx(0.010)
         assert s["end"] == pytest.approx(0.010)
         assert s["layers"]["simmpi"] == pytest.approx(0.004)
@@ -184,6 +185,20 @@ class TestFlamegraph:
         assert "node0 host00 rank 0;MPI_File_write_all 4000" in lines
         assert "node0 host00 rank 0;MPI_File_write_all;SYS_write 6000" in lines
         assert "node1 host01 rank 1;MPI_File_write_all 12000" in lines
+
+    def test_semicolon_in_a_span_name_stays_one_frame(self):
+        # An uploaded trace may name a call ``my;lib_call``: the collapsed
+        # format splits frames on ``;``, so the writer escapes it.
+        spans = [(0, 0, "my;lib_call", "libcall", 0.0, 0.002)]
+        assert flamegraph_lines(make_payload(spans)) == [
+            "node0 host00 rank 0;my,lib_call 2000"
+        ]
+        root = SpanNode("a;b", "service", 0.0, 0.003)
+        root.children.append(SpanNode("c;d", "service", 0.001, 0.001))
+        assert collapsed_stacks([("route", [root])]) == [
+            "route;a,b 2000",
+            "route;a,b;c,d 1000",
+        ]
 
     def test_zero_weight_stacks_dropped(self):
         spans = [(0, 0, "instant", "syscall", 0.0, 0.0)]

@@ -162,20 +162,19 @@ class TestRobustScoring:
 class TestFingerprints:
     def test_fingerprint_reads_shape_and_time(self, archive):
         bank = TraceBank(archive, create=False)
-        fp = fingerprint_run(bank, _faulted_run_id(archive))
+        m = bank.manifest(_faulted_run_id(archive))
+        fp = fingerprint_run(bank, m)
         assert fp["n_events"] > 0
         assert fp["elapsed"] > 0
         assert "SYS__llseek->SYS_write" in fp["edges"]
         assert fp["layers"]["simfs"] > 0
         assert len(fp["ranks"]) == 4
-        assert canonical_json(fp) == canonical_json(
-            fingerprint_run(bank, _faulted_run_id(archive))
-        )
+        assert canonical_json(fp) == canonical_json(fingerprint_run(bank, m))
 
     def test_distance_is_a_metric_like_score(self, archive):
         bank = TraceBank(archive, create=False)
-        ids = sorted(m.run_id for m in bank.manifests())
-        a, b = fingerprint_run(bank, ids[0]), fingerprint_run(bank, ids[1])
+        first, second = bank.manifests()[:2]
+        a, b = fingerprint_run(bank, first), fingerprint_run(bank, second)
         assert fingerprint_distance(a, a) == 0.0
         d = fingerprint_distance(a, b)
         assert 0.0 <= d <= 1.0
@@ -183,7 +182,7 @@ class TestFingerprints:
 
     def test_same_workload_runs_cluster_together(self, archive):
         bank = TraceBank(archive, create=False)
-        fps = [fingerprint_run(bank, m.run_id) for m in bank.manifests()]
+        fps = [fingerprint_run(bank, m) for m in bank.manifests()]
         clusters = cluster_fingerprints(fps)
         assert sum(c["size"] for c in clusters) == 5
         # A latency-only fault does not change the DFG shape: one shape.

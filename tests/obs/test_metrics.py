@@ -13,6 +13,7 @@ from repro.obs.metrics import (
     Timeline,
     canonical_json,
     quantile_from_snapshot,
+    time_weighted_mean,
 )
 
 
@@ -149,10 +150,10 @@ class TestTimeline:
         tl = Timeline()
         tl.add(0.0, 0)
         tl.add(1.0, 2)  # value 0 over [0,1), value 2 over [1,2)
-        assert tl.time_weighted_mean(2.0) == pytest.approx(1.0)
+        assert time_weighted_mean(tl.samples, 2.0) == pytest.approx(1.0)
 
     def test_time_weighted_mean_empty(self):
-        assert Timeline().time_weighted_mean(5.0) == 0.0
+        assert time_weighted_mean(Timeline().samples, 5.0) == 0.0
 
 
 class TestRegistry:

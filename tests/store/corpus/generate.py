@@ -43,7 +43,7 @@ def main() -> int:
                     for q in CORPUS_QUERIES
                 ],
                 "dfg": build_dfg(bank, Query.create(runs=[run_id])),
-                "bundle": bundle_json(bank.load_run_bundle(run_id)),
+                "bundle": bundle_json(bank.load_run_bundle(bank.manifest(run_id))),
             }
         },
     }

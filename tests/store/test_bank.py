@@ -61,7 +61,7 @@ class TestReads:
     def test_load_run_bundle_roundtrip(self, bank):
         bundle = make_bundle(nranks=2, n=5)
         r = bank.ingest_bundle(bundle)
-        out = bank.load_run_bundle(r.run_id)
+        out = bank.load_run_bundle(bank.manifest(r.run_id))
         assert sorted(out.files) == [0, 1]
         for rank in (0, 1):
             assert out.files[rank].events == bundle.files[rank].events
@@ -74,7 +74,7 @@ class TestReads:
 
     def test_iter_run_events_rank_major(self, bank):
         r = bank.ingest_bundle(make_bundle(nranks=2, n=3))
-        ranks = [rank for rank, _e in bank.iter_run_events(r.run_id)]
+        ranks = [rank for rank, _e in bank.iter_run_events(bank.manifest(r.run_id))]
         assert ranks == [0, 0, 0, 1, 1, 1]
 
     def test_each_segment_read_hashes_once(self, bank, monkeypatch):
@@ -82,7 +82,8 @@ class TestReads:
         import repro.store.segments as segments_mod
 
         r = bank.ingest_bundle(make_bundle(nranks=3, n=4))
-        shas = [s.sha256 for s in bank.manifest(r.run_id).segments]
+        m = bank.manifest(r.run_id)
+        shas = [s.sha256 for s in m.segments]
         calls = []
         real = segments_mod.content_address
 
@@ -95,8 +96,8 @@ class TestReads:
         reads = (
             lambda: bank.read_segment(shas[0]),
             lambda: bank.read_columns(shas[0], ["name"]),
-            lambda: bank.load_run_bundle(r.run_id),
-            lambda: list(bank.iter_run_events(r.run_id)),
+            lambda: bank.load_run_bundle(m),
+            lambda: list(bank.iter_run_events(m)),
         )
         for read, segments_read in zip(reads, (1, 1, 3, 3)):
             del calls[:]

@@ -7,9 +7,12 @@ the committed reports at any job count.  An archive written when the
 columnar RTCF format could still be chosen may also hold RTCF runs.
 RTCF is no longer read, so such a segment is archive corruption that
 names the last commit that reads it: verify reports it, gc keeps it
-while a manifest names it, and a read fails with one ``error:`` line.
+while a manifest names it, a read fails with one ``error:`` line, and
+``obs diagnose`` lists the run as unreadable and diagnoses the rest.
 """
 
+import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -77,7 +80,7 @@ class TestCodecSelection:
         with pytest.raises(StoreCorruptionError, match=sha[:12] + ".*" + RTCF_ERROR):
             bank.read_columns(sha, ["name"])
         with pytest.raises(StoreCorruptionError, match=RTCF_ERROR):
-            bank.load_run_bundle(run_id)
+            bank.load_run_bundle(bank.manifest(run_id))
 
 
 class TestMaintenance:
@@ -156,7 +159,7 @@ class TestCrossCodecIdentity:
     def test_load_run_bundle_lossless_for_v2(self, tmp_path):
         bank, expected = corpus_bank(tmp_path)
         want = corpus_bundle()
-        got = bank.load_run_bundle(expected["runs"]["rtbf"])
+        got = bank.load_run_bundle(bank.manifest(expected["runs"]["rtbf"]))
         assert canonical_json(bundle_json(got)) == canonical_json(
             expected["reports"]["rtbf"]["bundle"]
         )
@@ -217,4 +220,27 @@ class TestRtcfCli:
             "  %s %s: undecodable: legacy columnar (RTCF)" % (run_id[:12], sha[:12])
         )
         assert "bf847e2" in out
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diagnose_reports_the_run_it_cannot_read(self, tmp_path, capfd, jobs):
+        # The RTBF run is diagnosed; the RTCF run is listed, not fatal.
+        bank, expected = corpus_bank(tmp_path)
+        run_id, sha = plant_rtcf_run(bank)
+        argv = ["obs", "diagnose", "--store", str(bank.root), "--jobs", str(jobs)]
+        assert main(argv + ["--json"]) == 1
+        out, err = capfd.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert [r["run_id"] for r in report["runs"]] == [expected["runs"]["rtbf"]]
+        (bad,) = report["unreadable"]
+        assert bad["run_id"] == run_id
+        assert re.search(sha[:12] + ".*" + RTCF_ERROR, bad["error"])
+        assert report["summary"]["runs"] == 1
+        assert report["summary"]["unreadable"] == 1
+        assert all(run_id not in g["members"] for g in report["groups"])
+        assert all(run_id not in c["members"] for c in report["clusters"])
+        assert main(argv) == 1
+        out, err = capfd.readouterr()
+        assert "unreadable: %s: segment %s" % (run_id[:12], sha[:12]) in out
         assert "Traceback" not in out + err

@@ -48,6 +48,20 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Every segment ``TraceBank.read_segment`` decodes from here on."""
+    calls = []
+    real = TraceBank.read_segment
+
+    def counting(self, sha):
+        calls.append(sha)
+        return real(self, sha)
+
+    monkeypatch.setattr(TraceBank, "read_segment", counting)
+    return calls
+
+
 def _snapshot(root):
     """Every path under ``root``, with each file's content digest."""
     return {
@@ -162,22 +176,38 @@ class TestLookupByName:
         assert len(parses) == 2
 
     @pytest.mark.parametrize(
-        "argv, want",
+        "argv, want_parses, want_reads",
         [
-            (["store", "ls", "--store", "{store}"], 5),
-            (["observe", "{store}"], 5),
-            (["store", "query", "--store", "{store}", "--runs", "{run}"], 1),
-            (["store", "dfg", "--store", "{store}", "--runs", "{run}"], 1),
-            (["obs", "slice", "--store", "{store}", "{run}"], 4),
+            (["store", "ls", "--store", "{store}"], 5, 0),
+            (["observe", "{store}"], 5, 0),
+            (["store", "query", "--store", "{store}", "--runs", "{run}"], 1, 0),
+            (["store", "dfg", "--store", "{store}", "--runs", "{run}"], 1, 0),
+            (["obs", "slice", "--store", "{store}", "{run}"], 2, 2),
+            (["obs", "slice", "--store", "{store}", "{run}", "--path", "*",
+              "--flame", "{out}.flame", "--perfetto", "{out}.json"], 2, 2),
+            (["obs", "critpath", "--store", "{store}", "{run}"], 1, 2),
+            (["obs", "diff", "--store", "{store}", "{run}", "{run}"], 2, 4),
+            (["obs", "diagnose", "--store", "{store}"], 7, 2),
+            (["obs", "diagnose", "--store", "{store}", "--run-prefix", "{prefix}"],
+             1, 0),
+            (["zoo", "replay", "--store", "{store}", "{run}"], 1, 2),
         ],
-        ids=["store-ls", "observe", "store-query", "store-dfg", "obs-slice"],
+        ids=["store-ls", "observe", "store-query", "store-dfg", "obs-slice",
+             "obs-slice-path-flame-perfetto", "obs-critpath", "obs-diff",
+             "obs-diagnose", "obs-diagnose-prefix", "zoo-replay"],
     )
-    def test_commands_parse_only_the_runs_they_report(self, archive, parses, argv, want):
-        # A listing parses each manifest once; a command given one full
-        # run id parses that run's file, whatever the archive's size.
+    def test_commands_parse_only_the_runs_they_report(
+        self, archive, parses, reads, tmp_path, argv, want_parses, want_reads
+    ):
+        # A listing parses each manifest once; a command given one run
+        # resolves it once, whatever the archive's size, and decodes each
+        # of its segments once.  ``obs diagnose`` lists every run, then
+        # slices its one outlier (the slice's lookup and its DFG's).
         bank, ids = archive
-        assert main([a.format(store=bank.root, run=ids[2]) for a in argv]) == 0
-        assert len(parses) == want
+        fields = {"store": bank.root, "run": ids[2], "prefix": ids[2][:12],
+                  "out": tmp_path / "out"}
+        assert main([a.format(**fields) for a in argv]) == 0
+        assert (len(parses), len(reads)) == (want_parses, want_reads)
 
     def test_queries_select_runs_by_file_name(self, archive):
         # ``runs`` prefixes follow ``manifest()``'s rule, and

@@ -88,7 +88,7 @@ class TestArchiveRoundtrip:
         with tempfile.TemporaryDirectory() as tmp:
             bank = TraceBank(Path(tmp) / "store")
             r = bank.ingest_bundle(bundle)
-            out = bank.load_run_bundle(r.run_id)
+            out = bank.load_run_bundle(bank.manifest(r.run_id))
             assert sorted(out.files) == sorted(bundle.files)
             for rank in bundle.files:
                 assert out.files[rank].events == bundle.files[rank].events

@@ -70,7 +70,8 @@ class TestArchivedRoundTrip:
         # bundle yields — the archive is the single source of truth.
         store, run_id = archive
         report = replay_pipeline([run_id], store=store)
-        bundle = TraceBank(store).load_run_bundle(run_id)
+        bank = TraceBank(store)
+        bundle = bank.load_run_bundle(bank.manifest(run_id))
         profile = schedule_profile(build_pseudoapp(bundle, layer=EventLayer.SYSCALL))
         assert canonical_json(report["source"]["profile"]) == canonical_json(profile)
 
@@ -191,12 +192,14 @@ class TestSourceResolution:
 
     def test_choose_layer_prefers_syscall(self, archive):
         store, run_id = archive
-        bundle = TraceBank(store).load_run_bundle(run_id)
+        bank = TraceBank(store)
+        bundle = bank.load_run_bundle(bank.manifest(run_id))
         assert choose_layer(bundle) is EventLayer.SYSCALL
 
     def test_source_elapsed_prefers_metadata(self, archive):
         store, run_id = archive
-        bundle = TraceBank(store).load_run_bundle(run_id)
+        bank = TraceBank(store)
+        bundle = bank.load_run_bundle(bank.manifest(run_id))
         span = source_elapsed(bundle)
         assert span is not None and span > 0
 
