@@ -270,6 +270,16 @@ def _report_archived(points) -> None:
         print("archived %d run(s) into the trace store" % len(run_ids))
 
 
+def _write_report(path: Optional[str], report) -> None:
+    """Write a command's canonical-JSON report to its ``--report-out``
+    path; an empty path skips the write."""
+    if path:
+        from repro.obs.metrics import canonical_json
+
+        Path(path).write_text(canonical_json(report) + "\n")
+        print("wrote %s" % path)
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.harness.figures import figure_series
     from repro.harness.report import render_figure
@@ -350,8 +360,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.faults.chaos import (
         CHAOS_FRAMEWORKS,
         render_chaos_report,
@@ -373,11 +381,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     if archived:
         print("archived %d run(s) into the trace store" % len(archived))
-    if args.report_out:
-        from repro.obs.metrics import canonical_json
-
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
+    _write_report(args.report_out, report)
     return 0
 
 
@@ -429,7 +433,6 @@ def _cmd_zoo_describe(args: argparse.Namespace) -> int:
 
 def _run_zoo(args: argparse.Namespace, scenarios) -> int:
     """Shared body of ``zoo run`` and ``zoo matrix``."""
-    from repro.obs.metrics import canonical_json
     from repro.zoo import render_zoo_report, run_zoo_matrix
 
     report = run_zoo_matrix(
@@ -453,9 +456,7 @@ def _run_zoo(args: argparse.Namespace, scenarios) -> int:
     if args.replay_check:
         exact = report["summary"]["replay_exact"]
         print("replay check: %d/%d exact" % (exact, report["summary"]["archived"]))
-    if args.report_out:
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
+    _write_report(args.report_out, report)
     if args.replay_check and report["summary"]["replay_exact"] < report["summary"]["archived"]:
         return 1
     return 0
@@ -470,7 +471,6 @@ def _cmd_zoo_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_zoo_replay(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import canonical_json
     from repro.zoo import render_fidelity_report, replay_pipeline
 
     report = replay_pipeline(
@@ -484,41 +484,44 @@ def _cmd_zoo_replay(args: argparse.Namespace) -> int:
         remap_root=args.remap_root,
     )
     print(render_fidelity_report(report), end="")
-    if args.report_out:
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
+    _write_report(args.report_out, report)
     return 0 if report["exact"] or not args.require_exact else 1
 
 
-def _cmd_observe(args: argparse.Namespace) -> int:
+def _read_telemetry_artifact(path: Path):
+    """One ``--telemetry`` artifact: ``(payloads, None)`` for a
+    ``repro/telemetry/v1`` payload (labelled ``""``) or an ``{untraced,
+    traced}`` pair, ``(None, trace)`` for a bare Chrome trace."""
     import json
 
     from repro.errors import TelemetryError
+
+    obj = json.loads(path.read_text("utf-8"))
+    if isinstance(obj, dict) and obj.get("schema") == "repro/telemetry/v1":
+        return {"": obj}, None
+    if isinstance(obj, dict) and {"untraced", "traced"} <= set(obj):
+        return {name: obj[name] for name in ("untraced", "traced")}, None
+    if isinstance(obj, list) or (isinstance(obj, dict) and "traceEvents" in obj):
+        return None, obj
+    raise TelemetryError(
+        "%s is not a telemetry artifact (expected a repro/telemetry/v1 "
+        "payload, an {untraced, traced} pair, or a Chrome trace)" % path
+    )
+
+
+def _cmd_observe(args: argparse.Namespace) -> int:
     from repro.obs.perfetto import validate_chrome_trace
     from repro.obs.report import render_payload_summary
 
     path = Path(args.path)
     if _is_store_dir(path):
         return _print_store_listing(path)
-    obj = json.loads(path.read_text("utf-8"))
-    # Accept all three artifact shapes: a combined {untraced, traced} file,
-    # a single payload, or a bare Chrome trace (validate-only).
-    if isinstance(obj, dict) and obj.get("schema") == "repro/telemetry/v1":
-        payloads = {"": obj}
-    elif isinstance(obj, dict) and {"untraced", "traced"} <= set(obj):
-        payloads = {name: obj[name] for name in ("untraced", "traced")}
-    elif isinstance(obj, (list, dict)) and (
-        isinstance(obj, list) or "traceEvents" in obj
-    ):
-        validate_chrome_trace(obj)
-        events = obj if isinstance(obj, list) else obj["traceEvents"]
+    payloads, trace = _read_telemetry_artifact(path)
+    if payloads is None:
+        validate_chrome_trace(trace)
+        events = trace if isinstance(trace, list) else trace["traceEvents"]
         print("valid Chrome trace: %d events" % len(events))
         return 0
-    else:
-        raise TelemetryError(
-            "%s is not a telemetry artifact (expected a repro/telemetry/v1 "
-            "payload, an {untraced, traced} pair, or a Chrome trace)" % args.path
-        )
     for i, (label, payload) in enumerate(payloads.items()):
         if i:
             print()
@@ -583,21 +586,18 @@ def _load_telemetry_payload(source: str, store: str, run: str):
     or a TraceBank run-id prefix resolved against ``store`` (the payload
     is then synthesized from the archived events).
     """
-    import json
-
     from repro.errors import TelemetryError
 
     path = Path(source)
     if path.is_file():
-        obj = json.loads(path.read_text("utf-8"))
-        if isinstance(obj, dict) and obj.get("schema") == "repro/telemetry/v1":
-            return obj, path.name
-        if isinstance(obj, dict) and {"untraced", "traced"} <= set(obj):
-            return obj[run], "%s:%s" % (path.name, run)
-        raise TelemetryError(
-            "%s is not a telemetry payload or an {untraced, traced} pair"
-            % source
-        )
+        payloads, _trace = _read_telemetry_artifact(path)
+        if payloads is None:
+            raise TelemetryError(
+                "%s is a bare Chrome trace, not a telemetry payload" % source
+            )
+        if "" in payloads:
+            return payloads[""], path.name
+        return payloads[run], "%s:%s" % (path.name, run)
     from repro.store import TraceBank, telemetry_view
 
     bank = TraceBank(store, create=False)
@@ -618,9 +618,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
         print(canonical_json(report))
     else:
         print(render_diff(report, markdown=(args.format == "markdown")), end="")
-    if args.report_out:
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
+    _write_report(args.report_out, report)
     return 0
 
 
@@ -681,9 +679,7 @@ def _cmd_obs_slice(args: argparse.Namespace) -> int:
         print(canonical_json(report))
     else:
         print(render_slice(report), end="")
-    if args.report_out:
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
+    _write_report(args.report_out, report)
     if args.perfetto:
         trace = slice_trace(payload, report)
         Path(args.perfetto).write_text(canonical_json(trace) + "\n")
@@ -713,9 +709,7 @@ def _cmd_obs_diagnose(args: argparse.Namespace) -> int:
         print(canonical_json(report))
     else:
         print(render_diagnose(report), end="")
-    if args.report_out:
-        Path(args.report_out).write_text(canonical_json(report) + "\n")
-        print("wrote %s" % args.report_out)
+    _write_report(args.report_out, report)
     if report["unreadable"] or (
         args.fail_on_outlier and report["summary"]["outliers"] > 0
     ):
@@ -809,16 +803,25 @@ def _cmd_obs_reqtrace(args: argparse.Namespace) -> int:
 # -- store commands ----------------------------------------------------------
 
 
-def _store_query_from_args(args: argparse.Namespace):
-    from repro.errors import StoreQueryError
-    from repro.store import Query
+def _kv_items(items: Optional[List[str]], flag: str) -> dict:
+    """``--where``/``--meta`` ``K=V`` items as a dict (a repeated key
+    keeps its last value); an item without ``=`` or a key is an error."""
+    from repro.errors import StoreError
 
-    where = {}
-    for item in args.where or []:
+    out = {}
+    for item in items or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise StoreQueryError("--where expects key=value, got %r" % item)
-        where[key] = value
+            raise StoreError("%s expects key=value, got %r" % (flag, item))
+        out[key] = value
+    return out
+
+
+def _store_query_from_args(args: argparse.Namespace):
+    """The :class:`~repro.store.Query` that ``store query``/``dfg`` run
+    and ``service query`` sends."""
+    from repro.store import Query
+
     return Query.create(
         agg=getattr(args, "agg", "ops"),
         ranks=args.ranks,
@@ -827,7 +830,7 @@ def _store_query_from_args(args: argparse.Namespace):
         path_glob=args.path_glob,
         since=args.since,
         until=args.until,
-        where=where,
+        where=_kv_items(args.where, "--where"),
         runs=args.runs,
         window=getattr(args, "window", 0.05),
         limit=getattr(args, "limit", None),
@@ -838,20 +841,11 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
     from repro.store import TraceBank
     from repro.trace.records import TraceBundle
 
-    bundle = TraceBundle()
-    for i, name in enumerate(args.traces):
-        tf = _load_trace(Path(name))
-        rank = tf.rank if tf.rank is not None else i
-        bundle.add_file(int(rank), tf)
-        if tf.framework:
-            bundle.metadata.setdefault("framework", tf.framework)
     meta = {"kind": "manual"}
-    for item in args.meta or []:
-        key, sep, value = item.partition("=")
-        if sep and key:
-            meta[key] = value
-    # Every file is decoded before the archive is created, so a bad
-    # file leaves no empty archive behind.
+    meta.update(_kv_items(args.meta, "--meta"))
+    bundle = TraceBundle.from_files(_load_trace(Path(name)) for name in args.traces)
+    # Every item is parsed and every file decoded before the archive is
+    # created, so bad input leaves no empty archive behind.
     result = TraceBank(args.store).ingest_bundle(bundle, meta=meta)
     print(
         "ingested run %s: %d segment(s) (%d new, %d deduped), %d event(s)"
@@ -923,7 +917,6 @@ def _cmd_store_dfg(args: argparse.Namespace) -> int:
     from repro.store import TraceBank, build_dfg, render_dfg_dot, render_dfg_text
 
     bank = TraceBank(args.store, create=False)
-    args.agg = "ops"  # DFG ignores the aggregate; reuse the shared filters
     report = build_dfg(bank, _store_query_from_args(args), jobs=args.jobs)
     if args.json:
         print(canonical_json(report))
@@ -1033,21 +1026,20 @@ def _cmd_service_serve(args: argparse.Namespace) -> int:
 
 def _cmd_service_ingest(args: argparse.Namespace) -> int:
     import json as _json
+    from urllib.parse import urlencode
 
-    # Decode every file first: a bad one fails before any request is sent.
+    from repro.trace.records import source_rank
+
+    # Parse and decode everything first: bad input fails before any
+    # request is sent.
+    meta = [("meta." + k, v) for k, v in _kv_items(args.meta, "--meta").items()]
     bodies = [Path(name).read_bytes() for name in args.traces]
     traces = [decode_trace_bytes(body) for body in bodies]
     for i, (name, body, tf) in enumerate(zip(args.traces, bodies, traces)):
-        rank = tf.rank if tf.rank is not None else i
-        target = "%s/v1/t/%s/ingest?sync=1&rank=%d" % (
-            args.url.rstrip("/"), args.tenant, int(rank),
+        target = "%s/v1/t/%s/ingest?%s" % (
+            args.url.rstrip("/"), args.tenant,
+            urlencode([("sync", "1"), ("rank", str(source_rank(tf, i)))] + meta),
         )
-        for item in args.meta or []:
-            key, sep, value = item.partition("=")
-            if sep and key:
-                from urllib.parse import quote_plus
-
-                target += "&meta.%s=%s" % (quote_plus(key), quote_plus(value))
         status, _headers, payload = _http_request(target, "POST", body)
         if status != 200:
             print("error: ingest of %s failed (%d): %s"
@@ -1069,37 +1061,12 @@ def _cmd_service_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_query(args: argparse.Namespace) -> int:
-    from urllib.parse import quote_plus
+    from urllib.parse import urlencode
 
-    pairs = [("agg", args.agg)]
-    for rank in args.ranks or []:
-        pairs.append(("ranks", str(rank)))
-    for op in args.ops or []:
-        pairs.append(("ops", op))
-    for layer in args.layers or []:
-        pairs.append(("layers", layer))
-    if args.path_glob is not None:
-        pairs.append(("path_glob", args.path_glob))
-    if args.since is not None:
-        pairs.append(("since", repr(args.since)))
-    if args.until is not None:
-        pairs.append(("until", repr(args.until)))
-    for item in args.where or []:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            from repro.errors import StoreQueryError
-
-            raise StoreQueryError("--where expects key=value, got %r" % item)
-        pairs.append(("where." + key, value))
-    for run in args.runs or []:
-        pairs.append(("runs", run))
-    pairs.append(("window", repr(args.window)))
-    if args.limit is not None:
-        pairs.append(("limit", str(args.limit)))
     target = "%s/v1/t/%s/query?%s" % (
         args.url.rstrip("/"),
         args.tenant,
-        "&".join("%s=%s" % (quote_plus(k), quote_plus(v)) for k, v in pairs),
+        urlencode(_store_query_from_args(args).to_params()),
     )
     status, _headers, payload = _http_request(target)
     if status != 200:
@@ -1446,7 +1413,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="archive directory (default .repro-store)",
         )
 
-    def add_store_filters(sp: argparse.ArgumentParser) -> None:
+    def add_store_query(
+        sp: argparse.ArgumentParser, aggregate: bool, jobs: bool
+    ) -> None:
+        """The flags ``_store_query_from_args`` reads: the filters, the
+        aggregate choice when ``aggregate``, and the shard fan-out when
+        ``jobs`` (a local archive's scan)."""
         sp.add_argument("--ranks", nargs="*", type=int, default=None, metavar="R",
                         help="only these segment ranks")
         sp.add_argument("--ops", nargs="*", default=None, metavar="NAME",
@@ -1464,9 +1436,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "(dotted keys, string compare)")
         sp.add_argument("--runs", nargs="*", default=None, metavar="PREFIX",
                         help="only runs whose id starts with one of these")
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel shard scans (default 1; output is "
-                        "byte-identical for any N)")
+        if aggregate:
+            sp.add_argument("--agg", choices=("events", "ops", "bytes", "bandwidth"),
+                            default="ops", help="aggregate to compute (default ops)")
+            sp.add_argument("--window", type=float, default=0.05, metavar="SEC",
+                            help="bandwidth bucket width in sim seconds "
+                            "(default 0.05)")
+            sp.add_argument("--limit", type=int, default=None, metavar="N",
+                            help="truncate the events aggregate after N rows")
+        if jobs:
+            sp.add_argument("--jobs", type=int, default=1, metavar="N",
+                            help="parallel shard scans (default 1; output is "
+                            "byte-identical for any N)")
 
     sp = store_sub.add_parser("ingest", help="archive trace file(s) as one run")
     add_store_root(sp)
@@ -1481,13 +1462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = store_sub.add_parser("query", help="filtered aggregate over the archive")
     add_store_root(sp)
-    add_store_filters(sp)
-    sp.add_argument("--agg", choices=("events", "ops", "bytes", "bandwidth"),
-                    default="ops", help="aggregate to compute (default ops)")
-    sp.add_argument("--window", type=float, default=0.05, metavar="SEC",
-                    help="bandwidth bucket width in sim seconds (default 0.05)")
-    sp.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="truncate the events aggregate after N rows")
+    add_store_query(sp, aggregate=True, jobs=True)
     sp.add_argument("--json", action="store_true",
                     help="print the canonical-JSON report (default for "
                     "non-ops aggregates)")
@@ -1497,7 +1472,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dfg", help="directly-follows graph over archived events"
     )
     add_store_root(sp)
-    add_store_filters(sp)
+    add_store_query(sp, aggregate=False, jobs=True)
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     sp.add_argument("--json", action="store_true",
                     help="print the canonical-JSON report")
@@ -1576,13 +1551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_service_url(sp)
     sp.add_argument("tenant", help="tenant namespace name")
-    add_store_filters(sp)
-    sp.add_argument("--agg", choices=("events", "ops", "bytes", "bandwidth"),
-                    default="ops", help="aggregate to compute (default ops)")
-    sp.add_argument("--window", type=float, default=0.05, metavar="SEC",
-                    help="bandwidth bucket width in sim seconds (default 0.05)")
-    sp.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="truncate the events aggregate after N rows")
+    add_store_query(sp, aggregate=True, jobs=False)
     sp.set_defaults(fn=_cmd_service_query)
 
     sp = service_sub.add_parser(

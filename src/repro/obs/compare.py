@@ -61,7 +61,8 @@ def _hist_divergence(a: Optional[Dict[str, Any]], b: Optional[Dict[str, Any]]) -
     """Half the L1 distance between two normalized bucket distributions.
 
     0.0 when the shapes match exactly, 1.0 when no mass overlaps.  A
-    missing histogram counts as disjoint from a non-empty one.
+    missing histogram counts as disjoint from a non-empty one.  Sums in
+    sorted bucket order, so the last digit never follows the hash seed.
     """
     buckets_a = dict((a or {}).get("buckets", {}))
     buckets_b = dict((b or {}).get("buckets", {}))
@@ -72,7 +73,7 @@ def _hist_divergence(a: Optional[Dict[str, Any]], b: Optional[Dict[str, Any]]) -
     if total_a == 0.0 or total_b == 0.0:
         return 1.0
     l1 = 0.0
-    for key in set(buckets_a) | set(buckets_b):
+    for key in sorted(set(buckets_a) | set(buckets_b)):
         l1 += abs(buckets_a.get(key, 0) / total_a - buckets_b.get(key, 0) / total_b)
     return 0.5 * l1
 

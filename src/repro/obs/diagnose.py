@@ -99,8 +99,8 @@ def robust_threshold(
     center: float,
     spread: float,
     k: float,
-    rel_floor: float,
-    abs_floor: float,
+    rel_floor: float = DEFAULT_REL_FLOOR,
+    abs_floor: float = DEFAULT_ABS_FLOOR,
 ) -> float:
     """The change threshold: ``max(k*1.4826*MAD, floors)``.
 
@@ -214,7 +214,8 @@ def fingerprint_distance(a: Dict[str, Any], b: Dict[str, Any]) -> float:
 
     Half the weight is *which ops follow which* (edge-set Jaccard
     distance), half is *where the time went* (L1 between the normalized
-    per-layer self-time vectors).
+    per-layer self-time vectors), summed in sorted layer order so the
+    ``<= eps`` test never follows the hash seed.
     """
     ea, eb = set(a["edges"]), set(b["edges"])
     union = ea | eb
@@ -223,7 +224,8 @@ def fingerprint_distance(a: Dict[str, Any], b: Dict[str, Any]) -> float:
     ta = sum(la.values()) or 1.0
     tb = sum(lb.values()) or 1.0
     l1 = sum(
-        abs(la.get(k, 0.0) / ta - lb.get(k, 0.0) / tb) for k in set(la) | set(lb)
+        abs(la.get(k, 0.0) / ta - lb.get(k, 0.0) / tb)
+        for k in sorted(set(la) | set(lb))
     )
     return 0.5 * shape + 0.5 * (l1 / 2.0)
 
@@ -272,8 +274,6 @@ def _score_features(
     values: Dict[str, List[float]],
     mine: Dict[str, float],
     k: float,
-    rel_floor: float,
-    abs_floor: float,
     against: Optional[Dict[str, float]] = None,
 ) -> List[Dict[str, Any]]:
     """Robust z-style scores for one run's features against its peers.
@@ -292,7 +292,7 @@ def _score_features(
             series = values.get(name, [])
             center = median(series) if series else 0.0
             spread = mad(series, center) if series else 0.0
-        threshold = robust_threshold(center, spread, k, rel_floor, abs_floor)
+        threshold = robust_threshold(center, spread, k)
         deviation = value - center
         rows.append(
             {
@@ -318,8 +318,6 @@ def _suspect_op(
     fp: Dict[str, Any],
     op_values: Dict[str, List[float]],
     k: float,
-    rel_floor: float,
-    abs_floor: float,
     against: Optional[Dict[str, Any]] = None,
 ) -> Optional[Dict[str, Any]]:
     """The op whose total time deviates most from the group median."""
@@ -333,7 +331,7 @@ def _suspect_op(
             series = op_values.get(name, [])
             center = median(series) if series else 0.0
             spread = mad(series, center) if series else 0.0
-        threshold = robust_threshold(center, spread, k, rel_floor, abs_floor)
+        threshold = robust_threshold(center, spread, k)
         score = (value - center) / threshold
         row = {"op": name, "total": value, "median": center, "score": score}
         if best is None or (row["score"], row["op"]) > (best["score"], best["op"]):
@@ -351,8 +349,6 @@ def diagnose_archive(
     jobs: int = 1,
     k: float = DEFAULT_K,
     eps: float = DEFAULT_EPS,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
     max_roots: int = MAX_CHAIN_ROOTS,
     slice_outliers: bool = True,
 ) -> Dict[str, Any]:
@@ -427,8 +423,7 @@ def diagnose_archive(
         against_features = _run_features(against_fp) if against_fp else None
         for fp in members:
             rows = _score_features(
-                feature_values, _run_features(fp), k, rel_floor, abs_floor,
-                against=against_features,
+                feature_values, _run_features(fp), k, against=against_features,
             )
             flagged = [r for r in rows if r["score"] > 1.0]
             if not flagged:
@@ -450,9 +445,7 @@ def diagnose_archive(
                     "flagged": flagged,
                     "suspects": suspects,
                     "suspect_layer": suspects[0]["layer"] if suspects else None,
-                    "suspect_op": _suspect_op(
-                        fp, op_values, k, rel_floor, abs_floor, against=against_fp
-                    ),
+                    "suspect_op": _suspect_op(fp, op_values, k, against=against_fp),
                     "suspect_rank": _suspect_rank(fp),
                 }
             )
@@ -482,8 +475,8 @@ def diagnose_archive(
         "params": {
             "k": k,
             "eps": eps,
-            "rel_floor": rel_floor,
-            "abs_floor": abs_floor,
+            "rel_floor": DEFAULT_REL_FLOOR,
+            "abs_floor": DEFAULT_ABS_FLOOR,
             "max_roots": max_roots,
             "run_prefixes": sorted(run_prefixes) if run_prefixes else None,
             "against": against_id,

@@ -387,21 +387,32 @@ def slice_from_store(
     anchor: str = "straggler",
     value: Any = None,
     max_roots: int = MAX_CHAIN_ROOTS,
-    with_dfg: bool = True,
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Slice a store-archived run: resolve the prefix, synthesize the
     telemetry view, and thread in everything only the archive knows —
     the injected fault schedule from the manifest, per-event paths for
     path anchors, and the run's directly-follows graph.
 
-    Returns ``(report, payload)``: the telemetry view is built from the
-    same decode as the path events, and renderings of the slice
-    (:func:`slice_trace`, :func:`slice_flamegraph_lines`) reuse it.
+    Returns ``(report, payload)``.  Each segment is read and decoded
+    once: the telemetry view, the path events and the DFG (merged in
+    :func:`~repro.store.dfg.build_dfg`'s ``(rank, sha)`` shard order)
+    all come from that decode, and renderings of the slice
+    (:func:`slice_trace`, :func:`slice_flamegraph_lines`) reuse the
+    payload.
     """
-    from repro.store.query import Query, events_telemetry
+    from repro.store.dfg import merge_shard_graphs, shard_graph
+    from repro.store.query import events_telemetry
 
     manifest = bank.manifest(run_prefix)
-    rows = list(bank.iter_run_events(manifest))
+    rows: List[Tuple[int, Any]] = []
+    shards = []
+    for seg in manifest.segments:
+        events = bank.read_segment(seg.sha256).events
+        rows.extend((seg.rank, e) for e in events)
+        seq = [(e.name, e.timestamp, e.duration) for e in events]
+        shards.append(((seg.rank, seg.sha256), shard_graph(seq)))
+    shards.sort(key=lambda shard: shard[0])
+    graph, _matched = merge_shard_graphs(partial for _key, partial in shards)
     payload = events_telemetry(manifest.run_id, rows)
     fault_events = None
     faults = manifest.meta.get("faults")
@@ -418,11 +429,6 @@ def slice_from_store(
             }
             for rank, e in rows
         ]
-    dfg = None
-    if with_dfg:
-        from repro.store.dfg import build_dfg
-
-        dfg = build_dfg(bank, Query.create(runs=[manifest.run_id]), jobs=1)
     meta_keys = ("kind", "scenario", "status", "framework", "workload", "nprocs", "seed")
     meta = {k: manifest.meta[k] for k in meta_keys if k in manifest.meta}
     report = causal_slice(
@@ -431,7 +437,7 @@ def slice_from_store(
         value=value,
         fault_events=fault_events,
         events=events,
-        dfg=dfg,
+        dfg={"graph": graph},
         max_roots=max_roots,
         source={"kind": "store", "run_id": manifest.run_id},
         meta=meta,

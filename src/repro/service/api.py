@@ -24,7 +24,7 @@ Routes (all responses canonical JSON)::
 
 Error contract: every failure is a typed JSON body
 ``{"error": {"type", "message"}}`` — 400 for malformed queries/bodies/
-tenant names, 404 for unknown routes/tenants/runs, 405 for wrong
+tenant names, 404 for unknown routes/tenants, 405 for wrong
 methods, 413 for oversized bodies (enforced by the server before the
 body is read), and 429 + ``Retry-After`` when the ingest queue is full.
 Nothing is ever persisted for a rejected request: the WAL entry is
@@ -44,16 +44,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.errors import (
-    IngestQueueFull,
-    ReproError,
-    ServiceError,
-    StoreError,
-    StoreNotFound,
-    StoreQueryError,
-    TenantNameError,
-    TraceError,
-)
+from repro.errors import IngestQueueFull, ReproError, StoreNotFound, TraceError
 from repro.obs.metrics import MetricsRegistry, canonical_json
 from repro.obs.prom import render_prometheus
 from repro.obs.reqtrace import (
@@ -67,7 +58,7 @@ from repro.service.ingestq import IngestQueue, WalEntry, decode_upload
 from repro.service.tenants import TenantRegistry
 from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
-from repro.store.query import Query, run_query
+from repro.store.query import Query, params_with_prefix, run_query
 
 __all__ = ["Request", "Response", "ServiceApp", "query_from_params"]
 
@@ -126,71 +117,14 @@ def _status_for(exc: BaseException) -> int:
         return 429
     if isinstance(exc, StoreNotFound):
         return 404
-    if isinstance(exc, (TenantNameError, TraceError, StoreQueryError)):
-        return 400
-    if isinstance(exc, StoreError) and "no archived run matches" in str(exc):
-        return 404
     if isinstance(exc, ReproError):
         return 400
     return 500
 
 
-def query_from_params(params: Dict[str, List[str]]) -> Query:
-    """Build a :class:`~repro.store.query.Query` from URL query params.
-
-    Mirrors the ``repro store query`` CLI flags one-to-one (``ranks``,
-    ``ops``, ``layers``, ``path_glob``, ``since``, ``until``, ``window``,
-    ``limit``, ``runs``, ``where.<key>=<value>``, ``agg``) so a service
-    answer is byte-identical to the CLI's over the same namespace.
-    Values may repeat or be comma-separated.  Raises
-    :class:`~repro.errors.StoreQueryError` on malformed values.
-    """
-
-    def multi(name: str) -> Optional[List[str]]:
-        values: List[str] = []
-        for raw in params.get(name, []):
-            values.extend(v for v in raw.split(",") if v)
-        return values or None
-
-    def scalar_float(name: str) -> Optional[float]:
-        raw = params.get(name)
-        if not raw:
-            return None
-        try:
-            return float(raw[0])
-        except ValueError:
-            raise StoreQueryError("bad float for %r: %r" % (name, raw[0])) from None
-
-    where: Dict[str, str] = {}
-    for key, values in params.items():
-        if key.startswith("where.") and values:
-            where[key[len("where."):]] = values[-1]
-    ranks_raw = multi("ranks")
-    try:
-        ranks = [int(r) for r in ranks_raw] if ranks_raw is not None else None
-    except ValueError:
-        raise StoreQueryError("bad integer in ranks=%r" % (ranks_raw,)) from None
-    limit_raw = params.get("limit")
-    limit: Optional[int] = None
-    if limit_raw:
-        try:
-            limit = int(limit_raw[0])
-        except ValueError:
-            raise StoreQueryError("bad integer limit %r" % limit_raw[0]) from None
-    window = scalar_float("window")
-    return Query.create(
-        agg=(params.get("agg") or ["ops"])[0],
-        ranks=ranks,
-        names=multi("ops"),
-        layers=multi("layers"),
-        path_glob=(params.get("path_glob") or [None])[0],
-        since=scalar_float("since"),
-        until=scalar_float("until"),
-        where=where,
-        runs=multi("runs"),
-        window=0.05 if window is None else window,
-        limit=limit,
-    )
+#: Build a :class:`~repro.store.query.Query` from URL query params (the
+#: service routes' decoder; see :meth:`~repro.store.query.Query.from_params`).
+query_from_params = Query.from_params
 
 
 class ServiceApp:
@@ -604,11 +538,7 @@ class ServiceApp:
                 rank = int(rank_raw) if rank_raw is not None else None
             except ValueError:
                 raise TraceError("bad rank %r" % rank_raw) from None
-            meta = {
-                key[len("meta."):]: values[-1]
-                for key, values in request.params.items()
-                if key.startswith("meta.") and values
-            }
+            meta = params_with_prefix(request.params, "meta.")
             t_wal = self.uptime()
             entry = await loop.run_in_executor(
                 self.executor,

@@ -7,7 +7,7 @@ thundering herd of producers.  The queue answers both:
 * **Durability** — every accepted upload is first landed as one WAL
   entry (``wal/<seq>.wal``: a JSON header line + the raw upload bytes,
   written atomically) *before* the request is acknowledged.  The commit
-  workers then run the idempotent :meth:`TraceBank.ingest_bundle` dedup
+  workers then run the idempotent :meth:`TraceBank.ingest_trace_file` dedup
   path and unlink the entry; a crash replays surviving entries on the
   next startup (re-committing one is harmless — ingest is idempotent).
 * **Backpressure** — at most ``capacity`` entries may be in flight
@@ -41,7 +41,7 @@ from repro.errors import IngestQueueFull, ServiceError, TraceError
 from repro.atomicfile import atomic_write
 from repro.store.bank import IngestResult
 from repro.trace import binary_format, decode_trace_bytes
-from repro.trace.records import TraceBundle, TraceFile
+from repro.trace.records import TraceFile
 
 __all__ = ["WAL_SCHEMA", "WalEntry", "IngestQueue", "decode_upload"]
 
@@ -91,7 +91,7 @@ class WalEntry:
     parent_span_id: Optional[str] = None
     enqueue_ts: Optional[float] = None
     #: Zero-arg seconds callable (the app's uptime clock); when set,
-    #: :meth:`IngestQueue.commit` stamps the ``bank.ingest_bundle``
+    #: :meth:`IngestQueue.commit` stamps the ``bank.ingest_trace_file``
     #: interval below so the commit worker can emit the bank span.
     clock: Optional[Any] = field(default=None, repr=False)
     bank_ts: Optional[float] = None
@@ -262,17 +262,11 @@ class IngestQueue:
         trace = entry.trace
         if trace is None:  # pragma: no cover - recovery always decodes
             raise ServiceError("WAL entry %s lost its decoded trace" % entry.entry_id)
-        rank = entry.rank
-        if rank is None:
-            rank = trace.rank if trace.rank is not None else 0
-        bundle = TraceBundle(files={int(rank): trace})
-        if trace.framework:
-            bundle.metadata.setdefault("framework", trace.framework)
         meta: Dict[str, Any] = {"kind": "service"}
         meta.update(entry.meta)
         if clock is not None:
             entry.bank_ts = clock()
-        result = bank.ingest_bundle(bundle, meta=meta)
+        result = bank.ingest_trace_file(trace, meta=meta, rank=entry.rank)
         if clock is not None and entry.bank_ts is not None:
             entry.bank_dur = clock() - entry.bank_ts
         try:

@@ -220,11 +220,11 @@ class TraceBank:
         meta: Optional[Mapping[str, Any]] = None,
         rank: Optional[int] = None,
     ) -> IngestResult:
-        """Archive one standalone trace file as a single-segment run."""
-        key = rank if rank is not None else (tf.rank if tf.rank is not None else 0)
-        bundle = TraceBundle(files={int(key): tf})
-        if tf.framework:
-            bundle.metadata.setdefault("framework", tf.framework)
+        """Archive one standalone trace file as a single-segment run,
+        filed under ``rank`` when given (else its own rank, else 0)."""
+        bundle = TraceBundle.from_files([tf])
+        if rank is not None:
+            bundle.files = {int(rank): tf}
         return self.ingest_bundle(bundle, meta=meta)
 
     # -- reads ---------------------------------------------------------------

@@ -16,7 +16,7 @@ counts) are all shared with :mod:`repro.store.query`.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.fanout import parallel_map
 from repro.obs.metrics import canonical_json
@@ -24,7 +24,8 @@ from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
 from repro.store.query import Query, scan_columns, select_shards
 
-__all__ = ["DFG_SCHEMA", "build_dfg", "render_dfg_text", "render_dfg_dot"]
+__all__ = ["DFG_SCHEMA", "build_dfg", "merge_shard_graphs", "render_dfg_text",
+           "render_dfg_dot", "shard_graph"]
 
 #: Versioned DFG report schema.
 DFG_SCHEMA = "repro/store/dfg/v1"
@@ -35,11 +36,17 @@ def _dfg_shard(task: Tuple[TraceBank, str, int, str, Dict[str, Any]]) -> Dict[st
 
     Reads only the ``name`` column and the two time columns that weight
     the edges (plus whatever the filters read).  Module level so it
-    pickles into worker processes; returns only plain JSON types.
+    pickles into worker processes.
     """
     cols, idxs = scan_columns(task, ("name", "timestamp", "duration"))
     names, stamps, durs = cols["name"], cols["timestamp"], cols["duration"]
-    seq = [(names[i], stamps[i], durs[i]) for i in idxs]
+    return shard_graph([(names[i], stamps[i], durs[i]) for i in idxs])
+
+
+def shard_graph(seq: Sequence[Tuple[str, float, float]]) -> Dict[str, Any]:
+    """One shard's partial graph from its matching events' ``(name,
+    timestamp, duration)`` sequence, in capture order; plain JSON types
+    only."""
     nodes: Dict[str, int] = {}
     edges: Dict[str, Dict[str, int]] = {}
     times: Dict[str, Dict[str, List[float]]] = {}
@@ -86,7 +93,22 @@ def build_dfg(bank: TraceBank, query: Query, jobs: int = 1) -> Dict[str, Any]:
     _selected, shards, scan = select_shards(bank, query)
     plan = query.plan()
     tasks = [(bank, run_id, rank, sha, plan) for run_id, rank, sha in shards]
-    partials = parallel_map(_dfg_shard, tasks, jobs=jobs)
+    graph, matched = merge_shard_graphs(parallel_map(_dfg_shard, tasks, jobs=jobs))
+    col = STATE.collector
+    if col is not None:
+        col.store_scan(scan["segments_scanned"], scan["segments_pruned"], matched)
+    report = {
+        "schema": DFG_SCHEMA,
+        "query": query.echo(),
+        "scan": dict(scan, events_matched=matched),
+        "graph": graph,
+    }
+    return json.loads(canonical_json(report))
+
+
+def merge_shard_graphs(partials: Iterable[Dict[str, Any]]) -> Tuple[Dict[str, Any], int]:
+    """Merge :func:`shard_graph` partials, in the order given (the shard
+    order), into one report ``graph``; returns it and the events matched."""
     nodes: Dict[str, int] = {}
     edges: Dict[str, Dict[str, int]] = {}
     times: Dict[str, Dict[str, List[float]]] = {}
@@ -123,24 +145,16 @@ def build_dfg(bank: TraceBank, query: Query, jobs: int = 1) -> Dict[str, Any]:
                 "min": gap_min,
                 "max": gap_max,
             }
-    col = STATE.collector
-    if col is not None:
-        col.store_scan(scan["segments_scanned"], scan["segments_pruned"], matched)
-    report = {
-        "schema": DFG_SCHEMA,
-        "query": query.echo(),
-        "scan": dict(scan, events_matched=matched),
-        "graph": {
-            "nodes": dict(sorted(nodes.items())),
-            "edges": {a: dict(sorted(row.items())) for a, row in sorted(edges.items())},
-            "edge_times": edge_times,
-            "starts": dict(sorted(starts.items())),
-            "ends": dict(sorted(ends.items())),
-            "n_nodes": len(nodes),
-            "n_edges": sum(len(row) for row in edges.values()),
-        },
+    graph = {
+        "nodes": dict(sorted(nodes.items())),
+        "edges": {a: dict(sorted(row.items())) for a, row in sorted(edges.items())},
+        "edge_times": edge_times,
+        "starts": dict(sorted(starts.items())),
+        "ends": dict(sorted(ends.items())),
+        "n_nodes": len(nodes),
+        "n_edges": sum(len(row) for row in edges.values()),
     }
-    return json.loads(canonical_json(report))
+    return graph, matched
 
 
 def render_dfg_text(report: Dict[str, Any]) -> str:

@@ -110,6 +110,75 @@ class Query:
             limit=limit,
         )
 
+    @staticmethod
+    def from_params(params: Mapping[str, List[str]]) -> "Query":
+        """Build a query from URL query parameters (:meth:`to_params`).
+
+        Mirrors the ``repro store query`` flags one-to-one (``ranks``,
+        ``ops``, ``layers``, ``path_glob``, ``since``, ``until``,
+        ``window``, ``limit``, ``runs``, ``where.<key>=<value>``, ``agg``)
+        so a service answer is byte-identical to the CLI's over the same
+        namespace.  Values may repeat or be comma-separated.  Raises
+        :class:`~repro.errors.StoreQueryError` on malformed values.
+        """
+
+        def multi(name: str) -> Optional[List[str]]:
+            values: List[str] = []
+            for raw in params.get(name, []):
+                values.extend(v for v in raw.split(",") if v)
+            return values or None
+
+        def scalar(name: str, kind: type) -> Any:
+            raw = params.get(name)
+            if not raw:
+                return None
+            try:
+                return kind(raw[0])
+            except ValueError:
+                raise StoreQueryError(
+                    "bad %s for %r: %r" % (kind.__name__, name, raw[0])
+                ) from None
+
+        ranks_raw = multi("ranks")
+        try:
+            ranks = [int(r) for r in ranks_raw] if ranks_raw is not None else None
+        except ValueError:
+            raise StoreQueryError("bad integer in ranks=%r" % (ranks_raw,)) from None
+        window = scalar("window", float)
+        return Query.create(
+            agg=(params.get("agg") or ["ops"])[0],
+            ranks=ranks,
+            names=multi("ops"),
+            layers=multi("layers"),
+            path_glob=(params.get("path_glob") or [None])[0],
+            since=scalar("since", float),
+            until=scalar("until", float),
+            where=params_with_prefix(params, "where."),
+            runs=multi("runs"),
+            window=0.05 if window is None else window,
+            limit=scalar("limit", int),
+        )
+
+    def to_params(self) -> List[Tuple[str, str]]:
+        """The query as URL ``(name, value)`` pairs for ``urlencode``; the
+        inverse of :meth:`from_params` (floats travel as ``repr``)."""
+        pairs = [("agg", self.agg)]
+        pairs += [("ranks", str(r)) for r in self.ranks or ()]
+        pairs += [("ops", n) for n in self.names or ()]
+        pairs += [("layers", l) for l in self.layers or ()]
+        if self.path_glob is not None:
+            pairs.append(("path_glob", self.path_glob))
+        if self.since is not None:
+            pairs.append(("since", repr(self.since)))
+        if self.until is not None:
+            pairs.append(("until", repr(self.until)))
+        pairs += [("where." + k, v) for k, v in self.where]
+        pairs += [("runs", r) for r in self.runs or ()]
+        pairs.append(("window", repr(self.window)))
+        if self.limit is not None:
+            pairs.append(("limit", str(self.limit)))
+        return pairs
+
     def validate(self) -> None:
         """Reject malformed queries with a typed error."""
         if self.agg not in AGGREGATES:
@@ -149,6 +218,16 @@ class Query:
             "runs": list(self.runs) if self.runs is not None else None,
             "limit": self.limit,
         }
+
+
+def params_with_prefix(params: Mapping[str, List[str]], prefix: str) -> Dict[str, str]:
+    """The ``<prefix><key>=<value>`` URL parameters as ``{key: value}``;
+    a repeated key keeps its last value."""
+    return {
+        key[len(prefix):]: values[-1]
+        for key, values in params.items()
+        if key.startswith(prefix) and values
+    }
 
 
 def _meta_lookup(meta: Mapping[str, Any], dotted: str) -> Any:

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.trace.events import EventLayer, TraceEvent
 
-__all__ = ["TraceFile", "TraceBundle", "BarrierStamp"]
+__all__ = ["TraceFile", "TraceBundle", "BarrierStamp", "source_rank"]
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,12 @@ class TraceFile:
         )
 
 
+def source_rank(tf: TraceFile, position: int) -> int:
+    """The rank one of a run's trace files is filed under: its own rank,
+    else its position among the run's files."""
+    return int(tf.rank) if tf.rank is not None else position
+
+
 class TraceBundle:
     """Everything one traced run produced.
 
@@ -147,6 +153,18 @@ class TraceBundle:
         self.files: Dict[int, TraceFile] = dict(files or {})
         self.barrier_stamps: List[BarrierStamp] = list(barrier_stamps)
         self.metadata: Dict[str, object] = dict(metadata or {})
+
+    @classmethod
+    def from_files(cls, files: Iterable[TraceFile]) -> "TraceBundle":
+        """One run from its trace files, each filed under
+        :func:`source_rank`; the run's framework is the first one a file
+        names."""
+        bundle = cls()
+        for position, tf in enumerate(files):
+            bundle.add_file(source_rank(tf, position), tf)
+            if tf.framework:
+                bundle.metadata.setdefault("framework", tf.framework)
+        return bundle
 
     def add_file(self, key: int, tf: TraceFile) -> None:
         """Attach one source's trace under ``key`` (usually the rank)."""

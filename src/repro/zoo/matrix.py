@@ -158,7 +158,6 @@ def run_zoo_matrix(
     framework: Optional[str] = None,
     store: Optional[str] = None,
     replay_check: bool = False,
-    replay_timing: str = "afap",
 ) -> Dict[str, Any]:
     """Run the selected scenarios and assemble the zoo report."""
     if replay_check and store is None:
@@ -198,10 +197,7 @@ def run_zoo_matrix(
             from repro.zoo.replaypipe import replay_pipeline
 
             r0 = time.perf_counter()
-            fid = replay_pipeline(
-                [point.store_run_id], store=store, timing=replay_timing,
-                seed=seed,
-            )
+            fid = replay_pipeline([point.store_run_id], store=store, seed=seed)
             replay_wall = time.perf_counter() - r0
             row["fidelity"] = {
                 "exact": fid["exact"],

@@ -76,13 +76,8 @@ def _bundle_from_strace(text: Union[str, bytes], label: str) -> Tuple[TraceBundl
 
 def _bundle_from_files(paths: Sequence[Path]) -> Tuple[TraceBundle, Dict[str, Any]]:
     """Library trace file(s) — binary or text — as a bundle, one per rank."""
-    bundle = TraceBundle(metadata={"source": str(paths[0])})
-    for idx, path in enumerate(paths):
-        tf = decode_trace_bytes(path.read_bytes())
-        rank = tf.rank if tf.rank is not None else idx
-        bundle.add_file(rank, tf)
-        if tf.framework and "framework" not in bundle.metadata:
-            bundle.metadata["framework"] = tf.framework
+    bundle = TraceBundle.from_files(decode_trace_bytes(p.read_bytes()) for p in paths)
+    bundle.metadata["source"] = str(paths[0])
     return bundle, {"kind": "trace-file", "files": len(paths)}
 
 

@@ -1,9 +1,16 @@
 """Cross-run diffing: counters, histograms, span alignment, track drift."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from obsutil import make_payload
 
+import repro
 from repro.errors import TelemetryError
 from repro.faults import DiskSlowdown, FaultSchedule
 from repro.harness.figures import paper_testbed
@@ -33,6 +40,32 @@ class TestIdenticalPayloads:
         assert a["dominant_layer"] is None
         assert a["tracks"] == {"only_a": [], "only_b": []}
         assert a["tracepoints"] == {"only_a": [], "only_b": []}
+
+
+class TestHashSeed:
+    def test_diff_bytes_do_not_follow_the_hash_seed(self, tmp_path):
+        # Dozens of buckets on each side: summed in set order, hash seeds
+        # 0, 1 and 2 each printed a different last digit of the divergence.
+        a = make_payload(observations={"os.call_seconds": [
+            2.0 ** -k for k in range(1, 30) for _ in range(k % 7 + 1)]})
+        b = make_payload(observations={"os.call_seconds": [
+            2.0 ** -k for k in range(3, 33) for _ in range(k % 5 + 1)]})
+        (tmp_path / "a.json").write_text(json.dumps(a))
+        (tmp_path / "b.json").write_text(json.dumps(b))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "obs", "diff", "a.json",
+                 "b.json", "--format", "json"],
+                cwd=str(tmp_path), env=env, capture_output=True, timeout=60,
+                check=True,
+            )
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+        (row,) = json.loads(outs.pop())["histograms"]
+        assert row["name"] == "os.call_seconds" and 0.0 < row["divergence"] < 1.0
 
 
 class TestCounters:

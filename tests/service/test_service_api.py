@@ -9,11 +9,14 @@ equal ``repro store query --json`` output over the same namespace.
 
 import asyncio
 import json
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.metrics import canonical_json
 from repro.service import Request, ServiceApp, query_from_params
+from repro.service.server import parse_qs
 from repro.store import Query, TraceBank, run_query
 from repro.trace.binary_format import encode_trace_file
 from repro.errors import StoreQueryError
@@ -216,6 +219,40 @@ class TestQueryFromParams:
             query_from_params({"since": ["soon"]})
         with pytest.raises(StoreQueryError):
             query_from_params({"limit": ["many"]})
+
+
+# The server splits values on commas (``ops=a,b`` is two ops), so the
+# round trip holds for non-empty values without one.
+_VALUE = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=","),
+    min_size=1,
+)
+_FLOAT = st.floats(allow_nan=False)
+
+
+@st.composite
+def _queries(draw):
+    return Query.create(
+        agg=draw(_VALUE),
+        ranks=draw(st.lists(st.integers(), max_size=4)),
+        names=draw(st.lists(_VALUE, max_size=3)),
+        layers=draw(st.lists(_VALUE, max_size=3)),
+        path_glob=draw(st.none() | _VALUE),
+        since=draw(st.none() | _FLOAT),
+        until=draw(st.none() | _FLOAT),
+        where=draw(st.dictionaries(_VALUE, _VALUE, max_size=3)),
+        runs=draw(st.lists(_VALUE, max_size=3)),
+        window=draw(_FLOAT),
+        limit=draw(st.none() | st.integers()),
+    )
+
+
+class TestQueryParamsRoundTrip:
+    @given(_queries())
+    def test_from_params_inverts_to_params(self, query):
+        params = parse_qs(urlencode(query.to_params()))
+        assert Query.from_params(params) == query
+        assert query_from_params(params) == query
 
 
 class TestStatsAndMetrics:

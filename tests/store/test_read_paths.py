@@ -50,15 +50,16 @@ def parses(monkeypatch):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Every segment ``TraceBank.read_segment`` decodes from here on."""
+    """Every segment file ``TraceBank.read_segment_blob`` reads from here
+    on, whether it is then decoded or projected."""
     calls = []
-    real = TraceBank.read_segment
+    real = TraceBank.read_segment_blob
 
     def counting(self, sha):
         calls.append(sha)
         return real(self, sha)
 
-    monkeypatch.setattr(TraceBank, "read_segment", counting)
+    monkeypatch.setattr(TraceBank, "read_segment_blob", counting)
     return calls
 
 
@@ -180,16 +181,16 @@ class TestLookupByName:
         [
             (["store", "ls", "--store", "{store}"], 5, 0),
             (["observe", "{store}"], 5, 0),
-            (["store", "query", "--store", "{store}", "--runs", "{run}"], 1, 0),
-            (["store", "dfg", "--store", "{store}", "--runs", "{run}"], 1, 0),
-            (["obs", "slice", "--store", "{store}", "{run}"], 2, 2),
+            (["store", "query", "--store", "{store}", "--runs", "{run}"], 1, 2),
+            (["store", "dfg", "--store", "{store}", "--runs", "{run}"], 1, 2),
+            (["obs", "slice", "--store", "{store}", "{run}"], 1, 2),
             (["obs", "slice", "--store", "{store}", "{run}", "--path", "*",
-              "--flame", "{out}.flame", "--perfetto", "{out}.json"], 2, 2),
+              "--flame", "{out}.flame", "--perfetto", "{out}.json"], 1, 2),
             (["obs", "critpath", "--store", "{store}", "{run}"], 1, 2),
             (["obs", "diff", "--store", "{store}", "{run}", "{run}"], 2, 4),
-            (["obs", "diagnose", "--store", "{store}"], 7, 2),
+            (["obs", "diagnose", "--store", "{store}"], 6, 12),
             (["obs", "diagnose", "--store", "{store}", "--run-prefix", "{prefix}"],
-             1, 0),
+             1, 2),
             (["zoo", "replay", "--store", "{store}", "{run}"], 1, 2),
         ],
         ids=["store-ls", "observe", "store-query", "store-dfg", "obs-slice",
@@ -200,9 +201,10 @@ class TestLookupByName:
         self, archive, parses, reads, tmp_path, argv, want_parses, want_reads
     ):
         # A listing parses each manifest once; a command given one run
-        # resolves it once, whatever the archive's size, and decodes each
-        # of its segments once.  ``obs diagnose`` lists every run, then
-        # slices its one outlier (the slice's lookup and its DFG's).
+        # resolves it once, whatever the archive's size, and reads each
+        # of its segment files once.  ``obs diagnose`` lists every run and
+        # reads each one's segments, then slices its one outlier (one
+        # lookup, one read per segment: the slice's DFG reuses its decode).
         bank, ids = archive
         fields = {"store": bank.root, "run": ids[2], "prefix": ids[2][:12],
                   "out": tmp_path / "out"}
