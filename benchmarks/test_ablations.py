@@ -12,14 +12,15 @@ turns, so a reader can see *why* the figures come out as they do:
 
 import pytest
 
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.harness.experiment import measure_overhead
 from repro.harness.figures import paper_testbed
 from repro.trace import binary_format, text_format
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 8
 ARGS = {
@@ -150,7 +151,8 @@ def test_buffering_ablation():
 
 def test_des_kernel_event_rate(benchmark):
     """Raw simulator throughput: events dispatched per second."""
-    from repro.des import Simulator, Timeout
+    from repro.des.events import Timeout
+    from repro.des.simulator import Simulator
 
     def run():
         sim = Simulator()

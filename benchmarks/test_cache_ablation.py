@@ -6,9 +6,10 @@ on.  The ablation stacks :class:`~repro.simfs.cache.CachingFS` over the
 node-local scratch FS and measures the re-read speedup and hit rates.
 """
 
-from repro.harness.testbed import TestbedConfig, build_testbed
+from repro.harness.testbed import build_testbed
+from repro.machine import TestbedConfig
 from repro.simfs.cache import CacheParams, CachingFS
-from repro.simmpi import mpirun
+from repro.simmpi.runtime import mpirun
 from repro.units import KiB, MiB
 from repro.workloads.generators import io_intensive
 

@@ -9,7 +9,8 @@ much of the strided penalty it removes, across block sizes.
 
 from repro.harness.figures import paper_testbed
 from repro.harness.testbed import build_testbed
-from repro.simmpi import MPIFile, MPI_MODE_CREATE, MPI_MODE_WRONLY, mpirun
+from repro.simmpi.mpiio import MPI_MODE_CREATE, MPI_MODE_WRONLY, MPIFile
+from repro.simmpi.runtime import mpirun
 from repro.units import KiB, MiB
 from repro.workloads.patterns import AccessPattern, block_offset
 

@@ -8,16 +8,16 @@ the call summary.
 
 import re
 
-from repro.frameworks.lanltrace import (
-    LANLTrace,
-    LANLTraceConfig,
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.outputs import (
     render_aggregate_timing,
     render_call_summary,
     render_raw_trace,
 )
 from repro.harness.experiment import run_traced
 from repro.harness.figures import paper_testbed
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 # Figure 1's command line: mpi_io_test.exe -type 1 -strided 1 -size 32768 -nobj 1
 ARGS = {

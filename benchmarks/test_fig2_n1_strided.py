@@ -9,7 +9,7 @@ Anchors: 51.3% bandwidth overhead at 64 KiB, 5.5% at 8192 KiB.
 from repro.harness.figures import figure_series
 from repro.harness.report import render_figure
 from repro.units import MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 PAPER_64K = 0.513
 PAPER_8M = 0.055

@@ -8,7 +8,7 @@ Anchors: 64.7% bandwidth overhead at 64 KiB, 6.1% at 8192 KiB.
 from repro.harness.figures import figure_series
 from repro.harness.report import render_figure
 from repro.units import MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 
 def test_figure3(once):

@@ -9,7 +9,7 @@ the three patterns (its untraced baseline is fastest).
 from repro.harness.figures import figure_series
 from repro.harness.report import render_figure
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 
 def test_figure4(once):

@@ -5,11 +5,13 @@ and elapsed time overhead.  The overhead is thus highly variable ...
 ranging between ~0% to 205%."  The dial is the throttling sample rate.
 """
 
-from repro.frameworks.ptrace import PTrace, PTraceCollector
+from repro.frameworks.ptrace.framework import PTrace
+from repro.frameworks.ptrace.throttle import PTraceCollector
 from repro.harness.experiment import measure_overhead
 from repro.harness.figures import paper_testbed
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 8
 ARGS = {

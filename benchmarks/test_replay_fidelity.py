@@ -6,12 +6,16 @@ using sampling".  Verified with both §3.1 methods: end-to-end run time
 (the ``time`` utility) and re-tracing the pseudo-application.
 """
 
-from repro.frameworks.ptrace import PTrace, PTraceCollector, build_replayable
+from repro.frameworks.ptrace.framework import PTrace
+from repro.frameworks.ptrace.replaygen import build_replayable
+from repro.frameworks.ptrace.throttle import PTraceCollector
 from repro.harness.experiment import measure_overhead
 from repro.harness.figures import paper_testbed
-from repro.replay import compare_end_to_end, compare_traces, replay
+from repro.replay.fidelity import compare_end_to_end, compare_traces
+from repro.replay.replayer import replay
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 4
 ARGS = {
@@ -62,7 +66,8 @@ def test_fidelity_degrades_without_dependency_knowledge(once):
     Measured on a load-imbalanced checkpoint application — when ranks
     finish compute at different times, barrier waits carry real weight,
     and a replay that does not re-synchronize underestimates the run."""
-    from repro.frameworks.ptrace import PTraceCollector, build_replayable
+    from repro.frameworks.ptrace.replaygen import build_replayable
+    from repro.frameworks.ptrace.throttle import PTraceCollector
     from repro.workloads.generators import checkpoint
 
     imbalanced = {
@@ -117,7 +122,7 @@ def test_replayed_trace_signature_matches(once):
         _, res, app, _, _ = _collect_and_replay(1.0)
         from repro.harness.testbed import build_testbed
         from repro.replay.replayer import _replay_rank
-        from repro.simmpi import mpirun
+        from repro.simmpi.runtime import mpirun
 
         tb = build_testbed(paper_testbed(nprocs=NP), seed=55)
         fw = PTrace()

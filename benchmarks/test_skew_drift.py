@@ -11,12 +11,12 @@ import statistics
 
 from repro.analysis.skew import correct_timestamp, estimate_clocks
 from repro.analysis.timeline import global_timeline
-from repro.cluster.cluster import ClusterConfig
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.harness.experiment import run_traced
-from repro.harness.testbed import TestbedConfig
+from repro.machine import ClusterConfig, TestbedConfig
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 8
 BAD_CLOCKS = TestbedConfig(
@@ -94,7 +94,7 @@ def test_skew_drift_pipeline(once):
 def test_frameworks_without_accounting_cannot_correct(once):
     """Tracefs (N/A) and //TRACE (No) produce no barrier stamps — the
     taxonomy row is observable as an absent capability."""
-    from repro.frameworks.ptrace import PTrace
+    from repro.frameworks.ptrace.framework import PTrace
 
     def run():
         _, traced = run_traced(

@@ -4,8 +4,9 @@ Regenerates the single-framework reference table of §3.2 and checks the
 schema matches the paper's thirteen rows with the paper's value domains.
 """
 
-from repro.core import FEATURES, Feature, render_summary_table
 from repro.core.casestudy import lanl_trace_classification
+from repro.core.features import FEATURES, Feature
+from repro.core.summary_table import render_summary_table
 
 
 def test_table1_template(once):

@@ -9,23 +9,25 @@ Regenerates the case-study comparison table (§4, Table 2) two ways:
 
 import pytest
 
-from repro.core import Feature, render_summary_table
 from repro.core.casestudy import (
     lanl_trace_classification,
     paper_table2,
     ptrace_classification,
     tracefs_classification,
 )
+from repro.core.features import Feature
 from repro.core.overhead import measure_overhead_report
+from repro.core.summary_table import render_summary_table
 from repro.core.values import OverheadReport
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
-from repro.frameworks.ptrace import PTrace
-from repro.frameworks.tracefs import Tracefs, TracefsConfig
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
+from repro.frameworks.ptrace.framework import PTrace
+from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig
 from repro.harness.experiment import measure_overhead
 from repro.harness.figures import paper_testbed
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern, mpi_io_test
 from repro.workloads.generators import io_intensive
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 
 def test_table2_published(once):
@@ -98,7 +100,7 @@ def test_table2_with_measured_overheads(once):
 
 def test_conclusion_recommendations():
     """§5's three conclusions, via the requirements engine."""
-    from repro.core import Requirements, recommend
+    from repro.core.requirements import Requirements, recommend
 
     cls = list(paper_table2().values())
     # replayable + parallel -> //TRACE

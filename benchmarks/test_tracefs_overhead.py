@@ -7,7 +7,7 @@ calculation."  Also: "Performance overhead varies greatly depending on
 which functionality is employed."
 """
 
-from repro.frameworks.tracefs import Tracefs, TracefsConfig
+from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig
 from repro.harness.experiment import measure_overhead
 from repro.units import KiB
 
@@ -71,7 +71,7 @@ def test_tracefs_overhead_by_functionality(once):
 def test_tracefs_overhead_is_small_next_to_lanl_trace(once):
     """The survey's core contrast: in-kernel buffered binary tracing vs
     per-event ptrace stops, on the same workload."""
-    from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+    from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
     from repro.workloads.generators import io_intensive
 
     def measure_both():

@@ -20,10 +20,10 @@ from repro.analysis.iostat import iostat, render_iostat
 from repro.analysis.phases import detect_phases, phase_summary
 from repro.analysis.summary import summarize_calls
 from repro.frameworks.netmsg import MsgTrace
-from repro.frameworks.ptrace import PTrace
+from repro.frameworks.ptrace.framework import PTrace
 from repro.harness.figures import paper_testbed
 from repro.harness.testbed import build_testbed
-from repro.simmpi import mpirun
+from repro.simmpi.runtime import mpirun
 from repro.trace.merge import merge_bundles
 from repro.units import KiB
 from repro.workloads.generators import checkpoint, halo_exchange

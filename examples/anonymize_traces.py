@@ -16,7 +16,7 @@ Run:  python examples/anonymize_traces.py
 
 import base64
 
-from repro.frameworks.tracefs import Tracefs, TracefsConfig
+from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig
 from repro.harness.experiment import run_traced
 from repro.trace.anonymize import RandomizingAnonymizer, anonymize_bundle
 from repro.trace.crypto import cbc_decrypt

@@ -8,13 +8,10 @@ Conclusion (§5).
 Run:  python examples/classify_frameworks.py
 """
 
-from repro.core import (
-    Requirements,
-    compare_classifications,
-    recommend,
-    render_summary_table,
-)
 from repro.core.casestudy import paper_table2
+from repro.core.compare import compare_classifications
+from repro.core.requirements import Requirements, recommend
+from repro.core.summary_table import render_summary_table
 
 
 def main() -> None:

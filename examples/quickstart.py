@@ -9,9 +9,8 @@ elapsed-time overhead.
 Run:  python examples/quickstart.py
 """
 
-from repro.frameworks.lanltrace import (
-    LANLTrace,
-    LANLTraceConfig,
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.outputs import (
     render_aggregate_timing,
     render_call_summary,
     render_raw_trace,
@@ -19,7 +18,8 @@ from repro.frameworks.lanltrace import (
 from repro.harness.experiment import measure_overhead
 from repro.harness.figures import paper_testbed
 from repro.units import KiB, format_bandwidth
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 
 def main() -> None:

@@ -14,12 +14,15 @@ The full //TRACE pipeline of paper §2.3/§4.3:
 Run:  python examples/replay_study.py
 """
 
-from repro.frameworks.ptrace import PTraceCollector, build_replayable
+from repro.frameworks.ptrace.replaygen import build_replayable
+from repro.frameworks.ptrace.throttle import PTraceCollector
 from repro.harness.experiment import measure_overhead
 from repro.harness.figures import paper_testbed
-from repro.replay import compare_end_to_end, replay
+from repro.replay.fidelity import compare_end_to_end
+from repro.replay.replayer import replay
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NPROCS = 4
 ARGS = {

@@ -14,12 +14,13 @@ Run:  python examples/skew_correction.py
 
 from repro.analysis.skew import estimate_clocks
 from repro.analysis.timeline import global_timeline
-from repro.cluster.cluster import ClusterConfig
-from repro.frameworks.lanltrace import LANLTrace, render_aggregate_timing
+from repro.frameworks.lanltrace.framework import LANLTrace
+from repro.frameworks.lanltrace.outputs import render_aggregate_timing
 from repro.harness.experiment import run_traced
-from repro.harness.testbed import TestbedConfig
+from repro.machine import ClusterConfig, TestbedConfig
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NPROCS = 6
 BAD_CLOCKS = TestbedConfig(

@@ -26,10 +26,11 @@ interposer) lives in :mod:`repro.host`.
 
 Quick start::
 
-    from repro.harness import measure_overhead
-    from repro.frameworks.lanltrace import LANLTrace
-    from repro.workloads import mpi_io_test, AccessPattern
-    from repro.units import KiB, MiB
+    from repro.frameworks.lanltrace.framework import LANLTrace
+    from repro.harness.experiment import measure_overhead
+    from repro.units import KiB
+    from repro.workloads.mpi_io_test import mpi_io_test
+    from repro.workloads.patterns import AccessPattern
 
     m = measure_overhead(
         LANLTrace,

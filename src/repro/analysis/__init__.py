@@ -13,23 +13,3 @@
 * :mod:`repro.analysis.phases` — compute/I-O phase segmentation of a
   rank's timeline (burst detection).
 """
-
-from repro.analysis.phases import Phase, detect_phases, phase_summary
-from repro.analysis.summary import CallSummary, summarize_calls
-from repro.analysis.skew import ClockEstimate, estimate_clocks, correct_timestamp
-from repro.analysis.bandwidth import trace_bandwidth, events_per_byte
-from repro.analysis.timeline import global_timeline
-
-__all__ = [
-    "Phase",
-    "detect_phases",
-    "phase_summary",
-    "CallSummary",
-    "summarize_calls",
-    "ClockEstimate",
-    "estimate_clocks",
-    "correct_timestamp",
-    "trace_bandwidth",
-    "events_per_byte",
-    "global_timeline",
-]

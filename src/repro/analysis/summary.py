@@ -89,7 +89,7 @@ def summarize_store(
     The store-backed sibling of :func:`summarize_calls`: the same Figure-1
     rows, but computed by the archive's pushdown-pruned parallel scan
     instead of decoding whole bundles in-process.  ``query`` (a
-    :class:`repro.store.Query`) restricts which runs/events count; its
+    :class:`repro.store.query.Query`) restricts which runs/events count; its
     aggregate choice is overridden to ``ops``.
     """
     from dataclasses import replace

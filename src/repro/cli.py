@@ -70,8 +70,9 @@ Commands:
     The workload zoo.  ``ls``/``describe`` browse the scenario registry
     (checkpoint/restart with burst-buffer tiering, ML-epoch shuffled
     reads, log-structured append+compaction, metadata storm); ``run``/
-    ``matrix`` execute scenarios through the §3.1 harness (same sweep
-    flags as ``figures``: ``--jobs``, run cache, ``--store`` archiving)
+    ``matrix`` execute scenarios through the §3.1 harness (``figures``'
+    sweep flags ``--jobs``, run cache and ``--store`` archiving;
+    ``--smoke`` picks the CI scale)
     and check each archived trace against the scenario's declared I/O
     signature; ``--replay-check`` closes the
     loop by replaying every archived run from its run id and requiring
@@ -102,12 +103,13 @@ from repro.core.casestudy import paper_table2
 from repro.core.requirements import Requirements, recommend
 from repro.core.summary_table import render_csv, render_markdown, render_summary_table
 from repro.errors import ReproError
-from repro.trace import binary_format, decode_trace_bytes, text_format
+from repro.trace import binary_format, text_format
 from repro.trace.anonymize import (
     ANONYMIZABLE_FIELDS,
     FieldSelectiveAnonymizer,
     RandomizingAnonymizer,
 )
+from repro.trace.decode import decode_trace_bytes
 from repro.trace.records import TraceFile
 
 __all__ = ["main", "build_parser"]
@@ -140,11 +142,11 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    # Importing the framework packages populates the registry.
-    import repro.frameworks.lanltrace  # noqa: F401
+    # Importing the framework modules populates the registry.
+    import repro.frameworks.lanltrace.framework  # noqa: F401
     import repro.frameworks.netmsg  # noqa: F401
-    import repro.frameworks.ptrace  # noqa: F401
-    import repro.frameworks.tracefs  # noqa: F401
+    import repro.frameworks.ptrace.throttle  # noqa: F401
+    import repro.frameworks.tracefs.framework  # noqa: F401
     from repro.frameworks.base import FRAMEWORK_REGISTRY
 
     table = paper_table2()
@@ -391,7 +393,7 @@ def _is_store_dir(path: Path) -> bool:
 
 
 def _cmd_zoo_ls(args: argparse.Namespace) -> int:
-    from repro.zoo import SCENARIOS
+    from repro.zoo.registry import SCENARIOS
 
     print("%-14s %-7s %-22s %-9s %s"
           % ("name", "nprocs", "workload", "dominant", "title"))
@@ -407,7 +409,7 @@ def _cmd_zoo_ls(args: argparse.Namespace) -> int:
 
 def _cmd_zoo_describe(args: argparse.Namespace) -> int:
     from repro.obs.metrics import canonical_json
-    from repro.zoo import get
+    from repro.zoo.registry import get
 
     sc = get(args.scenario)
     if args.json:
@@ -433,7 +435,7 @@ def _cmd_zoo_describe(args: argparse.Namespace) -> int:
 
 def _run_zoo(args: argparse.Namespace, scenarios) -> int:
     """Shared body of ``zoo run`` and ``zoo matrix``."""
-    from repro.zoo import render_zoo_report, run_zoo_matrix
+    from repro.zoo.matrix import render_zoo_report, run_zoo_matrix
 
     report = run_zoo_matrix(
         scenarios=scenarios,
@@ -471,7 +473,7 @@ def _cmd_zoo_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_zoo_replay(args: argparse.Namespace) -> int:
-    from repro.zoo import render_fidelity_report, replay_pipeline
+    from repro.zoo.replaypipe import render_fidelity_report, replay_pipeline
 
     report = replay_pipeline(
         args.sources,
@@ -598,7 +600,8 @@ def _load_telemetry_payload(source: str, store: str, run: str):
         if "" in payloads:
             return payloads[""], path.name
         return payloads[run], "%s:%s" % (path.name, run)
-    from repro.store import TraceBank, telemetry_view
+    from repro.store.bank import TraceBank
+    from repro.store.query import telemetry_view
 
     bank = TraceBank(store, create=False)
     payload = telemetry_view(bank, source)
@@ -668,7 +671,7 @@ def _cmd_obs_slice(args: argparse.Namespace) -> int:
             payload, anchor=anchor, value=value, max_roots=args.max_roots
         )
     else:
-        from repro.store import TraceBank
+        from repro.store.bank import TraceBank
 
         bank = TraceBank(args.store, create=False)
         report, payload = slice_from_store(
@@ -818,9 +821,9 @@ def _kv_items(items: Optional[List[str]], flag: str) -> dict:
 
 
 def _store_query_from_args(args: argparse.Namespace):
-    """The :class:`~repro.store.Query` that ``store query``/``dfg`` run
+    """The :class:`~repro.store.query.Query` that ``store query``/``dfg`` run
     and ``service query`` sends."""
-    from repro.store import Query
+    from repro.store.query import Query
 
     return Query.create(
         agg=getattr(args, "agg", "ops"),
@@ -838,7 +841,7 @@ def _store_query_from_args(args: argparse.Namespace):
 
 
 def _cmd_store_ingest(args: argparse.Namespace) -> int:
-    from repro.store import TraceBank
+    from repro.store.bank import TraceBank
     from repro.trace.records import TraceBundle
 
     meta = {"kind": "manual"}
@@ -863,7 +866,7 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
 def _print_store_listing(store) -> int:
     """Print an archive's summary and one line per run (``store ls``,
     ``observe <store-dir>``)."""
-    from repro.store import TraceBank, render_store_summary
+    from repro.store.bank import TraceBank, render_store_summary
 
     bank = TraceBank(store, create=False)
     manifests = bank.manifests()
@@ -888,7 +891,8 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
 
 def _cmd_store_query(args: argparse.Namespace) -> int:
     from repro.obs.metrics import canonical_json
-    from repro.store import TraceBank, run_query
+    from repro.store.bank import TraceBank
+    from repro.store.query import run_query
 
     bank = TraceBank(args.store, create=False)
     report = run_query(bank, _store_query_from_args(args), jobs=args.jobs)
@@ -914,7 +918,8 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
 
 def _cmd_store_dfg(args: argparse.Namespace) -> int:
     from repro.obs.metrics import canonical_json
-    from repro.store import TraceBank, build_dfg, render_dfg_dot, render_dfg_text
+    from repro.store.bank import TraceBank
+    from repro.store.dfg import build_dfg, render_dfg_dot, render_dfg_text
 
     bank = TraceBank(args.store, create=False)
     report = build_dfg(bank, _store_query_from_args(args), jobs=args.jobs)
@@ -928,7 +933,7 @@ def _cmd_store_dfg(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
-    from repro.store import TraceBank
+    from repro.store.bank import TraceBank
 
     bank = TraceBank(args.store, create=False)
     report = bank.verify(jobs=args.jobs)
@@ -947,7 +952,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
-    from repro.store import TraceBank
+    from repro.store.bank import TraceBank
 
     bank = TraceBank(args.store, create=False)
     report = bank.gc(dry_run=args.dry_run, tmp_ttl_seconds=args.ttl_seconds)
@@ -1007,7 +1012,7 @@ def _http_request(url: str, method: str = "GET", body: bytes = b""):
 
 
 def _cmd_service_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve
+    from repro.service.server import serve
 
     serve(
         args.store,
@@ -1018,8 +1023,6 @@ def _cmd_service_serve(args: argparse.Namespace) -> int:
         query_jobs=args.jobs,
         commit_workers=args.workers,
         access_log=args.access_log,
-        trace_ring=args.trace_ring,
-        slowest_per_route=args.slowest_per_route,
     )
     return 0
 
@@ -1080,7 +1083,7 @@ def _cmd_service_query(args: argparse.Namespace) -> int:
 
 def _cmd_service_loadgen(args: argparse.Namespace) -> int:
     from repro.obs.metrics import canonical_json
-    from repro.service import build_plan, run_loadgen, write_bench
+    from repro.service.loadgen import build_plan, run_loadgen, write_bench
 
     host, port = _split_url(args.url)
     plan = build_plan(
@@ -1137,8 +1140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-overhead", type=float, default=None, metavar="PERCENT")
     p.set_defaults(fn=_cmd_recommend)
 
-    def add_sweep_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--quick", action="store_true", help="small fast sweep")
+    # Every sweep command reads the pool, run-cache, progress and archive
+    # flags; only the figure sweeps read --quick and the telemetry flags.
+    def add_sweep_flags(p: argparse.ArgumentParser, figure: bool = False) -> None:
+        if figure:
+            p.add_argument("--quick", action="store_true", help="small fast sweep")
         p.add_argument(
             "--jobs",
             type=int,
@@ -1157,17 +1163,18 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="run cache directory (default .repro-cache)",
         )
-        p.add_argument(
-            "--telemetry",
-            action="store_true",
-            help="record metrics + Perfetto traces for every sweep point",
-        )
-        p.add_argument(
-            "--telemetry-out",
-            default="telemetry",
-            metavar="DIR",
-            help="directory for --telemetry artifacts (default telemetry/)",
-        )
+        if figure:
+            p.add_argument(
+                "--telemetry",
+                action="store_true",
+                help="record metrics + Perfetto traces for every sweep point",
+            )
+            p.add_argument(
+                "--telemetry-out",
+                default="telemetry",
+                metavar="DIR",
+                help="directory for --telemetry artifacts (default telemetry/)",
+            )
         p.add_argument(
             "--progress",
             action="store_true",
@@ -1186,13 +1193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="regenerate Figure 2, 3 or 4")
     p.add_argument("number", type=int, choices=(2, 3, 4))
-    add_sweep_flags(p)
+    add_sweep_flags(p, figure=True)
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser(
         "figures", help="regenerate Figures 2-4 + overhead range as one sweep"
     )
-    add_sweep_flags(p)
+    add_sweep_flags(p, figure=True)
     p.set_defaults(fn=_cmd_figures)
 
     p = sub.add_parser(
@@ -1526,12 +1533,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--access-log", default=None, metavar="PATH",
                     help="write one canonical JSONL access-log line per "
                     "request here")
-    sp.add_argument("--trace-ring", type=int, default=512, metavar="N",
-                    help="finished request traces kept in the in-memory "
-                    "ring (default 512)")
-    sp.add_argument("--slowest-per-route", type=int, default=8, metavar="N",
-                    help="slowest traces retained per route past ring "
-                    "eviction (default 8)")
     sp.set_defaults(fn=_cmd_service_serve)
 
     sp = service_sub.add_parser(

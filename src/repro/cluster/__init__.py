@@ -11,21 +11,9 @@ compute node has its own imperfect clock.  The pieces:
   parameters;
 * :class:`~repro.cluster.network.Network` — shared interconnect with
   per-NIC links and latency/bandwidth costs;
-* :class:`~repro.cluster.cluster.Cluster` /
-  :class:`~repro.cluster.cluster.ClusterConfig` — assembly.
+* :class:`~repro.cluster.cluster.Cluster` — assembly.
+
+Their parameters (:class:`~repro.machine.ClusterConfig`,
+:class:`~repro.machine.NodeParams`, :class:`~repro.machine.NetworkConfig`)
+are plain data in :mod:`repro.machine`.
 """
-
-from repro.cluster.clock import Clock
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.cluster.network import Network, NetworkConfig
-from repro.cluster.node import Node, NodeParams
-
-__all__ = [
-    "Clock",
-    "Cluster",
-    "ClusterConfig",
-    "Network",
-    "NetworkConfig",
-    "Node",
-    "NodeParams",
-]

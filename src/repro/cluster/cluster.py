@@ -8,54 +8,13 @@ systems and MPI runtimes attach on top of it — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.cluster.clock import Clock
-from repro.cluster.network import Network, NetworkConfig
-from repro.cluster.node import Node, NodeParams
+from repro.cluster.network import Network
+from repro.cluster.node import Node
 from repro.des.simulator import Simulator
+from repro.machine import ClusterConfig
 
-__all__ = ["Cluster", "ClusterConfig"]
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Shape and imperfection parameters of a simulated cluster.
-
-    Attributes
-    ----------
-    n_nodes:
-        Number of compute nodes (the paper ran 32 processors).
-    seed:
-        Root seed for all randomness in the simulation.
-    clock_skew_stddev:
-        Standard deviation of the per-node constant clock offset, seconds.
-        Commodity clusters of the era commonly disagreed by tens of
-        milliseconds to seconds when NTP was loose.
-    clock_drift_stddev:
-        Standard deviation of the per-node fractional rate error.  Crystal
-        oscillators drift on the order of 1e-6 .. 1e-4 (1–100 ppm).
-    clock_epoch:
-        Shared wall-clock base for local timestamps (Unix-epoch-like).
-    node_params:
-        CPU/OS cost model applied to every node.
-    network:
-        Interconnect parameters.
-    """
-
-    n_nodes: int = 32
-    seed: int = 0
-    clock_skew_stddev: float = 0.05
-    clock_drift_stddev: float = 2e-5
-    clock_epoch: float = 1_159_808_000.0
-    node_params: NodeParams = field(default_factory=NodeParams)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("cluster needs at least one node")
-        if self.clock_skew_stddev < 0 or self.clock_drift_stddev < 0:
-            raise ValueError("clock imperfection stddevs must be non-negative")
+__all__ = ["Cluster"]
 
 
 class Cluster:

@@ -18,36 +18,13 @@ amortize with message size, and contention that scales with offered load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.des.resources import Resource
+from repro.machine import NetworkConfig
 from repro.obs.tracepoints import STATE as _TELEMETRY
-from repro.units import MiB
 
-__all__ = ["Network", "NetworkConfig"]
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Interconnect parameters.
-
-    Defaults approximate gigabit Ethernet: ~112 MiB/s per link, 60 µs
-    small-message latency, and a fabric that sustains 16 concurrent
-    full-rate streams before saturating.
-    """
-
-    link_bandwidth: float = 112.0 * MiB
-    latency: float = 60e-6
-    fabric_streams: int = 16
-
-    def __post_init__(self) -> None:
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
-        if self.fabric_streams < 1:
-            raise ValueError("fabric_streams must be >= 1")
+__all__ = ["Network"]
 
 
 class Network:

@@ -2,46 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.des.resources import Resource
 from repro.cluster.clock import Clock
-from repro.units import MiB
+from repro.des.resources import Resource
+from repro.machine import NodeParams
 
-__all__ = ["Node", "NodeParams"]
-
-
-@dataclass(frozen=True)
-class NodeParams:
-    """Per-node CPU/OS cost model.
-
-    These are the software costs a tracing framework perturbs.  Values are
-    order-of-magnitude realistic for the paper's era (Linux 2.6.14 on
-    commodity hardware) — what matters for reproduction is their *ratio* to
-    transfer costs, which sets where overhead curves bend.
-
-    Attributes
-    ----------
-    syscall_cost:
-        Fixed kernel entry/exit cost per system call, seconds.
-    libcall_cost:
-        Fixed user-space cost per traced library call (cheaper than a
-        syscall — no kernel crossing).
-    mem_bandwidth:
-        User/kernel copy bandwidth in bytes/second; payload copies cost
-        ``nbytes / mem_bandwidth``.
-    """
-
-    syscall_cost: float = 3e-6
-    libcall_cost: float = 1e-6
-    mem_bandwidth: float = 800.0 * MiB
-
-    def __post_init__(self) -> None:
-        if self.syscall_cost < 0 or self.libcall_cost < 0:
-            raise ValueError("costs must be non-negative")
-        if self.mem_bandwidth <= 0:
-            raise ValueError("mem_bandwidth must be positive")
+__all__ = ["Node"]
 
 
 class Node:

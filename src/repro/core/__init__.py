@@ -20,46 +20,3 @@ Presentation and use:
 * :mod:`repro.core.casestudy` holds the paper's Table 2 values for
   LANL-Trace, Tracefs and //TRACE.
 """
-
-from repro.core.features import FEATURES, Feature, feature_domain
-from repro.core.values import (
-    NA,
-    AnonymizationLevel,
-    EventKind,
-    FidelityReport,
-    GranularityControl,
-    Likert,
-    NotApplicable,
-    OverheadReport,
-    TraceFormat,
-    YesNo,
-)
-from repro.core.classification import FrameworkClassification
-from repro.core.summary_table import render_summary_table, render_markdown, render_csv
-from repro.core.compare import compare_classifications, ClassificationDiff
-from repro.core.requirements import Requirements, Recommendation, recommend
-
-__all__ = [
-    "FEATURES",
-    "Feature",
-    "feature_domain",
-    "NA",
-    "NotApplicable",
-    "AnonymizationLevel",
-    "EventKind",
-    "FidelityReport",
-    "GranularityControl",
-    "Likert",
-    "OverheadReport",
-    "TraceFormat",
-    "YesNo",
-    "FrameworkClassification",
-    "render_summary_table",
-    "render_markdown",
-    "render_csv",
-    "compare_classifications",
-    "ClassificationDiff",
-    "Requirements",
-    "Recommendation",
-    "recommend",
-]

@@ -13,10 +13,12 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from repro.core.values import OverheadReport
-from repro.harness.experiment import measure_overhead, sweep_args_for_block_size
-from repro.harness.testbed import TestbedConfig
+from repro.harness.experiment import measure_overhead
+from repro.harness.parallel import sweep_args_for_block_size
+from repro.machine import TestbedConfig
 from repro.units import MiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 __all__ = ["elapsed_time_overhead", "measure_overhead_report"]
 

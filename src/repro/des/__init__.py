@@ -19,21 +19,3 @@ Determinism: given the same seed and the same spawn order, a simulation is
 bit-for-bit reproducible.  All randomness must come through
 :class:`~repro.des.rand.RandomStreams`.
 """
-
-from repro.des.events import AllOf, AnyOf, Completion, Timeout
-from repro.des.process import Process
-from repro.des.rand import RandomStreams
-from repro.des.resources import Resource, Store
-from repro.des.simulator import Simulator
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Completion",
-    "Timeout",
-    "Process",
-    "RandomStreams",
-    "Resource",
-    "Store",
-    "Simulator",
-]

@@ -35,9 +35,8 @@ from repro.faults.schedule import (
     NetworkPartition,
     NodeCrash,
 )
-from repro.harness.experiment import RunOutcome
 from repro.harness.parallel import RunSpec, run_sweep
-from repro.harness.testbed import TestbedConfig
+from repro.machine import TestbedConfig
 from repro.obs.metrics import canonical_json
 from repro.units import KiB
 
@@ -224,11 +223,12 @@ def _bundle_metadata(bundle: Any) -> Optional[Dict[str, Any]]:
 
 
 def chaos_annotation(
-    spec: RunSpec, legs: Dict[str, Tuple[RunOutcome, int]]
+    spec: RunSpec, legs: Dict[str, Tuple[Any, int]]
 ) -> Tuple[Dict[str, Any], Optional[str], Dict[str, Any]]:
     """The chaos record, error annotation and manifest extras of one point.
 
-    ``legs`` maps ``untraced``/``traced`` to ``(outcome, attempts)`` as
+    ``legs`` maps ``untraced``/``traced`` to ``(outcome, attempts)``
+    (a :class:`~repro.harness.experiment.RunOutcome` and a count) as
     :func:`~repro.harness.parallel.execute_spec` ran them under the spec's
     fault schedule.  The record is the point's full fault history; the
     error names the first leg that did not complete (``None`` when both

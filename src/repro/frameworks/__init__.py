@@ -13,12 +13,3 @@
 All implement the :class:`~repro.frameworks.base.TracingFramework`
 interface, so the taxonomy harness can measure any of them identically.
 """
-
-from repro.frameworks.base import FRAMEWORK_REGISTRY, TracedRun, TracingFramework, register_framework
-
-__all__ = [
-    "FRAMEWORK_REGISTRY",
-    "TracedRun",
-    "TracingFramework",
-    "register_framework",
-]

@@ -10,18 +10,3 @@ Simplicity is the trade-off: per-event ptrace stops make the overhead
 large and strongly block-size-dependent (Figures 2-4; 24%-222% elapsed
 time overhead).
 """
-
-from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
-from repro.frameworks.lanltrace.outputs import (
-    render_aggregate_timing,
-    render_call_summary,
-    render_raw_trace,
-)
-
-__all__ = [
-    "LANLTrace",
-    "LANLTraceConfig",
-    "render_aggregate_timing",
-    "render_call_summary",
-    "render_raw_trace",
-]

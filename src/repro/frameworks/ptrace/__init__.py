@@ -16,22 +16,3 @@ Reproduced here:
 * :mod:`.replaygen` — replayable-trace assembly: deperturbed pseudo-app
   plus dependency-derived synchronization.
 """
-
-from repro.frameworks.ptrace.framework import PTrace, PTraceConfig
-from repro.frameworks.ptrace.depmap import DependencyMap
-from repro.frameworks.ptrace.throttle import (
-    CollectionResult,
-    PTraceCollector,
-    ThrottleSchedule,
-)
-from repro.frameworks.ptrace.replaygen import build_replayable
-
-__all__ = [
-    "PTrace",
-    "PTraceConfig",
-    "DependencyMap",
-    "CollectionResult",
-    "PTraceCollector",
-    "ThrottleSchedule",
-    "build_replayable",
-]

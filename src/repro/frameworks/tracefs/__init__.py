@@ -14,15 +14,3 @@ ptrace-style tracers miss (memory-mapped I/O).  Features reproduced:
   parallel file system support (mounting over the PFS raises
   :class:`~repro.errors.NotTraceable` unless forced).
 """
-
-from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig, TracefsLayer
-from repro.frameworks.tracefs.granularity import GranularitySpec
-from repro.frameworks.tracefs.counters import EventCounters
-
-__all__ = [
-    "Tracefs",
-    "TracefsConfig",
-    "TracefsLayer",
-    "GranularitySpec",
-    "EventCounters",
-]

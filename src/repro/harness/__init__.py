@@ -15,41 +15,3 @@
   Figures 2-4;
 * :mod:`repro.harness.report` — paper-style text rendering of results.
 """
-
-from repro.harness.testbed import Testbed, TestbedConfig, build_testbed
-from repro.harness.experiment import (
-    OverheadMeasurement,
-    RunOutcome,
-    measure_overhead,
-    run_once,
-    run_traced,
-    run_untraced,
-)
-from repro.harness.parallel import (
-    FrameworkSpec,
-    PointResult,
-    RunSpec,
-    SweepReport,
-    execute_spec,
-    run_sweep,
-)
-from repro.harness.runcache import RunCache
-
-__all__ = [
-    "Testbed",
-    "TestbedConfig",
-    "build_testbed",
-    "OverheadMeasurement",
-    "RunOutcome",
-    "measure_overhead",
-    "run_once",
-    "run_traced",
-    "run_untraced",
-    "FrameworkSpec",
-    "PointResult",
-    "RunSpec",
-    "SweepReport",
-    "execute_spec",
-    "run_sweep",
-    "RunCache",
-]

@@ -24,37 +24,23 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import DeadlockError, NodeCrashed, ReproError, SimOSError, SimTimeoutError
 from repro.frameworks.base import TracedRun, TracingFramework
-from repro.harness.testbed import TestbedConfig, build_testbed
+from repro.harness.parallel import RunStats
+# perfbench imports sweep_args_for_block_size from here.
+from repro.harness.parallel import sweep_args_for_block_size  # noqa: F401
+from repro.harness.testbed import build_testbed
+from repro.machine import TestbedConfig
 from repro.simmpi.runtime import JobResult, drive, mpirun
 
 __all__ = [
-    "RunStats",
     "RunOutcome",
     "OverheadMeasurement",
     "run_once",
     "run_untraced",
     "run_traced",
     "measure_overhead",
-    "sweep_args_for_block_size",
 ]
 
 FrameworkFactory = Callable[[], TracingFramework]
-
-
-@dataclass(frozen=True)
-class RunStats:
-    """Pickle-safe summary of one run: the numbers the figures need."""
-
-    elapsed: float
-    bytes_moved: int
-    events_executed: int
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        """Total payload bytes over true elapsed seconds."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.bytes_moved / self.elapsed
 
 
 #: How a run ended, by the type of its cause (first match wins).
@@ -294,16 +280,3 @@ def measure_overhead(
         traced_run=traced_run,
         params=dict(workload_args),
     )
-
-
-def sweep_args_for_block_size(
-    base_args: Dict[str, Any], block_size: int, total_bytes_per_rank: int
-) -> Dict[str, Any]:
-    """Workload args for one sweep point at constant bytes per rank.
-
-    The paper holds file size constant and varies block size, so the
-    number of objects per rank is ``total_bytes_per_rank // block_size``.
-    """
-    nobj = max(1, total_bytes_per_rank // block_size)
-    return dict(base_args, block_size=block_size, nobj=nobj)
-

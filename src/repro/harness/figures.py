@@ -22,18 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.cluster.cluster import ClusterConfig
-from repro.cluster.network import NetworkConfig
 from repro.harness.parallel import (
     FrameworkSpec,
     SweepReport,
     build_sweep_specs,
     run_sweep,
 )
-from repro.harness.testbed import TestbedConfig
-from repro.simfs.pfs import PFSParams
+from repro.machine import ClusterConfig, NetworkConfig, PFSParams, TestbedConfig
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 __all__ = [
     "FigurePoint",

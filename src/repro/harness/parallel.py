@@ -21,6 +21,7 @@ deterministic unit of work.  This module makes such points schedulable:
 
 from __future__ import annotations
 
+import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -28,21 +29,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ReproError
-from repro.frameworks.base import TracingFramework
-from repro.harness.experiment import (
-    RunOutcome,
-    RunStats,
-    run_once,
-    sweep_args_for_block_size,
-)
-from repro.harness.testbed import TestbedConfig
-from repro.obs.tracepoints import session
+from repro.machine import TestbedConfig
 
 __all__ = [
     "FRAMEWORK_FACTORIES",
     "WORKLOADS",
-    "register_framework_factory",
-    "register_workload",
     "as_framework_spec",
     "FrameworkSpec",
     "RunSpec",
@@ -56,31 +47,57 @@ __all__ = [
     "ingest_spec_bundle",
     "run_sweep",
     "spec_store_meta",
+    "sweep_args_for_block_size",
 ]
 
+
+def _framework_factory(module: str, cls: str, config: str) -> Callable:
+    """A factory ``fn(params) -> framework`` that imports ``module`` when
+    called, so naming a framework never loads the simulator."""
+
+    def build(params: Mapping[str, Any]) -> Any:
+        mod = importlib.import_module(module)
+        return getattr(mod, cls)(getattr(mod, config)(**params))
+
+    return build
+
+
+def _workload(module: str, name: str) -> Callable:
+    """The generator function ``module.name``, imported when first called.
+
+    The call returns that function's generator itself, so a rank runs the
+    workload with no extra ``yield from`` level.
+    """
+
+    def app(mpi: Any, args: Dict[str, Any]) -> Any:
+        return getattr(importlib.import_module(module), name)(mpi, args)
+
+    return app
+
+
 #: Named framework factories: name -> callable(params dict) -> TracingFramework.
-FRAMEWORK_FACTORIES: Dict[str, Callable[[Mapping[str, Any]], TracingFramework]] = {}
+FRAMEWORK_FACTORIES: Dict[str, Callable[[Mapping[str, Any]], Any]] = {
+    "lanl-trace": _framework_factory(
+        "repro.frameworks.lanltrace.framework", "LANLTrace", "LANLTraceConfig"
+    ),
+    "tracefs": _framework_factory(
+        "repro.frameworks.tracefs.framework", "Tracefs", "TracefsConfig"
+    ),
+    "ptrace": _framework_factory(
+        "repro.frameworks.ptrace.framework", "PTrace", "PTraceConfig"
+    ),
+}
+
+_ZOO = "repro.workloads.zoo_workloads"
 
 #: Named workload generator functions: name -> app(mpi, args) generator fn.
-WORKLOADS: Dict[str, Callable] = {}
-
-
-def register_framework_factory(
-    name: str,
-) -> Callable[[Callable[[Mapping[str, Any]], TracingFramework]], Callable]:
-    """Decorator: register ``fn(params) -> TracingFramework`` under ``name``."""
-
-    def deco(fn: Callable[[Mapping[str, Any]], TracingFramework]) -> Callable:
-        FRAMEWORK_FACTORIES[name] = fn
-        return fn
-
-    return deco
-
-
-def register_workload(name: str, fn: Callable) -> Callable:
-    """Register a workload generator function under ``name``; returns ``fn``."""
-    WORKLOADS[name] = fn
-    return fn
+WORKLOADS: Dict[str, Callable] = {
+    "mpi_io_test": _workload("repro.workloads.mpi_io_test", "mpi_io_test"),
+    "zoo_checkpoint_tiered": _workload(_ZOO, "checkpoint_tiered"),
+    "zoo_ml_epoch": _workload(_ZOO, "ml_epoch"),
+    "zoo_log_append": _workload(_ZOO, "log_append"),
+    "zoo_metadata_storm": _workload(_ZOO, "metadata_storm"),
+}
 
 
 def _kv(mapping: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -105,8 +122,10 @@ class FrameworkSpec:
         """Construct a spec from keyword parameters."""
         return FrameworkSpec(name=name, params=_kv(params))
 
-    def build(self) -> TracingFramework:
-        """Instantiate the framework via its registered factory."""
+    def build(self) -> Any:
+        """Instantiate the framework (a
+        :class:`~repro.frameworks.base.TracingFramework`) via its
+        registered factory."""
         try:
             factory = FRAMEWORK_FACTORIES[self.name]
         except KeyError:
@@ -210,10 +229,13 @@ def as_framework_spec(framework: Any) -> FrameworkSpec:
                 % (framework, ", ".join(sorted(FRAMEWORK_FACTORIES)) or "none")
             )
         return FrameworkSpec(name=framework)
-    if isinstance(framework, type) and issubclass(framework, TracingFramework):
-        name = framework.name
-        if name in FRAMEWORK_FACTORIES:
-            return FrameworkSpec(name=name)
+    if isinstance(framework, type):
+        from repro.frameworks.base import TracingFramework
+
+        if issubclass(framework, TracingFramework):
+            name = framework.name
+            if name in FRAMEWORK_FACTORIES:
+                return FrameworkSpec(name=name)
     raise ReproError(
         "parallel/cached sweeps need a pickle-safe framework spec "
         "(FrameworkSpec or a registered factory name), not %r — closures "
@@ -222,6 +244,22 @@ def as_framework_spec(framework: Any) -> FrameworkSpec:
 
 
 # -- results ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunStats:
+    """Pickle-safe summary of one run: the numbers the figures need."""
+
+    elapsed: float
+    bytes_moved: int
+    events_executed: int
+
+    @property
+    def aggregate_bandwidth(self) -> float:
+        """Total payload bytes over true elapsed seconds."""
+        if self.elapsed <= 0:
+            return 0.0
+        return self.bytes_moved / self.elapsed
 
 
 @dataclass(frozen=True)
@@ -313,9 +351,21 @@ class SweepResult:
 # -- execution --------------------------------------------------------------
 
 
+def sweep_args_for_block_size(
+    base_args: Dict[str, Any], block_size: int, total_bytes_per_rank: int
+) -> Dict[str, Any]:
+    """Workload args for one sweep point at constant bytes per rank.
+
+    The paper holds file size constant and varies block size, so the
+    number of objects per rank is ``total_bytes_per_rank // block_size``.
+    """
+    nobj = max(1, total_bytes_per_rank // block_size)
+    return dict(base_args, block_size=block_size, nobj=nobj)
+
+
 def build_sweep_specs(
     framework: Union[FrameworkSpec, str],
-    workload: Union[str, Callable],
+    workload: str,
     base_args: Mapping[str, Any],
     block_sizes: Iterable[int],
     total_bytes_per_rank: int,
@@ -327,11 +377,10 @@ def build_sweep_specs(
 ) -> List[RunSpec]:
     """Specs for a constant-bytes-per-rank block-size sweep (one per size)."""
     fw = as_framework_spec(framework)
-    wl = workload if isinstance(workload, str) else _workload_name(workload)
     return [
         RunSpec.create(
             fw,
-            wl,
+            workload,
             sweep_args_for_block_size(dict(base_args), bs, total_bytes_per_rank),
             config=config,
             nprocs=nprocs,
@@ -341,16 +390,6 @@ def build_sweep_specs(
         )
         for bs in block_sizes
     ]
-
-
-def _workload_name(fn: Callable) -> str:
-    for name, registered in WORKLOADS.items():
-        if registered is fn:
-            return name
-    raise ReproError(
-        "workload %r is not registered; register_workload() it so worker "
-        "processes can resolve it by name" % (fn,)
-    )
 
 
 def spec_store_meta(spec: RunSpec) -> Dict[str, Any]:
@@ -401,9 +440,12 @@ def execute_spec(spec: RunSpec) -> PointResult:
     traced run's bundle is archived into the TraceBank there and the
     result carries its run id.
     """
+    from repro.harness.experiment import run_once
+    from repro.obs.tracepoints import session
+
     t0 = time.perf_counter()
     chaotic = spec.faults is not None or spec.sim_timeout is not None
-    legs: Dict[str, Tuple[RunOutcome, int]] = {}
+    legs: Dict[str, Tuple[Any, int]] = {}
     payloads: Dict[str, Any] = {}
     for leg, factory in (("untraced", None), ("traced", spec.framework.build)):
         horizon = spec.sim_timeout
@@ -564,38 +606,3 @@ def run_sweep(
         wall_seconds=time.perf_counter() - t0,
     )
     return SweepResult(points=[p for p in results if p is not None], report=report)
-
-
-# -- built-in registrations --------------------------------------------------
-
-
-def _register_builtins() -> None:
-    """Register the paper's frameworks and workload under their names."""
-    from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
-    from repro.frameworks.ptrace import PTrace, PTraceConfig
-    from repro.frameworks.tracefs import Tracefs, TracefsConfig
-    from repro.workloads import mpi_io_test
-    from repro.workloads.zoo_workloads import (
-        checkpoint_tiered,
-        log_append,
-        metadata_storm,
-        ml_epoch,
-    )
-
-    FRAMEWORK_FACTORIES.setdefault(
-        "lanl-trace", lambda params: LANLTrace(LANLTraceConfig(**params))
-    )
-    FRAMEWORK_FACTORIES.setdefault(
-        "tracefs", lambda params: Tracefs(TracefsConfig(**params))
-    )
-    FRAMEWORK_FACTORIES.setdefault(
-        "ptrace", lambda params: PTrace(PTraceConfig(**params))
-    )
-    WORKLOADS.setdefault("mpi_io_test", mpi_io_test)
-    WORKLOADS.setdefault("zoo_checkpoint_tiered", checkpoint_tiered)
-    WORKLOADS.setdefault("zoo_ml_epoch", ml_epoch)
-    WORKLOADS.setdefault("zoo_log_append", log_append)
-    WORKLOADS.setdefault("zoo_metadata_storm", metadata_storm)
-
-
-_register_builtins()

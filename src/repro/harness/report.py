@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Any, Iterable, List
 
-from repro.harness.experiment import OverheadMeasurement
 from repro.harness.figures import FigureSeries
 from repro.units import format_bandwidth, format_size
 
@@ -49,9 +48,10 @@ def render_figure(series: FigureSeries) -> str:
 
 
 def render_measurements(
-    measurements: Iterable[OverheadMeasurement], label: str = ""
+    measurements: Iterable[Any], label: str = ""
 ) -> str:
-    """Generic sweep rendering (one row per measurement)."""
+    """Generic sweep rendering: one row per
+    :class:`~repro.harness.experiment.OverheadMeasurement`."""
     lines: List[str] = []
     if label:
         lines.append(label)

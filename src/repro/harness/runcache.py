@@ -6,7 +6,10 @@ determines its :class:`~repro.harness.parallel.PointResult`, so the pair
 a SHA-256 over a canonical JSON rendering of the spec — testbed config,
 framework name + params, workload name + args, nprocs, seed — **plus the
 package version**, so any release that might change the performance model
-invalidates every old entry automatically.
+invalidates every old entry automatically.  The rendering names each
+dataclass and enum by its module and qualified name, so the module path is
+part of the key too: moving a config class (say into :mod:`repro.machine`)
+makes every old entry miss once.
 
 Each entry also records the run's ``events_executed`` fingerprints and a
 checksum of its own payload.  Both are re-verified on every hit, but only
@@ -48,9 +51,9 @@ def _canon(obj: Any) -> Any:
     """Reduce an object to a canonical JSON-serializable form.
 
     Dataclasses become ``{"__dataclass__": qualified-name, fields...}``,
-    enums ``{"__enum__": qualified-name, "value": ...}``, mappings get
-    sorted keys.  Deterministic across processes and sessions — this is
-    what gets hashed.
+    enums ``{"__enum__": qualified-name, "value": ...}`` (a name includes
+    the defining module), mappings get sorted keys.  Deterministic across
+    processes and sessions — this is what gets hashed.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out: Dict[str, Any] = {

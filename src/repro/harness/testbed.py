@@ -10,37 +10,16 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
+from repro.machine import TestbedConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.nfs import NFS
-from repro.simfs.pfs import ParallelFS, PFSParams
+from repro.simfs.pfs import ParallelFS
 from repro.simfs.vfs import VFS
 
-__all__ = ["Testbed", "TestbedConfig", "build_testbed"]
-
-
-@dataclass(frozen=True)
-class TestbedConfig:
-    """Everything needed to rebuild the machine deterministically."""
-
-    __test__ = False  # not a pytest test class, despite the name
-
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    pfs: PFSParams = field(default_factory=PFSParams)
-    pfs_mount: str = "/pfs"
-    nfs_mount: str = "/home"
-    scratch_mount: str = "/tmp"
-    with_nfs: bool = True
-    with_scratch: bool = True
-
-    def with_seed(self, seed: int) -> "TestbedConfig":
-        """A copy of this config with the cluster seed replaced."""
-        from dataclasses import replace
-
-        return replace(self, cluster=replace(self.cluster, seed=seed))
+__all__ = ["Testbed", "build_testbed"]
 
 
 class Testbed:

@@ -15,15 +15,3 @@ wrappers only, no native interposition):
   tracing the ``os``-level I/O of Python workloads without root, strace,
   or native code (the //TRACE mechanism, one level up).
 """
-
-from repro.host.strace_wrapper import strace_available, run_under_strace
-from repro.host.parser import parse_strace_output, parse_strace_line
-from repro.host.pyio import PyIOTracer
-
-__all__ = [
-    "strace_available",
-    "run_under_strace",
-    "parse_strace_output",
-    "parse_strace_line",
-    "PyIOTracer",
-]

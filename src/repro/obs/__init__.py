@@ -48,71 +48,3 @@ Enable it around any simulation::
         figure_series(2, ...)          # any simulated work
         payload = col.export(end_time=...)
 """
-
-from repro.obs import (
-    compare,
-    critpath,
-    diagnose,
-    metrics,
-    perfetto,
-    prom,
-    report,
-    reqtrace,
-    slice,
-    spans,
-    tracepoints,
-)
-from repro.obs.compare import compare_payloads, render_diff
-from repro.obs.critpath import critical_path, flamegraph_lines
-from repro.obs.diagnose import diagnose_archive, render_diagnose
-from repro.obs.slice import causal_slice, render_slice, slice_from_store
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.perfetto import to_chrome_trace, validate_chrome_trace
-from repro.obs.prom import parse_prometheus, render_prometheus
-from repro.obs.reqtrace import (
-    RequestTrace,
-    RequestTraceLog,
-    trace_flamegraph_lines,
-    trace_to_chrome,
-)
-from repro.obs.report import render_payload_summary, summarize_payload
-from repro.obs.spans import SpanRecorder
-from repro.obs.tracepoints import TelemetryCollector, TelemetryConfig, session
-
-__all__ = [
-    "metrics",
-    "tracepoints",
-    "spans",
-    "perfetto",
-    "report",
-    "compare",
-    "critpath",
-    "slice",
-    "diagnose",
-    "reqtrace",
-    "prom",
-    "RequestTrace",
-    "RequestTraceLog",
-    "trace_flamegraph_lines",
-    "trace_to_chrome",
-    "parse_prometheus",
-    "render_prometheus",
-    "compare_payloads",
-    "render_diff",
-    "critical_path",
-    "flamegraph_lines",
-    "causal_slice",
-    "render_slice",
-    "slice_from_store",
-    "diagnose_archive",
-    "render_diagnose",
-    "render_payload_summary",
-    "summarize_payload",
-    "MetricsRegistry",
-    "SpanRecorder",
-    "TelemetryCollector",
-    "TelemetryConfig",
-    "session",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-]

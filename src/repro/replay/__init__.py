@@ -14,34 +14,13 @@ imagine — both paths are implemented here:
   simulated testbed;
 * :mod:`repro.replay.fidelity` — the verification methods §3.1 describes:
   end-to-end run-time comparison and trace-vs-trace comparison.
+
+The package itself exports the pipeline's three steps:
+:func:`build_pseudoapp`, :func:`replay` and :func:`fidelity_report`.
 """
 
-from repro.replay.pseudoapp import PseudoApp, RankScript, ReplayOp, build_pseudoapp
-from repro.replay.replayer import RankReplayStats, ReplayResult, TIMING_POLICIES, replay
-from repro.replay.fidelity import (
-    FidelityResult,
-    compare_end_to_end,
-    compare_profiles,
-    compare_traces,
-    fidelity_report,
-    replay_profile,
-    schedule_profile,
-)
+from repro.replay.fidelity import fidelity_report
+from repro.replay.pseudoapp import build_pseudoapp
+from repro.replay.replayer import replay
 
-__all__ = [
-    "PseudoApp",
-    "RankScript",
-    "ReplayOp",
-    "build_pseudoapp",
-    "RankReplayStats",
-    "ReplayResult",
-    "TIMING_POLICIES",
-    "replay",
-    "FidelityResult",
-    "compare_end_to_end",
-    "compare_profiles",
-    "compare_traces",
-    "fidelity_report",
-    "replay_profile",
-    "schedule_profile",
-]
+__all__ = ["build_pseudoapp", "fidelity_report", "replay"]

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.errors import ReplayDivergence, ReplayError, SimOSError
-from repro.harness.testbed import TestbedConfig, build_testbed
+from repro.harness.testbed import build_testbed
+from repro.machine import TestbedConfig
 from repro.replay.pseudoapp import PseudoApp, RankScript
 from repro.simfs.vfs import O_CREAT, O_RDWR
 from repro.simmpi.comm import MPIRank

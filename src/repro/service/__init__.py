@@ -24,41 +24,3 @@ log (one line per request).
 See DESIGN.md §16 for the architecture and the backpressure contract,
 and §18 for the observability surface.
 """
-
-from repro.service.api import Request, Response, ServiceApp, query_from_params
-from repro.service.ingestq import IngestQueue, WalEntry, decode_upload
-from repro.service.loadgen import (
-    LoadPlan,
-    LoadResult,
-    build_plan,
-    make_payload,
-    run_loadgen,
-    write_bench,
-)
-from repro.service.server import ServiceServer, serve
-from repro.service.tenants import (
-    TENANT_NAME_RE,
-    TenantRegistry,
-    validate_tenant_name,
-)
-
-__all__ = [
-    "Request",
-    "Response",
-    "ServiceApp",
-    "ServiceServer",
-    "IngestQueue",
-    "WalEntry",
-    "LoadPlan",
-    "LoadResult",
-    "TENANT_NAME_RE",
-    "TenantRegistry",
-    "build_plan",
-    "decode_upload",
-    "make_payload",
-    "query_from_params",
-    "run_loadgen",
-    "serve",
-    "validate_tenant_name",
-    "write_bench",
-]

@@ -138,8 +138,6 @@ class ServiceApp:
         query_jobs: int = 1,
         commit_workers: int = 2,
         access_log: Optional[Union[str, Path]] = None,
-        trace_ring: int = 512,
-        slowest_per_route: int = 8,
     ):
         self.registry = TenantRegistry(store_root)
         self.queue = IngestQueue(self.registry.root, capacity=queue_capacity)
@@ -147,9 +145,7 @@ class ServiceApp:
         self.query_jobs = int(query_jobs)
         self.commit_workers = int(commit_workers)
         self.metrics = MetricsRegistry()
-        self.traces = RequestTraceLog(
-            ring_size=trace_ring, slowest_per_route=slowest_per_route
-        )
+        self.traces = RequestTraceLog()
         # Wall clock: spans and timelines run on monotonic uptime seconds
         # (perf_counter offset); the epoch base is only for access-log
         # timestamps and the fallback trace-id nonce.

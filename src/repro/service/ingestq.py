@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.errors import IngestQueueFull, ServiceError, TraceError
 from repro.atomicfile import atomic_write
+from repro.errors import IngestQueueFull, ServiceError, TraceError
 from repro.store.bank import IngestResult
-from repro.trace import binary_format, decode_trace_bytes
+from repro.trace import binary_format
+from repro.trace.decode import decode_trace_bytes
 from repro.trace.records import TraceFile
 
 __all__ = ["WAL_SCHEMA", "WalEntry", "IngestQueue", "decode_upload"]

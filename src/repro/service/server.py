@@ -242,8 +242,6 @@ async def _serve_async(
     query_jobs: int,
     commit_workers: int,
     access_log: Optional[str] = None,
-    trace_ring: int = 512,
-    slowest_per_route: int = 8,
 ) -> None:
     app = ServiceApp(
         store_root,
@@ -252,8 +250,6 @@ async def _serve_async(
         query_jobs=query_jobs,
         commit_workers=commit_workers,
         access_log=access_log,
-        trace_ring=trace_ring,
-        slowest_per_route=slowest_per_route,
     )
     server = ServiceServer(app, host=host, port=port)
     bound_host, bound_port = await server.start()
@@ -275,8 +271,6 @@ def serve(
     query_jobs: int = 1,
     commit_workers: int = 2,
     access_log: Optional[str] = None,
-    trace_ring: int = 512,
-    slowest_per_route: int = 8,
 ) -> None:
     """Blocking entry point for ``repro service serve``."""
     try:
@@ -290,8 +284,6 @@ def serve(
                 query_jobs,
                 commit_workers,
                 access_log=access_log,
-                trace_ring=trace_ring,
-                slowest_per_route=slowest_per_route,
             )
         )
     except KeyboardInterrupt:

@@ -18,33 +18,3 @@ Only metadata and timing are simulated — file *contents* are not stored.
 Sizes, offsets, and per-operation service times are modelled faithfully
 enough to reproduce the paper's bandwidth/overhead phenomena.
 """
-
-from repro.simfs.blockdev import BlockDevice, DiskParams
-from repro.simfs.raid import Raid5Geometry, Raid5Model
-from repro.simfs.vfs import VFS, FileSystem, Inode, OpenFile, StatResult
-from repro.simfs.localfs import LocalFS, LocalFSParams
-from repro.simfs.nfs import NFS, NFSParams
-from repro.simfs.pfs import ParallelFS, PFSParams
-from repro.simfs.stackable import StackableFS
-from repro.simfs.cache import CacheParams, CachingFS
-
-__all__ = [
-    "BlockDevice",
-    "DiskParams",
-    "Raid5Geometry",
-    "Raid5Model",
-    "VFS",
-    "FileSystem",
-    "Inode",
-    "OpenFile",
-    "StatResult",
-    "LocalFS",
-    "LocalFSParams",
-    "NFS",
-    "NFSParams",
-    "ParallelFS",
-    "PFSParams",
-    "StackableFS",
-    "CacheParams",
-    "CachingFS",
-]

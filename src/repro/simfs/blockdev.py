@@ -12,46 +12,13 @@ other clients interleave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Hashable, Optional
 
 from repro.des.resources import Resource
+from repro.machine import DiskParams
 from repro.obs.tracepoints import STATE as _TELEMETRY
-from repro.units import MiB
 
-__all__ = ["DiskParams", "BlockDevice"]
-
-
-@dataclass(frozen=True)
-class DiskParams:
-    """Mechanical/transfer characteristics of one spindle (2007-era SATA).
-
-    Attributes
-    ----------
-    seek_time:
-        Average head seek for a non-sequential access, seconds.
-    settle_time:
-        Rotational settle charged on every access (half-rotation average).
-    stream_bandwidth:
-        Sustained sequential transfer rate, bytes/second.
-    """
-
-    seek_time: float = 8e-3
-    settle_time: float = 2e-3
-    stream_bandwidth: float = 60.0 * MiB
-
-    def __post_init__(self) -> None:
-        if self.seek_time < 0 or self.settle_time < 0:
-            raise ValueError("seek/settle times must be non-negative")
-        if self.stream_bandwidth <= 0:
-            raise ValueError("stream_bandwidth must be positive")
-
-    def service_time(self, nbytes: int, sequential: bool) -> float:
-        """Raw service time for one extent, excluding queueing."""
-        t = nbytes / self.stream_bandwidth + self.settle_time
-        if not sequential:
-            t += self.seek_time
-        return t
+__all__ = ["BlockDevice"]
 
 
 class BlockDevice:

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.des.resources import Resource
-from repro.simfs.blockdev import BlockDevice, DiskParams
+from repro.machine import DiskParams
+from repro.simfs.blockdev import BlockDevice
 from repro.simfs.raid import Raid5Geometry, Raid5Model
 from repro.simfs.vfs import CallerContext, FileSystem, Inode
 

@@ -19,63 +19,17 @@ within a single call — the second reason bandwidth climbs with block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cluster.network import Network
 from repro.des.events import AllOf
 from repro.des.resources import Resource
+from repro.machine import PFSParams
 from repro.obs.tracepoints import STATE as _TELEMETRY
-from repro.simfs.blockdev import DiskParams
 from repro.simfs.raid import Raid5Geometry, Raid5Model
 from repro.simfs.vfs import CallerContext, FileSystem, Inode
-from repro.units import KiB
 
-__all__ = ["ParallelFS", "PFSParams"]
-
-
-@dataclass(frozen=True)
-class PFSParams:
-    """Parallel file system shape and cost parameters.
-
-    Attributes
-    ----------
-    n_servers:
-        Storage servers data is striped over.
-    stripe_width:
-        File striping unit across servers (bytes).
-    server_threads:
-        Concurrent requests each server services.
-    rpc_overhead:
-        Server CPU per request.
-    drives_per_server:
-        Spindles in each server's RAID-5 array (252 total in the paper).
-    raid_stripe_width:
-        RAID-5 stripe unit inside each server (the paper's 64 KiB).
-    extent_lock_time:
-        Serialization cost per write to a *shared* file (distributed
-        extent/range lock management).  Charged only when more than one
-        client node has the file open — the N-to-1 patterns.
-    disk:
-        Per-spindle characteristics.
-    """
-
-    n_servers: int = 8
-    stripe_width: int = 64 * KiB
-    server_threads: int = 4
-    rpc_overhead: float = 30e-6
-    drives_per_server: int = 31
-    raid_stripe_width: int = 64 * KiB
-    extent_lock_time: float = 200e-6
-    disk: DiskParams = DiskParams()
-
-    def __post_init__(self) -> None:
-        if self.n_servers < 1:
-            raise ValueError("need at least one storage server")
-        if self.stripe_width <= 0:
-            raise ValueError("stripe_width must be positive")
-        if self.server_threads < 1:
-            raise ValueError("server_threads must be >= 1")
+__all__ = ["ParallelFS"]
 
 
 class _Server:

@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.simfs.blockdev import DiskParams
+from repro.machine import DiskParams
 from repro.units import KiB
 
 __all__ = ["Raid5Geometry", "Raid5Model", "Segment"]

@@ -12,21 +12,3 @@ ltrace-style interposer (LANL-Trace in ltrace mode, //TRACE) sees
 underneath (``SYS_open``, ``SYS_write``...) appear at the syscall seam —
 reproducing the two-level capture visible in the paper's Figure 1.
 """
-
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, Communicator, MPIRank
-from repro.simmpi.mpiio import MPIFile, MPI_MODE_CREATE, MPI_MODE_RDONLY, MPI_MODE_WRONLY, MPI_MODE_RDWR
-from repro.simmpi.runtime import JobResult, mpirun
-
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Communicator",
-    "MPIRank",
-    "MPIFile",
-    "MPI_MODE_CREATE",
-    "MPI_MODE_RDONLY",
-    "MPI_MODE_WRONLY",
-    "MPI_MODE_RDWR",
-    "JobResult",
-    "mpirun",
-]

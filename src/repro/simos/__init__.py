@@ -12,8 +12,3 @@ Provides what the tracing frameworks interpose on:
 * :mod:`~repro.simos.syscalls` — syscall naming/formatting helpers that
   make simulated traces look like the paper's Figure 1.
 """
-
-from repro.simos.interpose import Interposer
-from repro.simos.process import SimProcess
-
-__all__ = ["Interposer", "SimProcess"]

@@ -22,42 +22,3 @@ Entry points: the ``repro store`` CLI group, ``--store`` on sweep/chaos
 commands (auto-ingest), and the store-backed paths in
 :mod:`repro.analysis.summary` and ``repro observe``.
 """
-
-from repro.store.bank import (
-    DEFAULT_STORE_DIR,
-    STORE_SCHEMA,
-    IngestResult,
-    TraceBank,
-    render_store_summary,
-)
-from repro.store.dfg import build_dfg, render_dfg_dot, render_dfg_text
-from repro.store.manifest import MANIFEST_SCHEMA, RunManifest, compute_run_id
-from repro.store.query import (
-    AGGREGATES,
-    Query,
-    run_query,
-    scan_events,
-    telemetry_view,
-)
-from repro.store.segments import SegmentMeta, content_address
-
-__all__ = [
-    "AGGREGATES",
-    "DEFAULT_STORE_DIR",
-    "MANIFEST_SCHEMA",
-    "STORE_SCHEMA",
-    "IngestResult",
-    "Query",
-    "RunManifest",
-    "SegmentMeta",
-    "TraceBank",
-    "build_dfg",
-    "compute_run_id",
-    "content_address",
-    "render_dfg_dot",
-    "render_dfg_text",
-    "render_store_summary",
-    "run_query",
-    "scan_events",
-    "telemetry_view",
-]

@@ -161,7 +161,21 @@ class Query:
 
     def to_params(self) -> List[Tuple[str, str]]:
         """The query as URL ``(name, value)`` pairs for ``urlencode``; the
-        inverse of :meth:`from_params` (floats travel as ``repr``)."""
+        inverse of :meth:`from_params` (floats travel as ``repr``).
+
+        :meth:`from_params` splits ``ops``, ``layers`` and ``runs`` values
+        on commas, so a value holding one raises
+        :class:`~repro.errors.StoreQueryError` instead of being sent as
+        two filters.
+        """
+        for name, values in (("ops", self.names), ("layers", self.layers),
+                             ("runs", self.runs)):
+            for value in values or ():
+                if "," in value:
+                    raise StoreQueryError(
+                        "%s value %r holds a comma, which the service reads "
+                        "as a separator between values" % (name, value)
+                    )
         pairs = [("agg", self.agg)]
         pairs += [("ranks", str(r)) for r in self.ranks or ()]
         pairs += [("ops", n) for n in self.names or ()]

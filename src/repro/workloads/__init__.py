@@ -6,15 +6,3 @@ overhead measurement, with the three parallel I/O access patterns of
 §4.1.2 defined in :mod:`repro.workloads.patterns`.  Additional workloads
 for wider testing live in :mod:`repro.workloads.generators`.
 """
-
-from repro.workloads.patterns import AccessPattern, block_offset, file_path_for_rank, plan_io
-from repro.workloads.mpi_io_test import mpi_io_test, MpiIoTestReport
-
-__all__ = [
-    "AccessPattern",
-    "block_offset",
-    "file_path_for_rank",
-    "plan_io",
-    "mpi_io_test",
-    "MpiIoTestReport",
-]

@@ -14,7 +14,7 @@
   VFS-level tracing (Tracefs) records (§4.1.1 vs §4.2).
 
 All take ``(mpi, args)`` like :func:`repro.workloads.mpi_io_test.mpi_io_test`
-and run under :func:`repro.simmpi.mpirun`.
+and run under :func:`repro.simmpi.runtime.mpirun`.
 """
 
 from __future__ import annotations

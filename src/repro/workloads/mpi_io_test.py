@@ -89,7 +89,7 @@ def _parse_args(args: Dict[str, Any]):
 
 
 def mpi_io_test(mpi: MPIRank, args: Dict[str, Any]) -> Generator[Any, Any, MpiIoTestReport]:
-    """The benchmark body for one rank (pass to :func:`repro.simmpi.mpirun`)."""
+    """The benchmark body for one rank (pass to :func:`repro.simmpi.runtime.mpirun`)."""
     pattern, block_size, nobj, path, read_back, sync, barriers, barrier_every = (
         _parse_args(args)
     )

@@ -17,39 +17,3 @@ at — replaying a *real* trace on a simulated cluster:
   or archived TraceBank run id → pseudo-application → simulated replay →
   fidelity report (op mix, bytes, timing; exact-or-explain).
 """
-
-from repro.zoo.registry import SCENARIOS, ZOO_NPROCS, ZooScenario, get, names, register, zoo_testbed
-from repro.zoo.matrix import (
-    ZOO_SCHEMA,
-    build_zoo_specs,
-    check_signature,
-    render_zoo_report,
-    run_zoo_matrix,
-)
-from repro.zoo.replaypipe import (
-    choose_layer,
-    load_source,
-    render_fidelity_report,
-    replay_pipeline,
-    source_elapsed,
-)
-
-__all__ = [
-    "SCENARIOS",
-    "ZOO_NPROCS",
-    "ZOO_SCHEMA",
-    "ZooScenario",
-    "build_zoo_specs",
-    "check_signature",
-    "choose_layer",
-    "get",
-    "load_source",
-    "names",
-    "register",
-    "render_fidelity_report",
-    "render_zoo_report",
-    "replay_pipeline",
-    "run_zoo_matrix",
-    "source_elapsed",
-    "zoo_testbed",
-]

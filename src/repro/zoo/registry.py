@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidArgument
 from repro.harness.parallel import RunSpec, WORKLOADS
-from repro.harness.testbed import TestbedConfig
+from repro.machine import TestbedConfig
 from repro.units import KiB
 
 __all__ = [

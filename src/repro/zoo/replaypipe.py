@@ -25,13 +25,14 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ReplayError
-from repro.harness.testbed import TestbedConfig
+from repro.errors import NotMounted, ReplayError
+from repro.harness.testbed import build_testbed
+from repro.machine import TestbedConfig
 from repro.obs.metrics import canonical_json
 from repro.replay.fidelity import fidelity_report
 from repro.replay.pseudoapp import _LIBCALL_KINDS, _SYNC_LIBCALLS, build_pseudoapp
 from repro.replay.replayer import replay
-from repro.trace import decode_trace_bytes
+from repro.trace.decode import decode_trace_bytes
 from repro.trace.events import EventLayer
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -223,9 +224,10 @@ def replay_pipeline(
     not wall time; pass ``preserve`` for the paper's end-to-end check).
     ``remap_root`` re-roots scripted paths under a simulated mount;
     strace sources default to ``/pfs/replay`` (host paths are not
-    simulated mounts), everything else to no remap.  Returns the
-    ``repro/replay/fidelity/v1`` report with the source's provenance
-    attached under ``"resolution"``.
+    simulated mounts), everything else to no remap; a scripted path
+    outside every simulated mount raises :class:`~repro.errors.ReplayError`
+    naming it and the mounts.  Returns the ``repro/replay/fidelity/v1``
+    report with the source's provenance attached under ``"resolution"``.
     """
     bundle, resolution = load_source(sources, store=store)
     if remap_root is None and resolution.get("kind") == "strace":
@@ -245,9 +247,17 @@ def replay_pipeline(
     )
     if remap_root:
         app = remap_paths(app, remap_root)
-    result = replay(
-        app, config=config, seed=seed, honor_sync=honor_sync, timing=timing
-    )
+    try:
+        result = replay(
+            app, config=config, seed=seed, honor_sync=honor_sync, timing=timing
+        )
+    except NotMounted as exc:
+        mounts = ", ".join(sorted(build_testbed(config).vfs.mounts()))
+        raise ReplayError(
+            "replayed path %s is not under a simulated mount (%s); re-root "
+            "the trace's paths with --remap-root, e.g. --remap-root /pfs/replay"
+            % (exc, mounts)
+        ) from None
     report = fidelity_report(
         app,
         result,

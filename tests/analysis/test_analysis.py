@@ -59,7 +59,8 @@ class TestCallSummary:
 
     def test_store_backed_summary_matches_direct(self, tmp_path):
         from repro.analysis.summary import summarize_store
-        from repro.store import Query, TraceBank
+        from repro.store.bank import TraceBank
+        from repro.store.query import Query
 
         bundle = TraceBundle(
             files={
@@ -80,7 +81,8 @@ class TestCallSummary:
 
     def test_store_backed_summary_honors_query_filters(self, tmp_path):
         from repro.analysis.summary import summarize_store
-        from repro.store import Query, TraceBank
+        from repro.store.bank import TraceBank
+        from repro.store.query import Query
 
         bank = TraceBank(tmp_path / "store")
         bank.ingest_bundle(

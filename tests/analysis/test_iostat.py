@@ -67,10 +67,11 @@ class TestBuckets:
 
 class TestOnTracedRun:
     def test_bandwidth_series_from_real_trace(self):
-        from repro.frameworks.ptrace import PTrace
+        from repro.frameworks.ptrace.framework import PTrace
         from repro.harness.experiment import run_traced
         from repro.units import KiB
-        from repro.workloads import AccessPattern, mpi_io_test
+        from repro.workloads.mpi_io_test import mpi_io_test
+        from repro.workloads.patterns import AccessPattern
 
         _, traced = run_traced(
             PTrace, mpi_io_test,

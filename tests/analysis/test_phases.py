@@ -75,7 +75,7 @@ class TestDetect:
 class TestOnRealWorkload:
     def test_checkpoint_workload_alternates(self):
         """The checkpoint workload's compute/write structure is visible."""
-        from repro.frameworks.ptrace import PTrace
+        from repro.frameworks.ptrace.framework import PTrace
         from repro.harness.experiment import run_traced
         from repro.units import KiB
         from repro.workloads.generators import checkpoint

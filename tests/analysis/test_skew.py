@@ -107,11 +107,11 @@ class TestEndToEndWithLANLTrace:
 
     def test_skew_correction_recovers_event_order(self):
         from repro.analysis.timeline import global_timeline
-        from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+        from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
         from repro.harness.experiment import run_traced
-        from repro.harness.testbed import TestbedConfig
-        from repro.cluster.cluster import ClusterConfig
-        from repro.workloads import mpi_io_test, AccessPattern
+        from repro.machine import ClusterConfig, TestbedConfig
+        from repro.workloads.mpi_io_test import mpi_io_test
+        from repro.workloads.patterns import AccessPattern
 
         config = TestbedConfig(
             cluster=ClusterConfig(

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, Network, NetworkConfig, NodeParams
-from repro.des import Simulator, Timeout
+from repro.cluster.cluster import Cluster
+from repro.cluster.network import Network
+from repro.des.events import Timeout
+from repro.des.simulator import Simulator
+from repro.machine import ClusterConfig, NetworkConfig, NodeParams
 from repro.units import MiB
 
 

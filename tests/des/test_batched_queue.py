@@ -10,8 +10,9 @@ resumable without losing or reordering events.
 
 import pytest
 
-from repro.des import Simulator, Timeout
+from repro.des.events import Timeout
 from repro.des.queue import EventQueue
+from repro.des.simulator import Simulator
 from repro.errors import SimulationError
 
 

@@ -63,7 +63,8 @@ class TestFaultKilledCollective:
     the deadlock dump must name every blocked rank and its wait reason."""
 
     def _crash_mid_barrier(self):
-        from repro.faults import FaultPlane, FaultSchedule, NodeCrash
+        from repro.faults.plane import FaultPlane
+        from repro.faults.schedule import FaultSchedule, NodeCrash
         from repro.harness.figures import paper_testbed
         from repro.harness.testbed import build_testbed
         from repro.simmpi.runtime import mpirun

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des import Resource, Simulator, Store, Timeout
+from repro.des.events import Timeout
+from repro.des.resources import Resource, Store
+from repro.des.simulator import Simulator
 from repro.errors import SimulationError
 
 

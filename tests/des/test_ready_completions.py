@@ -9,7 +9,9 @@ same history as ``yield acquire()``.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.des import AllOf, Resource, Simulator, Store, Timeout
+from repro.des.events import AllOf, Timeout
+from repro.des.resources import Resource, Store
+from repro.des.simulator import Simulator
 from repro.obs.tracepoints import TelemetryConfig, session
 
 

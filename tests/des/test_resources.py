@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.des import Resource, Simulator, Store, Timeout
+from repro.des.events import Timeout
+from repro.des.resources import Resource, Store
+from repro.des.simulator import Simulator
 from repro.errors import SimulationError
 
 

@@ -4,7 +4,8 @@ import contextlib
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Completion, Simulator, Timeout
+from repro.des.events import AllOf, AnyOf, Completion, Timeout
+from repro.des.simulator import Simulator
 from repro.errors import DeadlockError, ProcessError, SimTimeError, SimulationError
 from repro.obs.tracepoints import session
 

@@ -5,21 +5,19 @@ import json
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import (
+from repro.faults.chaos import (
     CHAOS_FRAMEWORKS,
     CHAOS_MATRICES,
-    DiskErrorStorm,
-    FaultSchedule,
-    NodeCrash,
     build_chaos_specs,
     render_chaos_report,
     run_chaos_matrix,
 )
+from repro.faults.schedule import DiskErrorStorm, FaultSchedule, NodeCrash
 from repro.harness.experiment import run_once
 from repro.harness.figures import paper_testbed
 from repro.harness.parallel import RunSpec, execute_spec
 from repro.units import KiB
-from repro.workloads import mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
 
 QUICK_ARGS = {"path": "/pfs/x.out", "block_size": 64 * KiB, "nobj": 4}
 
@@ -176,7 +174,7 @@ class TestChaosCLI:
 
     def test_chaos_store_archives_per_scenario_bundles(self, capsys, tmp_path):
         from repro.cli import main
-        from repro.store import TraceBank
+        from repro.store.bank import TraceBank
 
         store = tmp_path / "chaos-bank"
         rc = main([

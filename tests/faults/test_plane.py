@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.errors import DeadlockError, FaultError, InjectedIOError
-from repro.faults import (
+from repro.faults.plane import FaultPlane, install_fault_plane
+from repro.faults.schedule import (
     DiskErrorStorm,
     DiskSlowdown,
-    FaultPlane,
     FaultSchedule,
     LinkDegradation,
     NetworkPartition,
     NodeCrash,
-    install_fault_plane,
 )
+from repro.machine import ClusterConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import O_CREAT, O_WRONLY, VFS
 

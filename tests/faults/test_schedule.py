@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import (
+from repro.faults.schedule import (
     FOREVER,
     DiskErrorStorm,
     DiskSlowdown,

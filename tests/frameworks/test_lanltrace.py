@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.frameworks.base import FRAMEWORK_REGISTRY
 from repro.errors import FrameworkError
-from repro.frameworks.lanltrace import (
-    LANLTrace,
-    LANLTraceConfig,
+from repro.frameworks.base import FRAMEWORK_REGISTRY
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.outputs import (
     render_aggregate_timing,
     render_call_summary,
     render_raw_trace,
@@ -15,7 +14,8 @@ from repro.harness.experiment import measure_overhead, run_traced
 from repro.harness.figures import paper_testbed
 from repro.trace.events import EventLayer
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 ARGS = {
     "pattern": AccessPattern.N_TO_1_STRIDED,

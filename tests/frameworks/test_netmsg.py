@@ -11,7 +11,8 @@ from repro.frameworks.netmsg import MsgTrace, MsgTraceConfig
 from repro.harness.experiment import measure_overhead, run_traced
 from repro.trace.events import EventLayer
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 
 def ring_app(mpi, args):

@@ -2,21 +2,18 @@
 
 import pytest
 
-from repro.frameworks.base import FRAMEWORK_REGISTRY
 from repro.errors import FrameworkError
-from repro.frameworks.ptrace import (
-    DependencyMap,
-    PTrace,
-    PTraceCollector,
-    PTraceConfig,
-    ThrottleSchedule,
-    build_replayable,
-)
+from repro.frameworks.base import FRAMEWORK_REGISTRY
+from repro.frameworks.ptrace.depmap import DependencyMap
+from repro.frameworks.ptrace.framework import PTrace, PTraceConfig
+from repro.frameworks.ptrace.replaygen import build_replayable
+from repro.frameworks.ptrace.throttle import PTraceCollector, ThrottleSchedule
 from repro.harness.experiment import measure_overhead, run_traced
 from repro.harness.figures import paper_testbed
 from repro.trace.events import EventLayer
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 4
 COUPLED_ARGS = {

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import NotTraceable, PermissionDenied
 from repro.frameworks.base import FRAMEWORK_REGISTRY
-from repro.frameworks.tracefs import EventCounters, Tracefs, TracefsConfig
+from repro.frameworks.tracefs.counters import EventCounters
+from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig
 from repro.harness.experiment import measure_overhead, run_traced
 from repro.harness.testbed import build_testbed
 from repro.trace.binary_format import decode_trace_file

@@ -48,7 +48,7 @@ def collect(workdir: Path) -> dict:
     from repro.faults.chaos import run_chaos_matrix
     from repro.harness.figures import run_figures
     from repro.obs.metrics import canonical_json
-    from repro.zoo import run_zoo_matrix
+    from repro.zoo.matrix import run_zoo_matrix
 
     blocks, total, nprocs = _sweep_shape(True)
     sweep = run_figures(

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.overhead import elapsed_time_overhead, measure_overhead_report
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.harness.experiment import (
     OverheadMeasurement,
     RunOutcome,
     measure_overhead,
     run_untraced,
-    sweep_args_for_block_size,
 )
 from repro.harness.figures import (
     FIGURE_PATTERNS,
@@ -17,10 +16,17 @@ from repro.harness.figures import (
     figure_series,
     paper_testbed,
 )
-from repro.harness.report import render_figure, render_measurements, render_overhead_range
-from repro.harness.testbed import TestbedConfig, build_testbed
+from repro.harness.parallel import sweep_args_for_block_size
+from repro.harness.report import (
+    render_figure,
+    render_measurements,
+    render_overhead_range,
+)
+from repro.harness.testbed import build_testbed
+from repro.machine import TestbedConfig
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 SMALL_ARGS = {
     "pattern": AccessPattern.N_TO_N,

@@ -15,10 +15,10 @@ import gc
 
 import pytest
 
-from repro.frameworks.lanltrace import LANLTrace
-from repro.harness.experiment import run_once, sweep_args_for_block_size
+from repro.frameworks.lanltrace.framework import LANLTrace
+from repro.harness.experiment import run_once
 from repro.harness.figures import FIGURE_PATTERNS, paper_testbed
-from repro.harness.parallel import WORKLOADS
+from repro.harness.parallel import WORKLOADS, sweep_args_for_block_size
 
 KiB = 1024
 MiB = 1024 * KiB

@@ -29,7 +29,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runcache import RunCache, spec_key
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 QUICK = dict(block_sizes=[64 * KiB, 256 * KiB], total_bytes_per_rank=1 * MiB, nprocs=4)
 
@@ -185,7 +185,7 @@ class TestStoreIntegration:
         )
 
     def test_sweep_ingests_and_second_sweep_dedups(self, tmp_path):
-        from repro.store import TraceBank
+        from repro.store.bank import TraceBank
 
         store = str(tmp_path / "bank")
         points = run_sweep(self._store_specs(store), jobs=2).points

@@ -8,7 +8,7 @@ import repro
 from repro.harness.parallel import build_sweep_specs, execute_spec, run_sweep
 from repro.harness.runcache import RunCache, spec_key
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 
 def _spec(seed=0, block=64 * KiB):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (
+from repro.faults.schedule import (
     DiskSlowdown,
     FaultSchedule,
     NetworkPartition,
@@ -18,17 +18,13 @@ from repro.faults import (
 )
 from repro.harness.experiment import run_once
 from repro.harness.figures import paper_testbed
-from repro.harness.parallel import (
-    RunSpec,
-    build_sweep_specs,
-    execute_spec,
-    run_sweep,
-)
+from repro.harness.parallel import RunSpec, build_sweep_specs, execute_spec, run_sweep
 from repro.harness.runcache import RunCache, spec_key
-from repro.obs.perfetto import validate_chrome_trace
 from repro.obs.metrics import canonical_json
+from repro.obs.perfetto import validate_chrome_trace
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 QUICK = dict(block_sizes=[64 * KiB, 256 * KiB], total_bytes_per_rank=1 * MiB, nprocs=4)
 

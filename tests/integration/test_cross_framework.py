@@ -9,19 +9,20 @@ once, merged onto one timeline).
 import pytest
 
 from repro.analysis.summary import summarize_calls
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.frameworks.netmsg import MsgTrace
-from repro.frameworks.ptrace import PTrace
-from repro.frameworks.tracefs import Tracefs, TracefsConfig
+from repro.frameworks.ptrace.framework import PTrace
+from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig
 from repro.harness.experiment import measure_overhead, run_traced
 from repro.harness.figures import paper_testbed
 from repro.harness.testbed import build_testbed
-from repro.simmpi import mpirun
+from repro.simmpi.runtime import mpirun
 from repro.trace.events import EventLayer
 from repro.trace.merge import merge_bundles
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
 from repro.workloads.generators import io_intensive, mmap_mix
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 4
 PFS_ARGS = {
@@ -145,7 +146,8 @@ class TestTracefsReplayability:
     """Tracefs's own future work (§4.2), realized: VFS traces replay."""
 
     def test_vfs_trace_builds_and_replays(self):
-        from repro.replay import build_pseudoapp, replay
+        from repro.replay.pseudoapp import build_pseudoapp
+        from repro.replay.replayer import replay
 
         args = {"base": "/tmp/rw", "n_files": 4, "file_size": 64 * KiB,
                 "block_size": 16 * KiB, "keep": True}

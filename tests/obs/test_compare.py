@@ -12,7 +12,7 @@ from obsutil import make_payload
 
 import repro
 from repro.errors import TelemetryError
-from repro.faults import DiskSlowdown, FaultSchedule
+from repro.faults.schedule import DiskSlowdown, FaultSchedule
 from repro.harness.figures import paper_testbed
 from repro.harness.parallel import RunSpec, execute_spec
 from repro.obs.compare import compare_payloads, render_diff

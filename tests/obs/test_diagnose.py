@@ -11,7 +11,7 @@ byte-identically across job counts and cache temperature.
 import pytest
 
 from repro.errors import StoreError
-from repro.faults import DiskSlowdown, FaultSchedule
+from repro.faults.schedule import DiskSlowdown, FaultSchedule
 from repro.harness.parallel import FrameworkSpec, RunSpec, run_sweep
 from repro.harness.runcache import RunCache
 from repro.obs.diagnose import (

@@ -13,7 +13,7 @@ from repro.obs.compare import compare_payloads
 from repro.obs.critpath import critical_path, flamegraph_lines
 from repro.obs.metrics import canonical_json
 from repro.units import KiB, MiB
-from repro.workloads import AccessPattern
+from repro.workloads.patterns import AccessPattern
 
 
 def _specs():

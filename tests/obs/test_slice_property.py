@@ -10,7 +10,7 @@ events ride in as the archived schedule JSON, exactly as
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (
+from repro.faults.schedule import (
     DiskSlowdown,
     FaultSchedule,
     LinkDegradation,
@@ -21,7 +21,7 @@ from repro.harness.figures import paper_testbed
 from repro.obs.slice import causal_slice
 from repro.obs.tracepoints import session
 from repro.units import KiB
-from repro.workloads import mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
 
 ARGS = {"path": "/pfs/x.out", "block_size": 64 * KiB, "nobj": 4}
 

@@ -117,9 +117,10 @@ class TestCollectorDomains:
         assert c["store.scan.events_matched"] == 300
 
     def test_ingest_inside_session_hits_store_counters(self, tmp_path):
-        from repro.store import Query, TraceBank, run_query
-        from repro.trace.records import TraceBundle, TraceFile
+        from repro.store.bank import TraceBank
+        from repro.store.query import Query, run_query
         from repro.trace.events import EventLayer, TraceEvent
+        from repro.trace.records import TraceBundle, TraceFile
 
         e = TraceEvent(timestamp=0.0, duration=0.001,
                        layer=EventLayer.SYSCALL, name="SYS_write")

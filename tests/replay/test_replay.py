@@ -3,22 +3,17 @@
 import pytest
 
 from repro.errors import ReplayError
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
+from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.harness.experiment import run_once, run_traced, run_untraced
 from repro.harness.figures import paper_testbed
-from repro.replay import (
-    PseudoApp,
-    RankScript,
-    ReplayOp,
-    build_pseudoapp,
-    compare_end_to_end,
-    compare_traces,
-    replay,
-)
+from repro.replay.fidelity import compare_end_to_end, compare_traces
+from repro.replay.pseudoapp import PseudoApp, RankScript, ReplayOp, build_pseudoapp
+from repro.replay.replayer import replay
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern
 
 NP = 4
 ARGS = {
@@ -201,7 +196,7 @@ class TestDivergenceDetection:
         """End-to-end: a fault-plane node crash truncates one rank's
         capture; replaying the bundle reports divergence immediately."""
         from repro.errors import ReplayDivergence
-        from repro.faults import FaultSchedule, NodeCrash
+        from repro.faults.schedule import FaultSchedule, NodeCrash
 
         outcome = run_once(
             mpi_io_test,
@@ -283,10 +278,10 @@ class TestFullPipelineFromLANLTrace:
         app = build_pseudoapp(traced.bundle, layer=EventLayer.SYSCALL)
 
         # trace the replay itself (the paper's first verification method)
-        from repro.frameworks.ptrace import PTrace
+        from repro.frameworks.ptrace.framework import PTrace
         from repro.harness.testbed import build_testbed
-        from repro.simmpi import mpirun
         from repro.replay.replayer import _replay_rank
+        from repro.simmpi.runtime import mpirun
 
         tb2 = build_testbed(config, seed=5)
         fw = PTrace()

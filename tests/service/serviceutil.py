@@ -17,7 +17,8 @@ import socket
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from repro.service import ServiceApp, ServiceServer
+from repro.service.api import ServiceApp
+from repro.service.server import ServiceServer
 
 
 class ServerThread:

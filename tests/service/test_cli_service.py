@@ -12,7 +12,8 @@ from serviceutil import ServerThread
 from storeutil import make_trace_file
 
 from repro.cli import main
-from repro.store import TraceBank
+from repro.service.api import ServiceApp
+from repro.store.bank import TraceBank
 from repro.trace import text_format
 from repro.trace.binary_format import encode_trace_file
 
@@ -108,3 +109,27 @@ def test_service_query_takes_no_jobs(capsys):
         main(["service", "query", "alice", "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--ops", "--layers", "--runs"])
+def test_a_comma_in_a_filter_value_is_one_error_line(flag, capsys, monkeypatch):
+    # The service splits these values on commas, so sending "a,b" would
+    # answer a different query than ``store query`` runs for it.
+    sent = []
+    monkeypatch.setattr("repro.cli._http_request", lambda *a, **kw: sent.append(a))
+    argv = ["service", "query", "--url", "http://127.0.0.1:9", "alice"]
+    assert main(argv + [flag, "SYS_write,SYS_read"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "'SYS_write,SYS_read'" in err
+    assert sent == []
+
+
+@pytest.mark.parametrize("flag", ["--trace-ring", "--slowest-per-route"])
+def test_serve_takes_no_trace_ring_flags(flag, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["service", "serve", "--store", str(tmp_path), flag, "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 4" % flag in capsys.readouterr().err
+    traces = ServiceApp(tmp_path / "svc").traces  # the ring keeps its sizes
+    assert (traces.ring_size, traces.slowest_per_route) == (512, 8)

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import TenantRegistry
+from repro.service.tenants import TenantRegistry
 from repro.trace.records import TraceBundle
 from storeutil import make_trace_file
 

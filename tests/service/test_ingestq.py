@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.errors import TraceError
-from repro.service import Request, ServiceApp
+from repro.service.api import Request, ServiceApp
 from repro.service.ingestq import WAL_SCHEMA, IngestQueue
 from repro.trace import text_format
 from repro.trace.binary_format import (

@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import TenantRegistry, build_plan, make_payload, run_loadgen
-from repro.service.loadgen import write_bench
+from repro.service.loadgen import build_plan, make_payload, run_loadgen, write_bench
+from repro.service.tenants import TenantRegistry
 from serviceutil import ServerThread
 
 

@@ -14,12 +14,13 @@ from urllib.parse import urlencode
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs.metrics import canonical_json
-from repro.service import Request, ServiceApp, query_from_params
-from repro.service.server import parse_qs
-from repro.store import Query, TraceBank, run_query
-from repro.trace.binary_format import encode_trace_file
 from repro.errors import StoreQueryError
+from repro.obs.metrics import canonical_json
+from repro.service.api import Request, ServiceApp, query_from_params
+from repro.service.server import parse_qs
+from repro.store.bank import TraceBank
+from repro.store.query import Query, run_query
+from repro.trace.binary_format import encode_trace_file
 from storeutil import make_trace_file
 
 
@@ -253,6 +254,12 @@ class TestQueryParamsRoundTrip:
         params = parse_qs(urlencode(query.to_params()))
         assert Query.from_params(params) == query
         assert query_from_params(params) == query
+
+    @pytest.mark.parametrize("field", ["names", "layers", "runs"])
+    def test_a_value_with_a_comma_is_refused(self, field):
+        query = Query.create(**{field: ["SYS_write,SYS_read"]})
+        with pytest.raises(StoreQueryError, match="'SYS_write,SYS_read' holds a comma"):
+            query.to_params()
 
 
 class TestStatsAndMetrics:

@@ -10,7 +10,7 @@ all returned.
 import json
 import time
 
-from repro.service import TenantRegistry
+from repro.service.tenants import TenantRegistry
 from repro.trace.binary_format import encode_trace_file
 from serviceutil import ServerThread, http_json, http_request, raw_socket
 from storeutil import make_trace_file

@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.obs.perfetto import validate_chrome_trace
 from repro.obs.prom import parse_prometheus
 from repro.obs.reqtrace import make_context, parse_traceparent
-from repro.service import build_plan, run_loadgen
+from repro.service.loadgen import build_plan, run_loadgen
 from repro.trace.binary_format import encode_trace_file
 from serviceutil import ServerThread, http_json, http_request
 from storeutil import make_trace_file

@@ -11,10 +11,10 @@ namespaces.
 import pytest
 
 from repro.errors import StoreError, StoreNotFound, TenantNameError
-from repro.service import TenantRegistry, validate_tenant_name
-from repro.store import Query, run_query
-from storeutil import make_bundle, make_trace_file
+from repro.service.tenants import TenantRegistry, validate_tenant_name
+from repro.store.query import Query, run_query
 from repro.trace.records import TraceBundle
+from storeutil import make_bundle, make_trace_file
 
 
 def _bundle(rank=0, n=8, name="SYS_write"):

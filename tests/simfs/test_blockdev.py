@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.des import Simulator
-from repro.simfs.blockdev import BlockDevice, DiskParams
+from repro.des.simulator import Simulator
+from repro.machine import DiskParams
+from repro.simfs.blockdev import BlockDevice
 from repro.units import MiB
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Simulator
+from repro.des.simulator import Simulator
 from repro.errors import InvalidArgument
 from repro.simfs.cache import CacheParams, CachingFS
 from repro.simfs.localfs import LocalFS

@@ -1,14 +1,11 @@
 """The disk-fault layer (the fault plane's ScheduledFaultFS), including
 tracer behaviour under faults."""
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.errors import InjectedIOError
-from repro.faults import (
-    DiskErrorStorm,
-    DiskSlowdown,
-    FaultSchedule,
-    install_fault_plane,
-)
+from repro.faults.plane import install_fault_plane
+from repro.faults.schedule import DiskErrorStorm, DiskSlowdown, FaultSchedule
+from repro.machine import ClusterConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import VFS, CallerContext, O_CREAT, O_WRONLY
 
@@ -203,7 +200,7 @@ class TestTracersUnderFaults:
 
     def test_traced_run_records_errno_lines(self):
         """strace-style capture of failed calls: '= -1 EIO'."""
-        from repro.frameworks.lanltrace import LANLTrace
+        from repro.frameworks.lanltrace.framework import LANLTrace
         from repro.harness.experiment import run_once
 
         def app(mpi, args):

@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Cluster, ClusterConfig, NetworkConfig
-from repro.des import Simulator
-from repro.simfs.blockdev import BlockDevice, DiskParams
+from repro.cluster.cluster import Cluster
+from repro.des.simulator import Simulator
+from repro.machine import ClusterConfig, DiskParams, NetworkConfig, PFSParams
+from repro.simfs.blockdev import BlockDevice
 from repro.simfs.localfs import LocalFS, LocalFSParams
 from repro.simfs.nfs import NFS, NFSParams
-from repro.simfs.pfs import ParallelFS, PFSParams
+from repro.simfs.pfs import ParallelFS
 from repro.simfs.raid import Raid5Geometry, Raid5Model
 from repro.simfs.vfs import CallerContext, O_CREAT, O_WRONLY
 from repro.units import KiB, MiB

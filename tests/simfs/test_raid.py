@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simfs.blockdev import DiskParams
+from repro.machine import DiskParams
 from repro.simfs.raid import Raid5Geometry, Raid5Model
 from repro.units import KiB
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Simulator
+from repro.des.simulator import Simulator
 from repro.simfs.localfs import LocalFS
 from repro.simfs.stackable import StackableFS
 from repro.simfs.vfs import CallerContext, O_CREAT, O_RDONLY, O_WRONLY, VFS

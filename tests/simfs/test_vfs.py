@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Simulator
+from repro.des.simulator import Simulator
 from repro.errors import (
     BadFileDescriptor,
     FileExists,
@@ -14,15 +14,15 @@ from repro.errors import (
     PermissionDenied,
 )
 from repro.simfs.vfs import (
-    CallerContext,
-    FileSystem,
-    Namespace,
     O_CREAT,
     O_EXCL,
     O_RDONLY,
     O_TRUNC,
     O_WRONLY,
     VFS,
+    CallerContext,
+    FileSystem,
+    Namespace,
 )
 
 

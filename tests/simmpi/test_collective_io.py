@@ -5,7 +5,8 @@ import pytest
 from repro.errors import InvalidArgument
 from repro.harness.figures import paper_testbed
 from repro.harness.testbed import build_testbed
-from repro.simmpi import MPIFile, MPI_MODE_CREATE, MPI_MODE_WRONLY, mpirun
+from repro.simmpi.mpiio import MPI_MODE_CREATE, MPI_MODE_WRONLY, MPIFile
+from repro.simmpi.runtime import mpirun
 from repro.units import KiB
 from repro.workloads.patterns import AccessPattern, block_offset
 
@@ -118,7 +119,7 @@ class TestPerformance:
         assert collective.elapsed < 0.7 * independent.elapsed
 
     def test_collective_events_visible_to_tracers(self):
-        from repro.frameworks.ptrace import PTrace
+        from repro.frameworks.ptrace.framework import PTrace
         from repro.harness.experiment import run_traced
 
         def app(mpi, args):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.errors import CollectiveMismatch, RankError
+from repro.machine import ClusterConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import VFS
-from repro.simmpi import ANY_SOURCE, ANY_TAG, mpirun
-from repro.simmpi.comm import Communicator, MPIRank
+from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, Communicator, MPIRank
+from repro.simmpi.runtime import mpirun
 from repro.simos.process import SimProcess
 
 

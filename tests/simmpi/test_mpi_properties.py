@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
+from repro.machine import ClusterConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import VFS
-from repro.simmpi import mpirun
+from repro.simmpi.runtime import mpirun
 
 
 def launch(app, nprocs, args=None):

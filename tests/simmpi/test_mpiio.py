@@ -2,20 +2,21 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.errors import InvalidArgument, ReplayError
-from repro.harness.testbed import TestbedConfig, build_testbed
-from repro.simmpi import (
-    MPIFile,
+from repro.harness.testbed import build_testbed
+from repro.machine import ClusterConfig, TestbedConfig
+from repro.simmpi.mpiio import (
     MPI_MODE_CREATE,
     MPI_MODE_RDONLY,
     MPI_MODE_RDWR,
     MPI_MODE_WRONLY,
-    mpirun,
+    MPIFile,
+    _amode_to_flags,
 )
-from repro.simmpi.mpiio import _amode_to_flags
-from repro.simos.interpose import Interposer
+from repro.simmpi.runtime import mpirun
 from repro.simos import syscalls as sc
+from repro.simos.interpose import Interposer
 from repro.trace.events import EventLayer
 from repro.trace.records import TraceFile
 from repro.units import KiB

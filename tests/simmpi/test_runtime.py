@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.errors import MPIError
 from repro.harness.testbed import build_testbed
-from repro.simmpi import mpirun
+from repro.machine import ClusterConfig
+from repro.simmpi.runtime import mpirun
 
 
 def test_nprocs_defaults_to_cluster_size():

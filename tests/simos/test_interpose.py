@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.errors import FileNotFound
+from repro.machine import ClusterConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import O_CREAT, O_WRONLY, VFS
 from repro.simos import syscalls as sc

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
-from repro.errors import (
-    BadFileDescriptor,
-    FileNotFound,
-    InvalidArgument,
-    NotMounted,
-)
+from repro.cluster.cluster import Cluster
+from repro.errors import BadFileDescriptor, FileNotFound, InvalidArgument, NotMounted
+from repro.machine import ClusterConfig
 from repro.simfs.localfs import LocalFS
 from repro.simfs.vfs import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_WRONLY, VFS
 from repro.simos.process import SEEK_CUR, SEEK_END, SEEK_SET, SimProcess

@@ -23,8 +23,9 @@ from dataclasses import replace  # noqa: E402
 from storeutil import CORPUS_QUERIES, bundle_json, corpus_bundle  # noqa: E402
 
 from repro.obs.metrics import canonical_json  # noqa: E402
-from repro.store import Query, TraceBank, run_query  # noqa: E402
+from repro.store.bank import TraceBank  # noqa: E402
 from repro.store.dfg import build_dfg  # noqa: E402
+from repro.store.query import Query, run_query  # noqa: E402
 
 
 def main() -> int:

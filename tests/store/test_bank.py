@@ -6,7 +6,7 @@ from storeutil import make_bundle, make_trace_file
 
 from repro.errors import StoreCorruptionError, StoreError, StoreNotFound
 from repro.faults.corrupt import bit_flip
-from repro.store import TraceBank, render_store_summary
+from repro.store.bank import TraceBank, render_store_summary
 from repro.store.manifest import RunManifest
 
 

@@ -8,7 +8,7 @@ from storeutil import make_trace_file
 
 from repro.cli import main
 from repro.faults.corrupt import bit_flip
-from repro.store import TraceBank
+from repro.store.bank import TraceBank
 from repro.trace.binary_format import encode_trace_file
 
 

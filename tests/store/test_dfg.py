@@ -5,7 +5,9 @@ import pytest
 from storeutil import make_event
 
 from repro.obs.metrics import canonical_json
-from repro.store import Query, TraceBank, build_dfg, render_dfg_dot, render_dfg_text
+from repro.store.bank import TraceBank
+from repro.store.dfg import build_dfg, render_dfg_dot, render_dfg_text
+from repro.store.query import Query
 from repro.trace.records import TraceBundle, TraceFile
 
 

@@ -29,8 +29,9 @@ from storeutil import (
 from repro.cli import main
 from repro.errors import StoreCorruptionError, TraceFormatError
 from repro.obs.metrics import canonical_json
-from repro.store import Query, TraceBank, run_query
+from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
+from repro.store.query import Query, run_query
 from repro.store.segments import decode_segment, segment_columns
 
 #: What every read of an RTCF segment says.

@@ -6,7 +6,8 @@ from storeutil import make_bundle, make_event
 
 from repro.errors import StoreQueryError
 from repro.obs.metrics import canonical_json
-from repro.store import Query, TraceBank, run_query, scan_events
+from repro.store.bank import TraceBank
+from repro.store.query import Query, run_query, scan_events
 from repro.trace.records import TraceBundle, TraceFile
 
 

@@ -15,8 +15,10 @@ from repro.cli import main
 from repro.errors import StoreError
 from repro.obs.diagnose import diagnose_archive
 from repro.obs.slice import slice_from_store
-from repro.store import AGGREGATES, Query, TraceBank, build_dfg, run_query
+from repro.store.bank import TraceBank
+from repro.store.dfg import build_dfg
 from repro.store.manifest import RunManifest
+from repro.store.query import AGGREGATES, Query, run_query
 from repro.zoo.replaypipe import load_source
 
 

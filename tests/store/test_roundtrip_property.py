@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from storeutil import make_event
 
 from repro.obs.metrics import canonical_json
-from repro.store import Query, TraceBank, run_query
+from repro.store.bank import TraceBank
+from repro.store.query import Query, run_query
 from repro.trace.records import TraceBundle, TraceFile
 
 NAMES = ("SYS_read", "SYS_write", "SYS_open")

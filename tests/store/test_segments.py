@@ -5,7 +5,7 @@ import pytest
 from storeutil import make_bundle, make_event, make_trace_file
 
 from repro.errors import StoreCorruptionError, TraceError
-from repro.store import TraceBank
+from repro.store.bank import TraceBank
 from repro.store.segments import (
     SegmentMeta,
     archive_errors,

@@ -9,7 +9,8 @@ from repro.obs.compare import compare_payloads
 from repro.obs.critpath import critical_path, flamegraph_lines
 from repro.obs.metrics import canonical_json
 from repro.obs.perfetto import validate_chrome_trace
-from repro.store import TraceBank, telemetry_view
+from repro.store.bank import TraceBank
+from repro.store.query import telemetry_view
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from storeutil import make_bundle
 
 from repro.errors import ReproError
 from repro.faults.corrupt import crash_truncation_corpus
-from repro.store import TraceBank
+from repro.store.bank import TraceBank
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.errors import StoreError
-from repro.store import TraceBank
+from repro.store.bank import TraceBank
 from storeutil import make_bundle
 
 

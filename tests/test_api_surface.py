@@ -1,11 +1,14 @@
 """Library-wide API contracts: documentation, exports, determinism."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+import repro.replay
 
 
 def _walk_modules():
@@ -56,12 +59,40 @@ class TestDocumentation:
         assert problems == []
 
 
+class TestPackageInits:
+    def test_subpackage_inits_hold_only_their_docstring(self):
+        # Importing any module runs its package's __init__; one that
+        # re-exports its submodules makes every import pay for them all.
+        # repro.replay alone keeps three names its callers import from it.
+        root = Path(repro.__file__).parent
+        problems = []
+        for init in sorted(root.glob("*/**/__init__.py")):
+            body = ast.parse(init.read_text("utf-8")).body
+            doc = body[:1]
+            if not (doc and isinstance(doc[0], ast.Expr)
+                    and isinstance(doc[0].value, ast.Constant)
+                    and isinstance(doc[0].value.value, str)):
+                problems.append("%s: no docstring" % init.relative_to(root))
+            rest = body[1:]
+            if init.parent.name == "replay":
+                imported = [a.name for s in rest if isinstance(s, ast.ImportFrom)
+                            for a in s.names]
+                assert sorted(imported) == repro.replay.__all__ == [
+                    "build_pseudoapp", "fidelity_report", "replay"]
+                rest = [s for s in rest if not isinstance(s, ast.ImportFrom)
+                        and ast.unparse(s) != "__all__ = %r" % repro.replay.__all__]
+            if rest:
+                problems.append("%s: %d statement(s) besides the docstring"
+                                % (init.relative_to(root), len(rest)))
+        assert problems == []
+
+
 class TestFrameworkRegistry:
     def test_all_frameworks_registered_and_classifiable(self):
-        import repro.frameworks.lanltrace  # noqa: F401
+        import repro.frameworks.lanltrace.framework  # noqa: F401
         import repro.frameworks.netmsg  # noqa: F401
-        import repro.frameworks.ptrace  # noqa: F401
-        import repro.frameworks.tracefs  # noqa: F401
+        import repro.frameworks.ptrace.throttle  # noqa: F401
+        import repro.frameworks.tracefs.framework  # noqa: F401
         from repro.frameworks.base import FRAMEWORK_REGISTRY
 
         assert {"lanl-trace", "tracefs", "ptrace", "ptrace-collector", "msgtrace"} <= set(
@@ -104,10 +135,11 @@ class TestEndToEndDeterminism:
         assert one() == one()
 
     def test_traced_bundle_identical_across_runs(self):
-        from repro.frameworks.lanltrace import LANLTrace
+        from repro.frameworks.lanltrace.framework import LANLTrace
         from repro.harness.experiment import run_traced
         from repro.units import KiB
-        from repro.workloads import AccessPattern, mpi_io_test
+        from repro.workloads.mpi_io_test import mpi_io_test
+        from repro.workloads.patterns import AccessPattern
 
         def one():
             _, traced = run_traced(
@@ -123,7 +155,8 @@ class TestEndToEndDeterminism:
 
 class TestNFSReadPath:
     def test_read_moves_payload_back_over_the_wire(self):
-        from repro.cluster import Cluster, ClusterConfig
+        from repro.cluster.cluster import Cluster
+        from repro.machine import ClusterConfig
         from repro.simfs.nfs import NFS
         from repro.simfs.vfs import CallerContext, O_CREAT, O_RDWR
         from repro.units import KiB

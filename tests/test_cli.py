@@ -60,7 +60,9 @@ class TestTable2:
 
 
 class TestClassify:
-    @pytest.mark.parametrize("name", ["lanl-trace", "tracefs", "ptrace", "msgtrace"])
+    @pytest.mark.parametrize(
+        "name", ["lanl-trace", "tracefs", "ptrace", "//trace", "ptrace-collector", "msgtrace"]
+    )
     def test_known(self, capsys, name):
         assert main(["classify", name]) == 0
         assert "Feature" in capsys.readouterr().out
@@ -68,6 +70,24 @@ class TestClassify:
     def test_unknown(self, capsys):
         assert main(["classify", "dtrace"]) == 2
         assert "unknown framework" in capsys.readouterr().err
+
+
+class TestSweepFlags:
+    # chaos and zoo run/matrix read neither --quick (zoo has --smoke) nor
+    # the telemetry flags, so each is a usage error there.
+    @pytest.mark.parametrize(
+        "flag", [["--quick"], ["--telemetry"], ["--telemetry-out", "t"]],
+        ids=["quick", "telemetry", "telemetry-out"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["chaos"], ["zoo", "run", "log-append"], ["zoo", "matrix"]],
+        ids=["chaos", "zoo-run", "zoo-matrix"],
+    )
+    def test_flags_a_command_ignores_are_usage_errors(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
 class TestRecommend:

@@ -89,7 +89,7 @@ class TestObsDiff:
         assert out.splitlines()[0] == canonical_json(report)
 
     def test_store_prefix_sources(self, sweep_dir, capsys):
-        from repro.store import TraceBank
+        from repro.store.bank import TraceBank
 
         ids = TraceBank(sweep_dir / ".repro-store", create=False).run_ids()
         assert len(ids) == 6  # one archived traced run per sweep point
@@ -139,7 +139,7 @@ class TestObsCritpath:
 
 class TestObsSlice:
     def test_store_source_with_all_exports(self, sweep_dir, capsys, tmp_path):
-        from repro.store import TraceBank
+        from repro.store.bank import TraceBank
 
         store = sweep_dir / ".repro-store"
         run_id = TraceBank(store, create=False).run_ids()[0]
@@ -174,7 +174,7 @@ class TestObsSlice:
         assert report["suspects"]
 
     def test_path_anchor_needs_a_store_source(self, sweep_dir, capsys):
-        from repro.store import TraceBank
+        from repro.store.bank import TraceBank
 
         store = sweep_dir / ".repro-store"
         run_id = TraceBank(store, create=False).run_ids()[0]

@@ -4,11 +4,16 @@ import pytest
 
 from repro.errors import InvalidArgument
 from repro.harness.testbed import build_testbed
-from repro.simmpi import mpirun
+from repro.simmpi.runtime import mpirun
 from repro.units import KiB
-from repro.workloads import AccessPattern, mpi_io_test
-from repro.workloads.generators import checkpoint, io_intensive, metadata_heavy, mmap_mix
-from repro.workloads.patterns import total_file_bytes
+from repro.workloads.generators import (
+    checkpoint,
+    io_intensive,
+    metadata_heavy,
+    mmap_mix,
+)
+from repro.workloads.mpi_io_test import mpi_io_test
+from repro.workloads.patterns import AccessPattern, total_file_bytes
 
 
 def run(workload, args, nprocs=4):

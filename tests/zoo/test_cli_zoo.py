@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.zoo import names
+from repro.trace.events import EventLayer, TraceEvent
+from repro.trace.records import TraceFile
+from repro.trace.text_format import encode_trace_file
+from repro.zoo.registry import names
 
 STRACE_LINES = """\
 101 1700000000.000010 openat(AT_FDCWD, "/data/out.bin", O_WRONLY|O_CREAT, 0644) = 3 <0.000030>
@@ -95,6 +98,23 @@ class TestZooReplay:
     def test_missing_source_fails_cleanly(self, tmp_path, capsys):
         assert main(["zoo", "replay", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unmounted_path_names_the_mounts_and_remap_root(self, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        path.write_text(encode_trace_file(TraceFile(
+            [TraceEvent(timestamp=1.0, duration=0.001, layer=EventLayer.SYSCALL,
+                        name="SYS_pwrite64", path="/scratch/f0", offset=0,
+                        nbytes=4096, result=4096)],
+            rank=0, framework="lanl-trace",
+        )))
+        assert main(["zoo", "replay", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: replayed path /scratch/f0 is not under a simulated mount "
+            "(/home, /pfs, /tmp); re-root the trace's paths with --remap-root, "
+            "e.g. --remap-root /pfs/replay\n"
+        )
+        assert main(["zoo", "replay", str(path), "--remap-root", "/pfs/x",
+                     "--require-exact"]) == 0
 
     def test_report_out(self, tmp_path):
         path = tmp_path / "cap.strace"

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from repro.errors import InvalidArgument
 from repro.harness.runcache import RunCache
 from repro.obs.metrics import canonical_json
-from repro.zoo import (
+from repro.zoo.matrix import (
     ZOO_SCHEMA,
     build_zoo_specs,
     check_signature,
-    get,
-    names,
     render_zoo_report,
     run_zoo_matrix,
 )
+from repro.zoo.registry import get, names
 
 
 def _rows(**kw):

@@ -6,7 +6,7 @@ from repro.errors import InvalidArgument
 from repro.harness.parallel import WORKLOADS
 from repro.obs.metrics import canonical_json
 from repro.units import KiB
-from repro.zoo import SCENARIOS, ZOO_NPROCS, ZooScenario, get, names, register
+from repro.zoo.registry import SCENARIOS, ZOO_NPROCS, ZooScenario, get, names, register
 
 
 class TestRegistry:
