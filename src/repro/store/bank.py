@@ -51,6 +51,7 @@ from repro.store.segments import (
     segment_columns,
     summarize_segment,
 )
+from repro.trace.binary_format import read_records
 from repro.trace.events import TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -290,13 +291,23 @@ class TraceBank:
     def read_columns(self, sha: str, fields: Sequence[str]) -> Dict[str, List[Any]]:
         """Project ``fields`` out of one segment without building events.
 
-        The scan entry of every archive aggregate (query, dfg, diagnose);
-        see :func:`~repro.store.segments.segment_columns`.  Verified like
+        Every column covers every event (``obs diagnose`` reads whole
+        runs; the query scan uses :meth:`read_records`); see
+        :func:`~repro.store.segments.segment_columns`.  Verified like
         :meth:`read_segment`.
         """
         blob = self.read_segment_blob(sha)
         with archive_errors(sha):
             return segment_columns(blob, fields)
+
+    def read_records(self, sha: str) -> List[tuple]:
+        """One segment's raw records, walked but not projected, for a scan
+        that projects them itself
+        (:func:`~repro.trace.binary_format.project`).  Verified like
+        :meth:`read_segment`."""
+        blob = self.read_segment_blob(sha)
+        with archive_errors(sha):
+            return read_records(blob)
 
     def read_segment_blob(self, sha: str) -> bytes:
         """Raw encoded bytes of one segment, content address verified."""

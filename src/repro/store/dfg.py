@@ -9,20 +9,24 @@ directly-follows graph.  Edges never cross segment boundaries: a rank's
 last op does not "precede" another rank's first.
 
 Shard selection, predicate pushdown, filtering, and the determinism
-contract (shard-order merge, canonical JSON, byte-identical across job
-counts) are all shared with :mod:`repro.store.query`.
+contract (shard-order merge, reports canonical as built, byte-identical
+across job counts) are all shared with :mod:`repro.store.query`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.fanout import parallel_map
-from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
-from repro.store.query import Query, scan_columns, select_shards
+from repro.store.query import (
+    Query,
+    require_finite,
+    scan_columns,
+    scan_report,
+    select_shards,
+)
 
 __all__ = ["DFG_SCHEMA", "build_dfg", "merge_shard_graphs", "render_dfg_text",
            "render_dfg_dot", "shard_graph"]
@@ -38,9 +42,8 @@ def _dfg_shard(task: Tuple[TraceBank, str, int, str, Dict[str, Any]]) -> Dict[st
     the edges (plus whatever the filters read).  Module level so it
     pickles into worker processes.
     """
-    cols, idxs = scan_columns(task, ("name", "timestamp", "duration"))
-    names, stamps, durs = cols["name"], cols["timestamp"], cols["duration"]
-    return shard_graph([(names[i], stamps[i], durs[i]) for i in idxs])
+    cols, _idxs = scan_columns(task, ("name", "timestamp", "duration"))
+    return shard_graph(list(zip(cols["name"], cols["timestamp"], cols["duration"])))
 
 
 def shard_graph(seq: Sequence[Tuple[str, float, float]]) -> Dict[str, Any]:
@@ -81,9 +84,10 @@ def build_dfg(bank: TraceBank, query: Query, jobs: int = 1) -> Dict[str, Any]:
     """Build the weighted directly-follows graph matching ``query``.
 
     The aggregate choice in ``query.agg`` is ignored — only its filters
-    and run selection apply.  Returns a canonical-JSON report with node
-    counts, edge weights, start/end op tallies (one start and one end
-    per non-empty shard sequence), and per-edge time attribution under
+    and run selection apply.  Returns a report, canonical as built
+    (:mod:`repro.store.query`), with node counts, edge weights,
+    start/end op tallies (one start and one end per non-empty shard
+    sequence), and per-edge time attribution under
     ``graph["edge_times"]`` (count / sum / mean / min / max of the
     inter-event gap per directly-follows edge — the idle seconds between
     the first op's completion and the next op's start, summed in shard
@@ -97,18 +101,18 @@ def build_dfg(bank: TraceBank, query: Query, jobs: int = 1) -> Dict[str, Any]:
     col = STATE.collector
     if col is not None:
         col.store_scan(scan["segments_scanned"], scan["segments_pruned"], matched)
-    report = {
-        "schema": DFG_SCHEMA,
-        "query": query.echo(),
-        "scan": dict(scan, events_matched=matched),
+    return {
         "graph": graph,
+        "query": query.echo(),
+        "scan": scan_report(scan, matched),
+        "schema": DFG_SCHEMA,
     }
-    return json.loads(canonical_json(report))
 
 
 def merge_shard_graphs(partials: Iterable[Dict[str, Any]]) -> Tuple[Dict[str, Any], int]:
     """Merge :func:`shard_graph` partials, in the order given (the shard
-    order), into one report ``graph``; returns it and the events matched."""
+    order), into one report ``graph`` (keys in sorted order at every
+    level); returns it and the events matched."""
     nodes: Dict[str, int] = {}
     edges: Dict[str, Dict[str, int]] = {}
     times: Dict[str, Dict[str, List[float]]] = {}
@@ -140,19 +144,24 @@ def merge_shard_graphs(partials: Iterable[Dict[str, Any]]) -> Tuple[Dict[str, An
             count = edges[a][b]
             edge_times.setdefault(a, {})[b] = {
                 "count": count,
-                "sum": gap_sum,
+                "max": gap_max,
                 "mean": gap_sum / count,
                 "min": gap_min,
-                "max": gap_max,
+                "sum": gap_sum,
             }
+    require_finite(
+        (cell[k] for row in edge_times.values() for cell in row.values()
+         for k in ("max", "min", "sum")),
+        "an edge's inter-event gap",
+    )
     graph = {
-        "nodes": dict(sorted(nodes.items())),
-        "edges": {a: dict(sorted(row.items())) for a, row in sorted(edges.items())},
         "edge_times": edge_times,
-        "starts": dict(sorted(starts.items())),
+        "edges": {a: dict(sorted(row.items())) for a, row in sorted(edges.items())},
         "ends": dict(sorted(ends.items())),
-        "n_nodes": len(nodes),
         "n_edges": sum(len(row) for row in edges.values()),
+        "n_nodes": len(nodes),
+        "nodes": dict(sorted(nodes.items())),
+        "starts": dict(sorted(starts.items())),
     }
     return graph, matched
 

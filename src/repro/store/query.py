@@ -8,16 +8,20 @@ A query is answered in three stages:
    against the query's rank/op/layer/time predicates
    (:meth:`~repro.store.segments.SegmentMeta.may_match`): segments that
    cannot contain a matching event are never read — predicate pushdown;
-3. **Scan** — surviving shards are read as columns (only the fields the
-   filters and the aggregate touch, no event objects) and filtered,
-   fanned out over worker processes via
-   :func:`repro.fanout.parallel_map`.
+3. **Scan** — each surviving shard's records are walked once; the
+   columns the filters read are projected for every event, and the
+   aggregate's other fields only for the events that pass (late
+   materialization, no event objects).  Shards fan out over worker
+   processes via :func:`repro.fanout.parallel_map`.
 
 Partial results are merged in shard order (sorted by ``(run_id, rank,
-sha)``) regardless of worker completion order, and every report is
-normalized through canonical JSON — so query output is byte-identical
-across ``jobs=1`` and ``jobs=N``, the same determinism contract the
-sweep harness pins down.
+sha)``) regardless of worker completion order, so query output is
+byte-identical across ``jobs=1`` and ``jobs=N``, the same determinism
+contract the sweep harness pins down.  Reports are canonical by
+construction: plain JSON values only (lists, ``str`` keys, finite
+floats), every dict's keys inserted in sorted order, so a caller
+renders one with a single :func:`~repro.obs.metrics.canonical_json`
+call and never needs to normalize it.
 
 Aggregates: ``events`` (the matching events themselves), ``ops``
 (per-function call/time histogram, the Figure-1 summary shape), ``bytes``
@@ -28,6 +32,7 @@ time windows).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -38,6 +43,8 @@ from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
 from repro.store.manifest import RunManifest
+from repro.store.segments import archive_errors
+from repro.trace.binary_format import project
 from repro.trace.events import TraceEvent
 
 __all__ = [
@@ -199,6 +206,10 @@ class Query:
             raise StoreQueryError(
                 "unknown aggregate %r (known: %s)" % (self.agg, ", ".join(AGGREGATES))
             )
+        for name in ("since", "until", "window"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise StoreQueryError("%s must be finite, got %r" % (name, value))
         if self.window <= 0:
             raise StoreQueryError("bandwidth window must be positive")
         if self.limit is not None and self.limit < 0:
@@ -211,26 +222,28 @@ class Query:
             raise StoreQueryError("empty time window: until <= since")
 
     def plan(self) -> Dict[str, Any]:
-        """The pickle-safe scan plan shipped to worker processes."""
+        """The pickle-safe scan plan shipped to worker processes (keys
+        in sorted order: it is also the echo's ``filters``)."""
         return {
             "agg": self.agg,
-            "ranks": list(self.ranks) if self.ranks is not None else None,
-            "names": list(self.names) if self.names is not None else None,
             "layers": list(self.layers) if self.layers is not None else None,
+            "names": list(self.names) if self.names is not None else None,
             "path_glob": self.path_glob,
+            "ranks": list(self.ranks) if self.ranks is not None else None,
             "since": self.since,
             "until": self.until,
             "window": self.window,
         }
 
     def echo(self) -> Dict[str, Any]:
-        """The query's canonical-JSON echo embedded in every report."""
+        """The query's echo embedded in every report (canonical: keys in
+        sorted order)."""
         return {
             "agg": self.agg,
             "filters": self.plan(),
-            "where": {k: v for k, v in self.where},
-            "runs": list(self.runs) if self.runs is not None else None,
             "limit": self.limit,
+            "runs": list(self.runs) if self.runs is not None else None,
+            "where": dict(sorted(self.where)),
         }
 
 
@@ -293,19 +306,40 @@ def select_shards(
                 pruned += 1
     shards.sort()
     stats = {
-        "runs_total": runs_total,
         "runs_selected": len(selected),
-        "segments_total": total,
-        "segments_scanned": len(shards),
+        "runs_total": runs_total,
         "segments_pruned": pruned,
+        "segments_scanned": len(shards),
+        "segments_total": total,
     }
     return selected, shards, stats
 
 
-#: Columns each aggregate reads from a segment (beyond filters).
+def scan_report(scan: Mapping[str, int], matched: int) -> Dict[str, int]:
+    """A report's ``scan`` section: :func:`select_shards`' stats plus the
+    events matched, keys in sorted order."""
+    return {"events_matched": matched, **scan}
+
+
+def require_finite(values: Iterable[float], what: str) -> None:
+    """Raise :class:`~repro.errors.StoreQueryError` unless every value is
+    finite.
+
+    Decoded timestamps and durations are finite (the decoders refuse
+    others), but sums and quotients of extreme ones can overflow, and a
+    report holds finite floats only.
+    """
+    if not all(map(math.isfinite, values)):
+        raise StoreQueryError(
+            "%s overflows to a non-finite value, which a report cannot hold"
+            % what
+        )
+
+
+#: Columns each aggregate reads from a segment.
 _AGG_COLUMNS: Dict[str, Tuple[str, ...]] = {
-    "events": ("timestamp", "duration", "layer", "name", "pid", "hostname",
-               "path", "fd", "nbytes", "offset", "result"),
+    "events": ("duration", "fd", "hostname", "layer", "name", "nbytes",
+               "offset", "path", "pid", "result", "timestamp"),
     "ops": ("name", "duration"),
     "bytes": ("nbytes",),
     "bandwidth": ("timestamp", "nbytes"),
@@ -326,54 +360,65 @@ def _filter_columns(plan: Dict[str, Any]) -> List[str]:
     return need
 
 
+def _keep(filt: Dict[str, List[Any]], plan: Dict[str, Any], n: int) -> Sequence[int]:
+    """Capture indices of the events every predicate of ``plan`` keeps.
+
+    Each predicate narrows the survivors of the one before, reading its
+    column from ``filt``; the path glob is evaluated once per distinct
+    path, not once per event.
+    """
+    keep: Sequence[int] = range(n)
+    if plan["names"] is not None:
+        names, col = set(plan["names"]), filt["name"]
+        keep = [i for i in keep if col[i] in names]
+    if plan["layers"] is not None:
+        layers, col = set(plan["layers"]), filt["layer"]
+        keep = [i for i in keep if col[i] in layers]
+    since, until = plan["since"], plan["until"]
+    if since is not None:
+        col = filt["timestamp"]
+        keep = [i for i in keep if col[i] >= since]
+    if until is not None:
+        col = filt["timestamp"]
+        keep = [i for i in keep if col[i] < until]
+    glob = plan["path_glob"]
+    if glob is not None:
+        col = filt["path"]
+        paths = {p for p in set(col) if p is not None and fnmatchcase(p, glob)}
+        keep = [i for i in keep if col[i] in paths]
+    return keep
+
+
 def scan_columns(
     task: Tuple[TraceBank, str, int, str, Dict[str, Any]], fields: Sequence[str]
 ) -> Tuple[Dict[str, List[Any]], Sequence[int]]:
-    """Read one shard's columns and select the events the plan keeps.
+    """Scan one shard: the events the plan keeps, as ``fields`` columns.
 
-    Returns the projected ``fields`` plus whatever the filters read, and
-    the indices (capture order) of the matching events.  Rank, op-name
+    The one scan path of every aggregate and the DFG.  It walks the
+    segment's records once (:meth:`~repro.store.bank.TraceBank.
+    read_records`), projects the columns the filters read for every
+    event, and projects the other ``fields`` only for the events that
+    pass (late materialization), so a string field of a dropped event
+    is never decoded.  Returns the ``fields`` columns aligned to the
+    kept events, and the kept events' capture indices.  Rank, op-name
     and time bounds that whole segments fail were already pruned by
-    :meth:`~repro.store.segments.SegmentMeta.may_match`; this applies the
-    same predicates per event.  The path glob is evaluated once per
-    distinct path, not once per event.  The task carries the caller's
+    :meth:`~repro.store.segments.SegmentMeta.may_match`; this applies
+    the same predicates per event.  The task carries the caller's
     opened bank, so a worker reads only the shard's segment.
     """
     bank, _run_id, _rank, sha, plan = task
-    need = set(fields)
-    need.update(_filter_columns(plan))
-    cols = bank.read_columns(sha, sorted(need))
-    n = len(cols[fields[0]])
-    names = set(plan["names"]) if plan["names"] is not None else None
-    layers = set(plan["layers"]) if plan["layers"] is not None else None
-    since, until = plan["since"], plan["until"]
-    glob = plan["path_glob"]
-    if (names is None and layers is None and since is None
-            and until is None and glob is None):
-        return cols, range(n)
-    paths: Optional[set] = None
-    if glob is not None:
-        paths = {
-            p for p in set(cols["path"]) if p is not None and fnmatchcase(p, glob)
+    rows = bank.read_records(sha)
+    with archive_errors(sha):
+        filt = {f: project(rows, f) for f in _filter_columns(plan)}
+        keep = _keep(filt, plan, len(rows))
+        if len(keep) == len(rows):  # nothing dropped: no subsetting
+            return {f: filt[f] if f in filt else project(rows, f)
+                    for f in fields}, keep
+        kept = [rows[i] for i in keep]
+        cols = {
+            f: [filt[f][i] for i in keep] if f in filt else project(kept, f)
+            for f in fields
         }
-    name_col = cols.get("name")
-    layer_col = cols.get("layer")
-    ts_col = cols.get("timestamp")
-    path_col = cols.get("path")
-    keep: List[int] = []
-    append = keep.append
-    for i in range(n):
-        if names is not None and name_col[i] not in names:
-            continue
-        if layers is not None and layer_col[i] not in layers:
-            continue
-        if since is not None and ts_col[i] < since:
-            continue
-        if until is not None and ts_col[i] >= until:
-            continue
-        if paths is not None and path_col[i] not in paths:
-            continue
-        append(i)
     return cols, keep
 
 
@@ -389,57 +434,46 @@ def _scan_shard(task: Tuple[TraceBank, str, int, str, Dict[str, Any]]) -> Dict[s
     cols, idxs = scan_columns(task, _AGG_COLUMNS[agg])
     out: Dict[str, Any] = {"matched": len(idxs)}
     if agg == "events":
-        ts, du = cols["timestamp"], cols["duration"]
-        ly, nm = cols["layer"], cols["name"]
-        pid, hn = cols["pid"], cols["hostname"]
-        pa, fd = cols["path"], cols["fd"]
-        nb, off, res = cols["nbytes"], cols["offset"], cols["result"]
+        # Each row's keys in sorted order: the report is canonical as built.
         out["events"] = [
-            {
-                "run": run_id,
-                "rank": rank,
-                "seq": i,
-                "timestamp": ts[i],
-                "duration": du[i],
-                "layer": ly[i],
-                "name": nm[i],
-                "pid": pid[i],
-                "hostname": hn[i],
-                "path": pa[i],
-                "fd": fd[i],
-                "nbytes": nb[i],
-                "offset": off[i],
-                "result": res[i],
-            }
-            for i in idxs
+            {"duration": du, "fd": fd, "hostname": hn, "layer": ly,
+             "name": nm, "nbytes": nb, "offset": off, "path": pa, "pid": pid,
+             "rank": rank, "result": res, "run": run_id, "seq": i,
+             "timestamp": ts}
+            for i, du, fd, hn, ly, nm, nb, off, pa, pid, res, ts in zip(
+                idxs, *(cols[f] for f in _AGG_COLUMNS["events"]))
         ]
     elif agg == "ops":
         ops: Dict[str, List[float]] = {}
-        nm, du = cols["name"], cols["duration"]
-        for i in idxs:
-            cell = ops.setdefault(nm[i], [0, 0.0])
+        for name, dur in zip(cols["name"], cols["duration"]):
+            cell = ops.setdefault(name, [0, 0.0])
             cell[0] += 1
-            cell[1] += du[i]
+            cell[1] += dur
         out["ops"] = ops
     elif agg == "bytes":
-        nb = cols["nbytes"]
         out["rank"] = rank
         out["events"] = len(idxs)
-        out["bytes"] = sum(nb[i] for i in idxs if nb[i] is not None)
+        out["bytes"] = sum(v for v in cols["nbytes"] if v is not None)
     else:  # bandwidth
         window = plan["window"]
-        ts, nb = cols["timestamp"], cols["nbytes"]
         buckets: Dict[str, int] = {}
-        for i in idxs:
-            v = nb[i]
-            if v is not None:
-                key = str(int(ts[i] // window))
-                buckets[key] = buckets.get(key, 0) + v
+        try:
+            for ts, v in zip(cols["timestamp"], cols["nbytes"]):
+                if v is not None:
+                    key = str(int(ts // window))
+                    buckets[key] = buckets.get(key, 0) + v
+        except OverflowError:  # ts // window is inf: no bucket index
+            raise StoreQueryError(
+                "bandwidth window %r is too small for timestamps near %r"
+                % (window, ts)
+            ) from None
         out["buckets"] = buckets
     return out
 
 
 def _merge_result(query: Query, partials: Sequence[Dict[str, Any]]) -> Tuple[Dict[str, Any], int]:
+    """Merge shard partials, in shard order, into the report's
+    ``result`` (keys in sorted order at every level)."""
     matched = sum(p["matched"] for p in partials)
     if query.agg == "events":
         rows = [row for p in partials for row in p["events"]]
@@ -455,6 +489,7 @@ def _merge_result(query: Query, partials: Sequence[Dict[str, Any]]) -> Tuple[Dic
                 cell = ops.setdefault(name, [0, 0.0])
                 cell[0] += calls
                 cell[1] += total
+        require_finite((t for _c, t in ops.values()), "an op's total time")
         return {
             "ops": {
                 name: {"calls": int(c), "total_time": t}
@@ -464,11 +499,12 @@ def _merge_result(query: Query, partials: Sequence[Dict[str, Any]]) -> Tuple[Dic
     if query.agg == "bytes":
         ranks: Dict[str, Dict[str, int]] = {}
         for p in partials:
-            cell = ranks.setdefault(str(p["rank"]), {"events": 0, "bytes": 0})
+            cell = ranks.setdefault(str(p["rank"]), {"bytes": 0, "events": 0})
             cell["events"] += p["events"]
             cell["bytes"] += p["bytes"]
         total_bytes = sum(c["bytes"] for c in ranks.values())
-        return {"ranks": dict(sorted(ranks.items(), key=lambda kv: int(kv[0]))),
+        # Rank keys in string order ("10" before "2"), as every key is.
+        return {"ranks": dict(sorted(ranks.items())),
                 "total_bytes": total_bytes}, matched
     # bandwidth
     buckets: Dict[int, int] = {}
@@ -479,20 +515,23 @@ def _merge_result(query: Query, partials: Sequence[Dict[str, Any]]) -> Tuple[Dic
     w = query.window
     rows = [
         {
+            "bandwidth": nbytes / w,
+            "bytes": nbytes,
             "t0": idx * w,
             "t1": (idx + 1) * w,
-            "bytes": nbytes,
-            "bandwidth": nbytes / w,
         }
         for idx, nbytes in sorted(buckets.items())
     ]
-    return {"window": w, "buckets": rows}, matched
+    require_finite((r[k] for r in rows for k in ("bandwidth", "t0", "t1")),
+                   "a bandwidth bucket")
+    return {"buckets": rows, "window": w}, matched
 
 
 def run_query(
     bank: TraceBank, query: Query, jobs: int = 1
 ) -> Dict[str, Any]:
-    """Answer one query; returns the canonical-JSON report dict.
+    """Answer one query; returns the report dict, canonical as built
+    (see the module docstring).
 
     ``jobs > 1`` fans the shard scans over worker processes with results
     merged in shard order — output bytes never depend on the job count.
@@ -507,13 +546,12 @@ def run_query(
     col = STATE.collector
     if col is not None:
         col.store_scan(scan["segments_scanned"], scan["segments_pruned"], matched)
-    report = {
-        "schema": QUERY_SCHEMA,
+    return {
         "query": query.echo(),
-        "scan": dict(scan, events_matched=matched),
         "result": result,
+        "scan": scan_report(scan, matched),
+        "schema": QUERY_SCHEMA,
     }
-    return json.loads(canonical_json(report))
 
 
 def scan_events(

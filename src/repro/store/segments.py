@@ -12,11 +12,12 @@ archive dedups for free.
 RTBF is the only segment format, read or written.  Both readers walk
 its records once: :func:`decode_segment` rebuilds events and
 :func:`segment_columns` projects logical columns without building
-events — the scan path every archive aggregate uses.  A segment in the
-retired columnar format (RTCF) fails the walker's magic check with an
-error that names bf847e2, the last commit that reads RTCF; read through
-:class:`~repro.store.bank.TraceBank` it is archive corruption
-(:func:`archive_errors`).
+events.  The query scan takes the walked records themselves
+(:meth:`~repro.store.bank.TraceBank.read_records`) and projects only
+what it keeps.  A segment in the retired columnar format (RTCF) fails
+the walker's magic check with an error that names bf847e2, the last
+commit that reads RTCF; read through :class:`~repro.store.bank.TraceBank`
+it is archive corruption (:func:`archive_errors`).
 
 Every segment carries a :class:`SegmentMeta` summary in its run manifest —
 time range, per-op and per-layer counts, payload bytes — which is what the

@@ -20,15 +20,22 @@ Layout::
 where each block is ``compress(count u32 | record*)``.
 
 The same format is the trace archive's segment format
-(:mod:`repro.store.segments`).  One record walker serves both readers:
+(:mod:`repro.store.segments`).  One record walker serves every reader:
 :func:`decode_trace_file` builds events, and :func:`read_columns`
-projects per-field columns without building them — how every archive
-aggregate scans.
+projects per-field columns without building them.  The archive scan
+takes the walker's raw records (:func:`read_records`) and projects them
+itself (:func:`project`), so it can project the columns a filter reads
+for every event and the rest only for the events the filter keeps.
+
+The walker refuses a record whose timestamp or duration is not a
+finite float (or whose duration is negative), as the text decoder
+does, so no decoded trace holds a NaN or an infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -49,7 +56,9 @@ __all__ = [
     "decode_trace_file",
     "encode_event_record",
     "decode_event_record",
+    "project",
     "read_columns",
+    "read_records",
 ]
 
 MAGIC = b"RTBF"
@@ -279,6 +288,7 @@ def _read_records(data: bytes, pos: int, count: int, rows: List[tuple]) -> int:
     size = _RECORD.size
     end = len(data)
     layers = _CODE_LAYER
+    inf = math.inf
     append = rows.append
     try:
         for _ in range(count):
@@ -302,7 +312,9 @@ def _read_records(data: bytes, pos: int, count: int, rows: List[tuple]) -> int:
             n = data[pos] | data[pos + 1] << 8
             args = data[pos + 2 : pos + 2 + n]
             pos += 2 + n
-            if pos > end or fixed[_LAYER] not in layers or fixed[_DUR] < 0:
+            if (pos > end or fixed[_LAYER] not in layers
+                    or not 0.0 <= fixed[_DUR] < inf
+                    or not -inf < fixed[_TS] < inf):
                 _reject(fixed, pos > end)
             append(fixed + (name, host, user, path, result, args))
     except (IndexError, struct.error):
@@ -316,8 +328,15 @@ def _reject(fixed: tuple, truncated: bool) -> None:
         raise TraceTruncatedError("record string body truncated")
     if fixed[_LAYER] not in _CODE_LAYER:
         raise TraceFormatError("unknown layer code %d" % fixed[_LAYER])
-    # Only unchecksummed data gets here: a corrupted (negative) duration
-    # is a format error, not a TraceEvent crash.
+    if not (math.isfinite(fixed[_TS]) and math.isfinite(fixed[_DUR])):
+        # NaN and infinities have no JSON rendering: a trace holding one
+        # could be archived but never reported on.
+        raise TraceFormatError(
+            "non-finite timestamp or duration in record (%r, %r)"
+            % (fixed[_TS], fixed[_DUR])
+        )
+    # A corrupted (negative) duration is a format error, not a
+    # TraceEvent crash.
     raise TraceFormatError("invalid event fields in record")
 
 
@@ -459,37 +478,54 @@ def decode_trace_file(data: bytes) -> TraceFile:
     )
 
 
+def read_records(data: bytes) -> List[tuple]:
+    """Walk a whole trace and return its raw records, unprojected.
+
+    Validated like :func:`decode_trace_file` (same walker), except that
+    no string field is decoded: :func:`project` decodes the strings of
+    the records it is given.
+    """
+    return _walk(data)[1]
+
+
+def project(rows: Sequence[tuple], field: str) -> List[Any]:
+    """One logical column over raw records (:func:`read_records`).
+
+    ``field`` is a :class:`~repro.trace.events.TraceEvent` field name
+    (:data:`FIELDS`); the column equals that field across the events
+    :func:`decode_trace_file` builds from the same records, except that
+    ``layer`` comes as its string value.  Absent optionals are ``None``
+    and ``result`` is int-or-str exactly as decode parses it.  A string
+    field's UTF-8 (and the args JSON) is checked here, for the records
+    given.
+    """
+    slot = _SLOT.get(field)
+    if slot is None:
+        raise TraceFormatError("unknown column requested: %r" % field)
+    col = list(map(itemgetter(slot), rows))
+    if slot >= _NAME:
+        col = _texts(col)
+    if field == "layer":
+        return [_CODE_LAYER_VALUE[c] for c in col]
+    if field == "args":
+        return [_parse_args(t) for t in col]
+    if field == "result":
+        return [
+            _parse_result(t) if row[_FLAGS] & _F_RESULT else None
+            for t, row in zip(col, rows)
+        ]
+    bit = _PRESENCE.get(field)
+    if bit is not None:
+        return [v if row[_FLAGS] & bit else None for v, row in zip(col, rows)]
+    return col
+
+
 def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
     """Project logical per-event columns without building events.
 
-    ``fields`` are :class:`~repro.trace.events.TraceEvent` field names
-    (:data:`FIELDS`); each column equals that field across
-    :func:`decode_trace_file`'s events, except that ``layer`` comes as
-    its string value.  Absent optionals are ``None`` and ``result`` is
-    int-or-str exactly as decode parses it.  Validation matches decode
-    (same walker), except that string fields (their UTF-8, the args
-    JSON) are only checked when projected.
+    Each column is :func:`project` over every record of the trace.
+    Validation matches decode (same walker), except that string fields
+    (their UTF-8, the args JSON) are only checked when projected.
     """
-    unknown = set(fields).difference(FIELDS)
-    if unknown:
-        raise TraceFormatError("unknown columns requested: %s" % sorted(unknown))
-    _header, rows = _walk(data)
-    out: Dict[str, List[Any]] = {}
-    for field in fields:
-        col = list(map(itemgetter(_SLOT[field]), rows))
-        if _SLOT[field] >= _NAME:
-            col = _texts(col)
-        if field == "layer":
-            col = [_CODE_LAYER_VALUE[c] for c in col]
-        elif field == "args":
-            col = [_parse_args(t) for t in col]
-        elif field == "result":
-            col = [
-                _parse_result(t) if row[_FLAGS] & _F_RESULT else None
-                for t, row in zip(col, rows)
-            ]
-        elif field in _PRESENCE:
-            bit = _PRESENCE[field]
-            col = [v if row[_FLAGS] & bit else None for v, row in zip(col, rows)]
-        out[field] = col
-    return out
+    rows = read_records(data)
+    return {field: project(rows, field) for field in fields}

@@ -19,6 +19,7 @@ header lines.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -194,9 +195,20 @@ def decode_event(line: str) -> TraceEvent:
             raise TraceFormatError("bad annotation on line: %r" % line) from None
         _check_annotation(fields, line)
     try:
-        return TraceEvent(**fields)
+        event = TraceEvent(**fields)
     except (ValueError, TypeError):
         raise TraceFormatError("invalid event fields on line: %r" % line) from None
+    try:
+        finite = math.isfinite(event.timestamp) and math.isfinite(event.duration)
+    except OverflowError:  # an annotated int duration beyond any float
+        finite = False
+    if not finite:
+        # An over-long number parses to inf, and the annotation's JSON
+        # may say NaN: neither can be stored or reported on.
+        raise TraceFormatError(
+            "non-finite timestamp or duration on line: %r" % line
+        )
+    return event
 
 
 def encode_trace_file(tf: TraceFile, annotated: bool = True) -> str:

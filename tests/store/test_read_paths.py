@@ -1,16 +1,20 @@
 """The archive's read paths: the manifest files are its only index.
 
 A run id is looked up by its file name, no read writes into the archive,
-and one opened bank serves a whole query, DFG, verify or diagnosis.
+one opened bank serves a whole query, DFG, verify or diagnosis, and a
+report is rendered to JSON once.
 """
 
+import asyncio
 import hashlib
 import json
+import sys
 
 import pytest
 
 from storeutil import make_bundle
 
+import repro.obs.metrics
 from repro.cli import main
 from repro.errors import StoreError
 from repro.obs.diagnose import diagnose_archive
@@ -62,6 +66,27 @@ def reads(monkeypatch):
         return real(self, sha)
 
     monkeypatch.setattr(TraceBank, "read_segment_blob", counting)
+    return calls
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """The schema of every report ``canonical_json`` renders from here on.
+
+    Every loaded module's binding of the function is wrapped, and a
+    module imported later binds the wrapper, so no call goes uncounted.
+    """
+    calls = []
+    real = repro.obs.metrics.canonical_json
+
+    def counting(obj):
+        if isinstance(obj, dict) and "schema" in obj:
+            calls.append(obj["schema"])
+        return real(obj)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "canonical_json", None) is real:
+            monkeypatch.setattr(module, "canonical_json", counting)
     return calls
 
 
@@ -245,6 +270,47 @@ class TestLookupByName:
         assert [m.to_json() for m in bank.manifests()] == want
         assert bank.manifest(ids[0]).run_id == ids[0]
         assert bank.verify()["ok"]
+
+
+class TestOneRenderPerReport:
+    @pytest.mark.parametrize(
+        "argv, schema",
+        [
+            (["store", "query", "--store", "{store}", "--agg", "events", "--json"],
+             "repro/store/query/v1"),
+            (["store", "dfg", "--store", "{store}", "--json"], "repro/store/dfg/v1"),
+        ],
+        ids=["store-query-events-json", "store-dfg-json"],
+    )
+    def test_commands_render_their_report_once(self, archive, renders, capsys,
+                                               argv, schema):
+        # The report is canonical as built: printing it is its one render.
+        bank, _ids = archive
+        assert main([a.format(store=bank.root) for a in argv]) == 0
+        assert renders == [schema]
+        assert json.loads(capsys.readouterr().out)["schema"] == schema
+
+    def test_a_service_query_renders_its_report_once(self, tmp_path, renders):
+        from repro.service.api import Request, ServiceApp
+        from repro.trace.binary_format import encode_trace_file
+
+        app = ServiceApp(tmp_path / "svc")
+        body = encode_trace_file(make_bundle(nranks=1).files[0])
+
+        async def run():
+            await app.startup()
+            try:
+                await app.handle(Request("POST", "/v1/t/alice/ingest",
+                                         {"rank": ["0"], "sync": ["1"]}, {}, body))
+                del renders[:]
+                return await app.handle(
+                    Request("GET", "/v1/t/alice/query", {"agg": ["events"]}))
+            finally:
+                await app.shutdown()
+
+        resp = asyncio.run(run())
+        assert resp.status == 200
+        assert renders == ["repro/store/query/v1"]
 
 
 class TestOneBankPerOperation:

@@ -3,8 +3,10 @@
 Importing the simulated stack (the DES kernel, the cluster, simos,
 simfs, simmpi, the frameworks and the harness, plus numpy) costs about
 0.35 s, several times what ``repro table2``, an archive query or a sweep
-served from a warm run cache need.  These tests run commands in a fresh
-interpreter and check which modules they loaded.
+served from a warm run cache need.  Parsing arguments loads no command's
+code either, so ``repro --help`` imports neither the taxonomy
+(``repro.core``) nor the trace codecs.  These tests run commands in a
+fresh interpreter and check which modules they loaded.
 """
 
 import json
@@ -19,6 +21,7 @@ import repro
 from repro.cli import build_parser, main
 from repro.faults.chaos import CHAOS_MATRICES
 from repro.store.bank import TraceBank
+from repro.trace.anonymize import ANONYMIZABLE_FIELDS
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -35,7 +38,10 @@ SIMULATION = ("repro.des", "repro.simos", "repro.simfs", "repro.simmpi",
 _PROBE = """
 import json, sys
 from repro.cli import main
-rc = main(json.loads(sys.argv[1]))
+try:
+    rc = main(json.loads(sys.argv[1]))
+except SystemExit as exc:  # --help
+    rc = exc.code
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
@@ -80,6 +86,9 @@ def _tiny_archive(root):
 
 
 class TestNoSimulatorImports:
+    def test_help_loads_neither_the_taxonomy_nor_the_codecs(self, tmp_path):
+        assert _loaded(["--help"], tmp_path, ("repro.core", "repro.trace")) == (0, [])
+
     def test_table2(self, tmp_path):
         assert _loaded(["table2"], tmp_path) == (0, [])
 
@@ -119,8 +128,15 @@ def test_the_kernel_loads_only_the_telemetry_it_calls():
 
 
 def test_chaos_matrix_choices_match_the_chaos_module():
+    assert _choices("chaos", "matrix") == sorted(set(CHAOS_MATRICES) | {"zoo"})
+
+
+def _choices(command, dest):
     parser = build_parser()
     (sub,) = [a for a in parser._actions if a.dest == "command"]
-    chaos = sub.choices["chaos"]
-    (matrix,) = [a for a in chaos._actions if a.dest == "matrix"]
-    assert list(matrix.choices) == sorted(set(CHAOS_MATRICES) | {"zoo"})
+    (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+    return list(action.choices)
+
+
+def test_anonymize_fields_choices_match_the_anonymize_module():
+    assert _choices("anonymize", "fields") == sorted(ANONYMIZABLE_FIELDS)
