@@ -1,9 +1,11 @@
 """Tier-2 bench: column projection vs full decode over RTBF segments.
 
-Every archive aggregate (query, dfg, diagnose) reads segments through
-:func:`~repro.store.segments.segment_columns`, which walks the RTBF
-records once and projects only the fields it is asked for, instead of
-:func:`~repro.store.segments.decode_segment`, which builds a
+Every archive aggregate (query, dfg, diagnose) reads segments as the
+walker's raw records (:func:`~repro.trace.binary_format.read_records`,
+under :meth:`~repro.store.bank.TraceBank.read_records`) and projects
+only the fields it needs from them
+(:func:`~repro.trace.binary_format.project`), instead of
+:func:`~repro.trace.binary_format.decode_trace_file`, which builds a
 :class:`TraceEvent` per record.  Measured here, at the segment sizes the
 sweeps and the zoo actually archive (about 60 and 200 events) and over
 one 50,000-event synthetic segment, and recorded into
@@ -30,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.store.segments import decode_segment, encode_segment, segment_columns
+from repro.store.segments import encode_segment
+from repro.trace.binary_format import decode_trace_file, project, read_records
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 
@@ -82,6 +85,12 @@ def ops_from_events(tf):
     return ops
 
 
+def ops_columns(blob):
+    """The ``ops`` aggregate's columns, read as the query scan reads them."""
+    rows = read_records(blob)
+    return {f: project(rows, f) for f in OPS_FIELDS}
+
+
 def ops_from_columns(cols):
     """The same aggregate from two projected columns."""
     ops = {}
@@ -120,20 +129,20 @@ def _write_bench(record):
 @pytest.mark.parametrize("n_events", SIZES)
 def test_projection_beats_full_decode_3x(n_events):
     blob, _sha = encode_segment(synthetic_trace_file(n_events))
-    assert ops_from_columns(segment_columns(blob, OPS_FIELDS)) == ops_from_events(
-        decode_segment(blob)
+    assert ops_from_columns(ops_columns(blob)) == ops_from_events(
+        decode_trace_file(blob)
     )
     loops = max(1, EVENTS_PER_REP // n_events)
 
     def decode():
         for _ in range(loops):
-            decode_segment(blob)
+            decode_trace_file(blob)
 
-    def project():
+    def columns():
         for _ in range(loops):
-            segment_columns(blob, OPS_FIELDS)
+            ops_columns(blob)
 
-    best = min_of_n_interleaved([("decode", decode), ("columns", project)])
+    best = min_of_n_interleaved([("decode", decode), ("columns", columns)])
     decode_s = best["decode"] / loops
     columns_s = best["columns"] / loops
     speedup = decode_s / columns_s

@@ -5,7 +5,7 @@ single ``STATE.collector is None`` branch (and the run loops pay it once
 per ``run()`` call, not per event), so simulations with telemetry off
 keep the fast-path numbers of the pre-telemetry simulator.
 
-The guard drains an identical event storm through ``run_fast()`` (the
+The guard drains an identical event storm through ``run()`` (the
 shipped loop, telemetry disabled) and through an inline replica of the
 pre-telemetry hot loop, interleaved min-of-N to shed scheduler noise,
 and fails if the shipped loop is more than 2% slower (plus a small
@@ -43,8 +43,8 @@ def _storm(n=N_EVENTS):
     return sim
 
 
-def _baseline_drain(sim, until=None, check_first=512):
-    """Inline replica of the telemetry-free ``run_fast`` batch drain.
+def _baseline_drain(sim, until=None):
+    """Inline replica of the telemetry-free ``run`` batch drain.
 
     Identical to the shipped loop minus the ``STATE.collector`` check,
     the ``until`` range check and wall-clock accounting — i.e. exactly
@@ -62,7 +62,7 @@ def _baseline_drain(sim, until=None, check_first=512):
         if until is not None and t > until:
             sim._now = until
             return until
-        if executed < check_first and t < sim._now:
+        if t < sim._now:
             raise AssertionError("backwards time")
         sim._now = t
         bucket = buckets[t]
@@ -105,7 +105,7 @@ def test_disabled_telemetry_overhead_within_two_percent():
     shipped, baseline = [], []
     for _ in range(REPEATS):
         # Interleave so clock drift and cache state hit both loops alike.
-        shipped.append(_time(Simulator.run_fast))
+        shipped.append(_time(Simulator.run))
         baseline.append(_time(_baseline_drain))
     best_shipped, best_baseline = min(shipped), min(baseline)
     overhead = best_shipped / best_baseline - 1.0
@@ -115,7 +115,7 @@ def test_disabled_telemetry_overhead_within_two_percent():
         % (best_shipped, best_baseline, overhead * 100, N_EVENTS, REPEATS)
     )
     assert best_shipped <= best_baseline * (1.0 + MAX_OVERHEAD) + EPSILON_SECONDS, (
-        "telemetry-disabled run_fast is %.2f%% slower than the pre-telemetry "
+        "telemetry-disabled run is %.2f%% slower than the pre-telemetry "
         "loop (budget: %.0f%%)" % (overhead * 100, MAX_OVERHEAD * 100)
     )
 
@@ -123,7 +123,7 @@ def test_disabled_telemetry_overhead_within_two_percent():
 def test_wall_time_rates_come_for_free():
     """The satellite counters the loops now maintain are populated..."""
     sim = _storm(10_000)
-    sim.run_fast()
+    sim.run()
     assert sim.wall_seconds > 0
     assert sim.events_per_sec > 0
     assert sim.wall_time_per_sim_second > 0

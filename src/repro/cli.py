@@ -123,14 +123,12 @@ def _store_trace(tf, path: Path) -> None:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.core.casestudy import paper_table2
+    from repro.core.casestudy import msgtrace_classification, paper_table2
     from repro.core.summary_table import render_csv, render_markdown, render_summary_table
 
     classifications = list(paper_table2().values())
     if args.include_extensions:
-        from repro.frameworks.netmsg import MsgTrace
-
-        classifications.append(MsgTrace().classification())
+        classifications.append(msgtrace_classification())
     renderer = {
         "text": render_summary_table,
         "markdown": render_markdown,
@@ -141,35 +139,18 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    # Importing the framework modules populates the registry.
-    import repro.frameworks.lanltrace.framework  # noqa: F401
-    import repro.frameworks.netmsg  # noqa: F401
-    import repro.frameworks.ptrace.throttle  # noqa: F401
-    import repro.frameworks.tracefs.framework  # noqa: F401
-    from repro.core.casestudy import paper_table2
+    from repro.core.casestudy import FRAMEWORK_CARDS
     from repro.core.summary_table import render_summary_table
-    from repro.frameworks.base import FRAMEWORK_REGISTRY
 
-    table = paper_table2()
-    by_alias = {
-        "lanl-trace": table["LANL-Trace"],
-        "tracefs": table["Tracefs"],
-        "ptrace": table["//TRACE"],
-        "//trace": table["//TRACE"],
-    }
-    name = args.name.lower()
-    if name in by_alias:
-        print(render_summary_table(by_alias[name]), end="")
-        return 0
-    cls = FRAMEWORK_REGISTRY.get(name)
-    if cls is None:
+    card = FRAMEWORK_CARDS.get(args.name.lower())
+    if card is None:
         print(
             "unknown framework %r (known: %s)"
-            % (args.name, ", ".join(sorted(set(by_alias) | set(FRAMEWORK_REGISTRY)))),
+            % (args.name, ", ".join(sorted(FRAMEWORK_CARDS))),
             file=sys.stderr,
         )
         return 2
-    print(render_summary_table(cls().classification()), end="")
+    print(render_summary_table(card()), end="")
     return 0
 
 

@@ -4,7 +4,11 @@ These are the published classifications of the three frameworks, encoded
 as validated data.  ``paper_table2()`` reproduces the table as printed;
 the per-framework builders accept an ``overhead`` override so benchmarks
 can substitute *measured* overhead rows (the reproduction's
-paper-vs-measured comparison lives in EXPERIMENTS.md).
+paper-vs-measured comparison lives in EXPERIMENTS.md).  MsgTrace, the
+fourth framework (:mod:`repro.frameworks.netmsg`), has its card here too,
+and :data:`FRAMEWORK_CARDS` maps every framework name ``repro classify``
+accepts to its card: classification is done by inspection (§3.1), so
+printing a card loads no framework and no simulator.
 
 Known paper inconsistency, preserved deliberately: §4.1.1's prose credits
 LANL-Trace with simple timing-aggregation analysis output, but Table 2
@@ -14,7 +18,7 @@ table's value and note the prose here.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.classification import FrameworkClassification
 from repro.core.features import Feature
@@ -32,9 +36,11 @@ from repro.core.values import (
 )
 
 __all__ = [
+    "FRAMEWORK_CARDS",
     "lanl_trace_classification",
     "tracefs_classification",
     "ptrace_classification",
+    "msgtrace_classification",
     "paper_table2",
 ]
 
@@ -133,6 +139,46 @@ def ptrace_classification(
             ),
         },
     )
+
+
+def msgtrace_classification() -> FrameworkClassification:
+    """MsgTrace classified by the *unchanged* I/O-tracing taxonomy — the
+    future-work claim (§6) made concrete."""
+    return FrameworkClassification(
+        "MsgTrace",
+        {
+            Feature.PARALLEL_FS_COMPATIBILITY: YesNo.YES,  # FS-agnostic
+            Feature.EASE_OF_INSTALLATION: Likert(1, "V. Easy"),
+            Feature.ANONYMIZATION: AnonymizationLevel(0),
+            Feature.EVENT_TYPES: EventTypes({EventKind.NETWORK_MESSAGES}),
+            Feature.GRANULARITY_CONTROL: GranularityControl(
+                2, "all communication calls, or point-to-point only"
+            ),
+            Feature.REPLAYABLE_GENERATION: YesNo.NO,
+            Feature.REPLAY_FIDELITY: NA,
+            Feature.REVEALS_DEPENDENCIES: YesNo.YES,  # the comm matrix
+            Feature.INTRUSIVENESS: Likert(1, "Passive"),
+            Feature.ANALYSIS_TOOLS: YesNo.YES,  # communication_matrix
+            Feature.TRACE_FORMAT: TraceFormat.HUMAN_READABLE,
+            Feature.SKEW_DRIFT_ACCOUNTING: YesNo.NO,
+            Feature.ELAPSED_TIME_OVERHEAD: OverheadReport(
+                max_percent=1.0, note="library interposition of MPI calls"
+            ),
+        },
+    )
+
+
+#: Framework name (each framework class's ``name``, plus the paper's
+#: "//TRACE" spelling) -> the card its ``classification()`` returns at
+#: default configuration.  The //TRACE collector shares //TRACE's card.
+FRAMEWORK_CARDS: Dict[str, Callable[[], FrameworkClassification]] = {
+    "lanl-trace": lanl_trace_classification,
+    "tracefs": tracefs_classification,
+    "ptrace": ptrace_classification,
+    "//trace": ptrace_classification,
+    "ptrace-collector": ptrace_classification,
+    "msgtrace": msgtrace_classification,
+}
 
 
 def paper_table2() -> Dict[str, FrameworkClassification]:

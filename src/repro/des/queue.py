@@ -14,7 +14,7 @@ event: the flat bucket layout appends the callback and its pre-built
 args tuple as two list slots instead of wrapping them in a fresh pair
 tuple.  Settling completions, zero-delay schedules, and process starts —
 the kernel's hottest edges, which all fire "now" — append to an existing
-bucket in O(1) and are drained as one batch by the simulator's run loops
+bucket in O(1) and are drained as one batch by the simulator's run loop
 without re-touching the heap.
 
 Ordering is exactly the classic ``(time, sequence)`` discipline: the
@@ -24,7 +24,7 @@ one-tuple-per-event heap.  An explicit sequence counter is no longer
 needed; FIFO *is* the sequence.
 
 The in-bucket cursor (slot 0) makes partial consumption safe: ``pop``
-and the simulator's batch drains advance the cursor, callbacks may
+and the simulator's batch drain advance the cursor, callbacks may
 append new same-time events to the live bucket mid-drain (they fire
 after every event already queued at that time, exactly as a higher
 sequence number used to), and an exception mid-batch leaves the queue
@@ -88,27 +88,19 @@ class EventQueue:
         """Time of the earliest scheduled event (queue must be non-empty)."""
         return self._times[0]
 
-    # -- batch access (the simulator's fast drain) --------------------------
-
-    def claim_bucket(self) -> Tuple[float, list]:
-        """The earliest ``(time, bucket)`` pair, left live in the queue.
-
-        The caller drains ``bucket`` from its cursor (slot 0) onward, two
-        slots per event, and finishes with :meth:`release_bucket`.  While
-        claimed, the bucket stays in ``_buckets`` so same-time pushes
-        append to it and are seen by the drain — that is what makes
-        zero-delay cascades free.
-        """
-        t = self._times[0]
-        return t, self._buckets[t]
+    # -- batch access (the simulator's drain) ------------------------------
 
     def release_bucket(self, time: float, bucket: list, cursor: int) -> None:
-        """Finish a claimed bucket: retire it, or persist partial progress.
+        """Finish draining the earliest bucket: retire it, or persist
+        partial progress.
 
-        ``cursor`` is the next undrained slot; consumed events are
-        inferred from how far it moved past the stored cursor.  The
-        bucket is removed only when fully drained, so an exception thrown
-        by a callback leaves a resumable queue.
+        The drain reads ``bucket`` (``_buckets[time]``, left live so
+        same-time pushes append to it and are drained too) from its
+        cursor (slot 0) onward, two slots per event.  ``cursor`` is the
+        next undrained slot; consumed events are inferred from how far it
+        moved past the stored cursor.  The bucket is removed only when
+        fully drained, so an exception thrown by a callback leaves a
+        resumable queue.
         """
         self._len -= (cursor - bucket[0]) >> 1
         if cursor == len(bucket):

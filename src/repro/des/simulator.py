@@ -9,17 +9,15 @@ blocked process's wait reason, and (when telemetry is on) the last
 dispatched events — silent hangs are the worst failure mode of a
 simulated cluster, so they are loud here.
 
-Two run loops are provided, both draining the calendar-bucket queue
+:meth:`Simulator.run` drains the calendar-bucket queue
 (:mod:`repro.des.queue`) one same-timestamp **batch** at a time: the
 heap is touched once per distinct simulated instant, and every event
 sharing that instant dispatches from a flat list — zero-delay cascades
 (completion settling, process starts) never re-enter heap discipline.
-:meth:`Simulator.run` validates every batch against backwards time
-travel; :meth:`Simulator.run_fast` performs that check only for the
-first ``check_first`` events and then drops it from the hot loop.  Both
-dispatch exactly the same events in exactly the same order — batching
-changes per-event overhead, never history — so ``events_executed``
-fingerprints are identical between them.
+Each batch is checked once against backwards time travel, one
+comparison per distinct instant.  Batching changes per-event overhead,
+never history: the events dispatched, their order and the
+``events_executed`` fingerprint are those of a one-event-at-a-time drain.
 
 An event is a resume a process actually waited for.  A process that
 yields a completion which has already succeeded continues inside the
@@ -28,14 +26,15 @@ free resource's grant or a ready store item costs no event; this makes
 ``events_executed`` lower than in kernels that re-queued such a process,
 for the same simulated history.
 
-When a telemetry session (:mod:`repro.obs.tracepoints`) is active, both
-entry points route to a third loop, :meth:`Simulator._run_observed`,
-which additionally feeds the dispatched-event ring buffer and samples
-queue depth.  The selection happens once per ``run()`` call, so the
-disabled-telemetry hot loops are byte-for-byte the uninstrumented ones —
-telemetry off costs nothing per event.
+When a telemetry session (:mod:`repro.obs.tracepoints`) is active,
+``run()`` routes to a second loop, :meth:`Simulator._run_observed`,
+which dispatches one event at a time and additionally feeds the
+dispatched-event ring buffer and samples queue depth.  The selection
+happens once per ``run()`` call, so the disabled-telemetry hot loop is
+byte-for-byte the uninstrumented one — telemetry off costs nothing per
+event.
 
-Every loop also accumulates host wall-clock time, exposed as
+Both loops also accumulate host wall-clock time, exposed as
 :attr:`Simulator.wall_seconds`, :attr:`Simulator.events_per_sec` and
 :attr:`Simulator.wall_time_per_sim_second` so benchmarks stop re-deriving
 those rates ad hoc.  (Wall time is *host* time: it never feeds telemetry
@@ -272,66 +271,6 @@ class Simulator:
                     raise
                 # Drained: retire the bucket inline (what release_bucket
                 # does for a full drain, without the call).
-                n = (i - start) >> 1
-                executed += n
-                queue._len -= n
-                heappop(times)
-                del buckets[t]
-        finally:
-            self._events_executed += executed
-            self._wall_seconds += perf_counter() - t0_wall
-        self._raise_if_deadlocked()
-        return self._now
-
-    def run_fast(self, until: Optional[float] = None, check_first: int = 512) -> float:
-        """Like :meth:`run`, with the backwards-time check dropped once
-        ``check_first`` events have been dispatched (checked per batch).
-
-        The check is a pure sanity assertion — it never alters dispatch
-        order — so this loop produces byte-identical histories and
-        ``events_executed`` fingerprints while shaving a comparison and a
-        branch off every batch past the warm-up window.  Scheduling bugs
-        that push events into the past are still caught during the window
-        (and by :meth:`run`, which the test suite exercises throughout).
-
-        The ``until`` horizon is handled by :meth:`~repro.des.queue.
-        EventQueue.peek_time`: the boundary batch is peeked, never popped,
-        so stopping at a horizon and resuming later costs nothing — no
-        pop-then-reschedule churn at the boundary.
-        """
-        self._check_until(until)
-        col = _TELEMETRY.collector
-        if col is not None:
-            return self._run_observed(until, col)
-        queue = self._queue
-        times = queue._times
-        buckets = queue._buckets
-        peek_time = queue.peek_time
-        executed = 0
-        t0_wall = perf_counter()
-        try:
-            while times:
-                if until is not None and peek_time() > until:
-                    self._now = until
-                    return until
-                t = times[0]
-                if executed < check_first and t < self._now:
-                    raise SimTimeError(
-                        "event queue went backwards: %r < %r" % (t, self._now)
-                    )
-                self._now = t
-                bucket = buckets[t]
-                start = i = bucket[0]
-                try:
-                    while i < len(bucket):
-                        callback = bucket[i]
-                        args = bucket[i + 1]
-                        i += 2
-                        callback(*args)
-                except BaseException:
-                    executed += (i - start) >> 1
-                    queue.release_bucket(t, bucket, i)
-                    raise
                 n = (i - start) >> 1
                 executed += n
                 queue._len -= n

@@ -21,13 +21,13 @@ Each framework also reports its taxonomy classification via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Type
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.simmpi.runtime import JobResult
 from repro.trace.records import TraceBundle
 
-__all__ = ["TracingFramework", "TracedRun", "FRAMEWORK_REGISTRY", "register_framework"]
+__all__ = ["TracingFramework", "TracedRun"]
 
 
 @dataclass
@@ -84,15 +84,3 @@ class TracingFramework:
         frameworks in tests.
         """
         raise NotImplementedError("framework %r has no classification" % self.name)
-
-
-#: name -> framework class, for harness/CLI lookup
-FRAMEWORK_REGISTRY: Dict[str, Type[TracingFramework]] = {}
-
-
-def register_framework(cls: Type[TracingFramework]) -> Type[TracingFramework]:
-    """Class decorator: add a framework to the registry by its ``name``."""
-    if not cls.name or cls.name == "null":
-        raise ValueError("framework class %r needs a distinctive name" % cls)
-    FRAMEWORK_REGISTRY[cls.name] = cls
-    return cls

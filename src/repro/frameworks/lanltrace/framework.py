@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import FrameworkError
-from repro.frameworks.base import TracingFramework, register_framework
+from repro.frameworks.base import TracingFramework
 from repro.simos.interpose import Interposer
 from repro.trace.events import EventLayer
 from repro.trace.records import BarrierStamp, TraceBundle, TraceFile
@@ -63,7 +63,6 @@ class LANLTraceConfig:
             raise FrameworkError("flush_interval_events must be >= 1")
 
 
-@register_framework
 class LANLTrace(TracingFramework):
     """The LANL-Trace framework (see module docstring)."""
 

@@ -25,20 +25,9 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.casestudy import msgtrace_classification
 from repro.core.classification import FrameworkClassification
-from repro.core.features import Feature
-from repro.core.values import (
-    NA,
-    AnonymizationLevel,
-    EventKind,
-    EventTypes,
-    GranularityControl,
-    Likert,
-    OverheadReport,
-    TraceFormat,
-    YesNo,
-)
-from repro.frameworks.base import TracingFramework, register_framework
+from repro.frameworks.base import TracingFramework
 from repro.simos.interpose import Interposer
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
@@ -92,7 +81,6 @@ class _NetInterposer(Interposer):
         self.sink.append(event.with_fields(layer=EventLayer.NET))
 
 
-@register_framework
 class MsgTrace(TracingFramework):
     """Message tracing as a taxonomy-classifiable framework."""
 
@@ -139,27 +127,6 @@ class MsgTrace(TracingFramework):
         return matrix
 
     def classification(self) -> FrameworkClassification:
-        """MsgTrace classified by the *unchanged* I/O-tracing taxonomy —
-        the future-work claim made concrete."""
-        return FrameworkClassification(
-            "MsgTrace",
-            {
-                Feature.PARALLEL_FS_COMPATIBILITY: YesNo.YES,  # FS-agnostic
-                Feature.EASE_OF_INSTALLATION: Likert(1, "V. Easy"),
-                Feature.ANONYMIZATION: AnonymizationLevel(0),
-                Feature.EVENT_TYPES: EventTypes({EventKind.NETWORK_MESSAGES}),
-                Feature.GRANULARITY_CONTROL: GranularityControl(
-                    2, "all communication calls, or point-to-point only"
-                ),
-                Feature.REPLAYABLE_GENERATION: YesNo.NO,
-                Feature.REPLAY_FIDELITY: NA,
-                Feature.REVEALS_DEPENDENCIES: YesNo.YES,  # the comm matrix
-                Feature.INTRUSIVENESS: Likert(1, "Passive"),
-                Feature.ANALYSIS_TOOLS: YesNo.YES,  # communication_matrix
-                Feature.TRACE_FORMAT: TraceFormat.HUMAN_READABLE,
-                Feature.SKEW_DRIFT_ACCOUNTING: YesNo.NO,
-                Feature.ELAPSED_TIME_OVERHEAD: OverheadReport(
-                    max_percent=1.0, note="library interposition of MPI calls"
-                ),
-            },
-        )
+        """MsgTrace classified by the *unchanged* I/O-tracing taxonomy
+        (:func:`~repro.core.casestudy.msgtrace_classification`)."""
+        return msgtrace_classification()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.frameworks.base import TracingFramework, register_framework
+from repro.frameworks.base import TracingFramework
 from repro.simos import syscalls as sc
 from repro.simos.interpose import Interposer
 from repro.trace.events import EventLayer
@@ -67,7 +67,6 @@ class PTraceConfig:
     event_window: int = 64
 
 
-@register_framework
 class PTrace(TracingFramework):
     """//TRACE's always-on interposition layer.
 

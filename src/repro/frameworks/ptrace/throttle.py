@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FrameworkError
-from repro.frameworks.base import TracingFramework, register_framework
+from repro.frameworks.base import TracingFramework
 from repro.frameworks.ptrace.depmap import DependencyMap
 from repro.frameworks.ptrace.framework import IO_TRACED_CALLS, PTrace, PTraceConfig
 from repro.simos.interpose import Interposer
@@ -187,7 +187,6 @@ class CollectionResult:
     schedule: ThrottleSchedule
 
 
-@register_framework
 class PTraceCollector(TracingFramework):
     """Interposition + throttling discovery, as one measurable framework."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional
 
 from repro.errors import NotTraceable, PermissionDenied
-from repro.frameworks.base import TracingFramework, register_framework
+from repro.frameworks.base import TracingFramework
 from repro.frameworks.tracefs.counters import EventCounters
 from repro.frameworks.tracefs.granularity import GranularitySpec
 from repro.simfs.stackable import StackableFS
@@ -197,7 +197,6 @@ class TracefsLayer(StackableFS):
         )
 
 
-@register_framework
 class Tracefs(TracingFramework):
     """Tracefs as a measurable framework: mount, run, unmount, bundle."""
 

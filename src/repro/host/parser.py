@@ -27,6 +27,7 @@ crash corpus under ``tests/host/corpus/`` pins the contract.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -36,8 +37,6 @@ from repro.trace.events import EventLayer, TraceEvent
 __all__ = [
     "StraceParseResult",
     "parse_strace",
-    "parse_strace_line",
-    "parse_strace_output",
 ]
 
 _LINE_RE = re.compile(
@@ -115,6 +114,9 @@ class StraceParseResult:
       ``<unfinished ...>`` partner (capture started mid-syscall);
     * ``unresolved_unfinished`` — ``<unfinished ...>`` never resumed
       (capture ended mid-syscall);
+    * ``non_finite_time`` — syscalls whose timestamp, ``<duration>`` or
+      end time (their sum) does not fit a float (an over-long number
+      parses to infinity, which no trace can store or report on);
     * ``line_error`` — lines whose parse raised; the line is skipped,
       the parse continues.
     """
@@ -173,13 +175,17 @@ def _build_event(
     argtext: str,
     result: object,
     pid: int,
-) -> TraceEvent:
+) -> Optional[TraceEvent]:
+    """The syscall's event, or None when its times are not finite."""
+    duration = float(dur) if dur else 0.0
+    if not math.isfinite(ts + duration):  # either is inf, or the end is
+        return None
     nbytes: Optional[int] = None
     if name in _IO_NAMES and isinstance(result, int) and result >= 0:
         nbytes = result
     return TraceEvent(
         timestamp=ts,
-        duration=float(dur) if dur else 0.0,
+        duration=duration,
         layer=EventLayer.SYSCALL,
         name=name,
         args=(argtext,),
@@ -189,12 +195,6 @@ def _build_event(
         fd=_extract_fd(name, argtext),
         nbytes=nbytes,
     )
-
-
-def parse_strace_line(line: str) -> Optional[TraceEvent]:
-    """Parse one complete (non-split) strace line, or return None."""
-    event, _reason = _parse_complete_line(line)
-    return event
 
 
 def _parse_complete_line(line: str) -> Tuple[Optional[TraceEvent], Optional[str]]:
@@ -215,6 +215,8 @@ def _parse_complete_line(line: str) -> Tuple[Optional[TraceEvent], Optional[str]
         result=result,
         pid=int(m.group("pid")) if m.group("pid") else 0,
     )
+    if event is None:
+        return None, "non_finite_time"
     return event, None
 
 
@@ -278,16 +280,18 @@ def _parse_one(
             return
         ts, argtext = start
         res = _parse_result(resumed.group("result"), resumed.group("errno"))
-        result.events.append(
-            _build_event(
-                name=name,
-                ts=ts,
-                dur=resumed.group("dur"),
-                argtext=argtext,
-                result=res,
-                pid=pid,
-            )
+        event = _build_event(
+            name=name,
+            ts=ts,
+            dur=resumed.group("dur"),
+            argtext=argtext,
+            result=res,
+            pid=pid,
         )
+        if event is None:
+            result.warn("non_finite_time")
+        else:
+            result.events.append(event)
         return
     if stripped.endswith("<unfinished ...>"):
         m = _LINE_RE.match(stripped)
@@ -308,12 +312,3 @@ def _parse_one(
         result.events.append(event)
     elif reason is not None:
         result.warn(reason)
-
-
-def parse_strace_output(text: Union[str, bytes]) -> List[TraceEvent]:
-    """Parse a whole strace output, stitching unfinished/resumed pairs.
-
-    Back-compat wrapper around :func:`parse_strace`: just the events,
-    warnings dropped.
-    """
-    return parse_strace(text).events

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.errors import HostTracingError, StraceNotAvailable
-from repro.host.parser import parse_strace_output
+from repro.host.parser import parse_strace
 from repro.trace.records import TraceBundle, TraceFile
 
 __all__ = ["strace_available", "run_under_strace", "HostTraceResult"]
@@ -84,7 +84,7 @@ def run_under_strace(
         except OSError as exc:
             raise HostTracingError("failed to launch strace: %s" % exc) from None
         raw = out_path.read_text() if out_path.exists() else ""
-    events = parse_strace_output(raw)
+    events = parse_strace(raw).events
     tf = TraceFile(events, framework="host-strace")
     bundle = TraceBundle(
         files={0: tf},

@@ -116,13 +116,18 @@ def robust_threshold(
 def _segment_seq(bank, sha: str) -> List[Tuple[str, str, float, float]]:
     """One segment's ``(name, layer, ts, dur)`` sequence, capture order,
     projected from the four columns the fingerprint needs."""
-    cols = bank.read_columns(sha, ("name", "layer", "timestamp", "duration"))
-    return [
-        (name, layer, ts or 0.0, dur or 0.0)
-        for name, layer, ts, dur in zip(
-            cols["name"], cols["layer"], cols["timestamp"], cols["duration"]
-        )
-    ]
+    from repro.store.segments import archive_errors
+    from repro.trace.binary_format import project
+
+    rows = bank.read_records(sha)
+    with archive_errors(sha):
+        return [
+            (name, layer, ts or 0.0, dur or 0.0)
+            for name, layer, ts, dur in zip(
+                project(rows, "name"), project(rows, "layer"),
+                project(rows, "timestamp"), project(rows, "duration"),
+            )
+        ]
 
 
 def fingerprint_run(bank, manifest) -> Dict[str, Any]:

@@ -53,6 +53,7 @@ __all__ = [
     "enabled",
     "session",
     "describe_event",
+    "record_call",
 ]
 
 
@@ -102,15 +103,12 @@ class TelemetryCollector:
 
     # -- simos.process -------------------------------------------------------
 
-    def os_track(self, node_index: int, hostname: str, tid: int, tname: str) -> None:
-        """Register display names for a (node, rank-or-pid) span track."""
-        self.spans.name_track(node_index, "node%d %s" % (node_index, hostname),
-                              tid, tname)
-
     def os_call(
         self,
         node_index: int,
+        hostname: str,
         tid: int,
+        tname: str,
         layer: str,
         name: str,
         t0: float,
@@ -118,15 +116,8 @@ class TelemetryCollector:
         nbytes: Optional[int],
     ) -> None:
         """One dispatched syscall/libcall (after its body completed)."""
-        m = self.metrics
-        m.inc("os.calls.%s" % layer)
-        m.inc("os.%s.%s" % (layer, name))
-        m.observe("os.call_seconds", dur)
-        if nbytes is not None:
-            m.observe("os.io_request_bytes", nbytes)
-        if self.spans.enabled:
-            args = {"nbytes": nbytes} if nbytes is not None else None
-            self.spans.complete(node_index, tid, name, layer, t0, dur, args)
+        record_call(self.metrics, self.spans, node_index, hostname, tid, tname,
+                    layer, name, t0, dur, nbytes)
 
     def cpu_busy(self, node_index: int, t: float, delta: int) -> None:
         """A CPU charge began (+1) or ended (-1) on a node."""
@@ -300,6 +291,39 @@ class _TracepointState:
 
 #: The one global every tracepoint site checks.
 STATE = _TracepointState()
+
+
+def record_call(
+    metrics: MetricsRegistry,
+    spans: SpanRecorder,
+    node_index: int,
+    hostname: str,
+    tid: int,
+    tname: str,
+    layer: str,
+    name: str,
+    t0: float,
+    dur: float,
+    nbytes: Optional[int],
+) -> None:
+    """Record one syscall/libcall: the per-layer and per-call counters,
+    the call-seconds and request-bytes histograms, and a span on the
+    call's ``(node, rank-or-pid)`` track.
+
+    The one definition of what a call records, shared by the live
+    ``simos.process`` tracepoint (:meth:`TelemetryCollector.os_call`)
+    and the store's replay of archived events
+    (:func:`repro.store.query.events_telemetry`).
+    """
+    spans.name_track(node_index, "node%d %s" % (node_index, hostname), tid, tname)
+    metrics.inc("os.calls.%s" % layer)
+    metrics.inc("os.%s.%s" % (layer, name))
+    metrics.observe("os.call_seconds", dur)
+    if nbytes is not None:
+        metrics.observe("os.io_request_bytes", nbytes)
+    if spans.enabled:
+        args = {"nbytes": nbytes} if nbytes is not None else None
+        spans.complete(node_index, tid, name, layer, t0, dur, args)
 
 
 def current() -> Optional[TelemetryCollector]:

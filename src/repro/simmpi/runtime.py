@@ -155,10 +155,7 @@ def drive(job: JobResult, horizon: Optional[float] = None) -> Optional[BaseExcep
     sim = job.comm.sim
     cause: Optional[BaseException] = None
     try:
-        # Whole-job drains are the simulator's hot loop; run_fast dispatches
-        # the identical event history with the per-event backwards-time
-        # check dropped after its warm-up window.
-        sim.run_fast(until=(job.start_time + horizon) if horizon is not None else None)
+        sim.run(until=(job.start_time + horizon) if horizon is not None else None)
     except DeadlockError as exc:
         cause = exc
     failed = [p.completion.exception for p in job.des_processes

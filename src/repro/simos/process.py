@@ -200,10 +200,11 @@ class SimProcess:
                 tid, tname = self.rank, "rank %d" % self.rank
             else:
                 tid, tname = self.pid, "pid %d" % self.pid
-            col.os_track(node.index, node.hostname, tid, tname)
             col.os_call(
                 node.index,
+                node.hostname,
                 tid,
+                tname,
                 layer.value,
                 name,
                 t0_sim,

@@ -29,7 +29,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.atomicfile import atomic_write
 from repro.errors import StoreCorruptionError, StoreError, StoreNotFound
@@ -46,12 +46,10 @@ from repro.store.segments import (
     archive_errors,
     check_address,
     content_address,
-    decode_segment,
     encode_segment,
-    segment_columns,
     summarize_segment,
 )
-from repro.trace.binary_format import read_records
+from repro.trace.binary_format import decode_trace_file, read_records
 from repro.trace.events import TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -286,25 +284,14 @@ class TraceBank:
         """Load one segment by content address (hashed once, on read)."""
         blob = self.read_segment_blob(sha)
         with archive_errors(sha):
-            return decode_segment(blob)
-
-    def read_columns(self, sha: str, fields: Sequence[str]) -> Dict[str, List[Any]]:
-        """Project ``fields`` out of one segment without building events.
-
-        Every column covers every event (``obs diagnose`` reads whole
-        runs; the query scan uses :meth:`read_records`); see
-        :func:`~repro.store.segments.segment_columns`.  Verified like
-        :meth:`read_segment`.
-        """
-        blob = self.read_segment_blob(sha)
-        with archive_errors(sha):
-            return segment_columns(blob, fields)
+            return decode_trace_file(blob)
 
     def read_records(self, sha: str) -> List[tuple]:
         """One segment's raw records, walked but not projected, for a scan
-        that projects them itself
-        (:func:`~repro.trace.binary_format.project`).  Verified like
-        :meth:`read_segment`."""
+        that projects the columns it needs itself
+        (:func:`~repro.trace.binary_format.project`; the query and DFG
+        scans and ``obs diagnose``).  Verified like :meth:`read_segment`;
+        the caller projects under :func:`~repro.store.segments.archive_errors`."""
         blob = self.read_segment_blob(sha)
         with archive_errors(sha):
             return read_records(blob)
@@ -622,7 +609,7 @@ def _verify_segment_task(task: Tuple[TraceBank, str, SegmentMeta]) -> Optional[D
     if content_address(blob) != sha:
         return err("content hash mismatch")
     try:
-        tf = decode_segment(blob)
+        tf = decode_trace_file(blob)
     except Exception as exc:  # decode must never crash verify
         return err("undecodable: %s" % exc)
     if summarize_segment(tf, rank, sha, len(blob)) != stored:

@@ -40,7 +40,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import StoreQueryError
 from repro.fanout import parallel_map
 from repro.obs.metrics import canonical_json
-from repro.obs.tracepoints import STATE
+from repro.obs.tracepoints import STATE, record_call
 from repro.store.bank import TraceBank
 from repro.store.manifest import RunManifest
 from repro.store.segments import archive_errors
@@ -568,8 +568,9 @@ def telemetry_view(bank: TraceBank, run_id: str) -> Dict[str, Any]:
     Lets ``repro obs diff``/``critpath`` address runs by TraceBank run-id
     prefix even when they were archived without ``--telemetry``: the
     archived :class:`~repro.trace.events.TraceEvent` records are replayed
-    into a fresh metrics registry and span recorder exactly the way the
-    live ``os_call`` tracepoint would have recorded them (per-layer call
+    into a fresh metrics registry and span recorder through the live
+    ``os_call`` tracepoint's own recording
+    (:func:`~repro.obs.tracepoints.record_call`: per-layer call
     counters, call-seconds and request-bytes histograms, one span per
     call on a ``(node, rank)`` track).  Only what the trace captured is
     reconstructed — DES/network/disk internals of the original run are
@@ -601,18 +602,9 @@ def events_telemetry(
     end_time = 0.0
     for rank, e in rows:
         host = e.hostname or ("rank%d" % rank)
-        pid = node_index[host]
-        layer = e.layer.value
-        registry.inc("os.calls.%s" % layer)
-        registry.inc("os.%s.%s" % (layer, e.name))
-        registry.observe("os.call_seconds", e.duration)
-        if e.nbytes is not None:
-            registry.observe("os.io_request_bytes", e.nbytes)
-        recorder.name_track(pid, "node%d %s" % (pid, host), rank,
-                            "rank %d" % rank)
-        args = {"nbytes": e.nbytes} if e.nbytes is not None else None
-        recorder.complete(pid, rank, e.name, layer, e.timestamp, e.duration,
-                          args)
+        record_call(registry, recorder, node_index[host], host, rank,
+                    "rank %d" % rank, e.layer.value, e.name, e.timestamp,
+                    e.duration, e.nbytes)
         end_time = max(end_time, e.timestamp + e.duration)
     payload = {
         "schema": "repro/telemetry/v1",

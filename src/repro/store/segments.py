@@ -9,15 +9,17 @@ field order), so re-ingesting an identical run re-derives the same
 bytes, the same digest, and therefore the same on-disk file: the
 archive dedups for free.
 
-RTBF is the only segment format, read or written.  Both readers walk
-its records once: :func:`decode_segment` rebuilds events and
-:func:`segment_columns` projects logical columns without building
-events.  The query scan takes the walked records themselves
-(:meth:`~repro.store.bank.TraceBank.read_records`) and projects only
-what it keeps.  A segment in the retired columnar format (RTCF) fails
-the walker's magic check with an error that names bf847e2, the last
-commit that reads RTCF; read through :class:`~repro.store.bank.TraceBank`
-it is archive corruption (:func:`archive_errors`).
+RTBF is the only segment format, read or written, and the archive has
+two readers, both over the codec's one record walker:
+:meth:`~repro.store.bank.TraceBank.read_segment` rebuilds events
+(:func:`~repro.trace.binary_format.decode_trace_file`), and
+:meth:`~repro.store.bank.TraceBank.read_records` returns the walked
+records for a scan that projects only the columns it needs
+(:func:`~repro.trace.binary_format.project`).  A segment in the retired
+columnar format (RTCF) fails the walker's magic check with an error that
+names bf847e2, the last commit that reads RTCF; read through
+:class:`~repro.store.bank.TraceBank` it is archive corruption
+(:func:`archive_errors`).
 
 Every segment carries a :class:`SegmentMeta` summary in its run manifest —
 time range, per-op and per-layer counts, payload bytes — which is what the
@@ -30,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.errors import StoreCorruptionError, TraceError
 from repro.trace import binary_format
@@ -42,8 +44,6 @@ __all__ = [
     "check_address",
     "content_address",
     "encode_segment",
-    "decode_segment",
-    "segment_columns",
     "summarize_segment",
 ]
 
@@ -84,27 +84,6 @@ def encode_segment(tf: TraceFile) -> Tuple[bytes, str]:
     """Serialize one per-rank trace file as RTBF; returns ``(blob, sha256)``."""
     blob = binary_format.encode_trace_file(tf)
     return blob, content_address(blob)
-
-
-def decode_segment(blob: bytes) -> TraceFile:
-    """Decode an RTBF segment blob into a :class:`TraceFile`.
-
-    Raises :class:`~repro.errors.TraceError` for bytes that are not a
-    valid segment; callers reading the archive verify the address first
-    and wrap this in :func:`archive_errors`.
-    """
-    return binary_format.decode_trace_file(blob)
-
-
-def segment_columns(blob: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
-    """Project logical per-event columns out of one RTBF segment.
-
-    ``fields`` are :class:`~repro.trace.events.TraceEvent` field names;
-    columns come back as :func:`repro.trace.binary_format.read_columns`
-    describes (``layer`` as its string value, ``None`` for absent
-    optionals), without building events.
-    """
-    return binary_format.read_columns(blob, fields)
 
 
 @dataclass(frozen=True)

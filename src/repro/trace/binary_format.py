@@ -20,12 +20,12 @@ Layout::
 where each block is ``compress(count u32 | record*)``.
 
 The same format is the trace archive's segment format
-(:mod:`repro.store.segments`).  One record walker serves every reader:
-:func:`decode_trace_file` builds events, and :func:`read_columns`
-projects per-field columns without building them.  The archive scan
-takes the walker's raw records (:func:`read_records`) and projects them
-itself (:func:`project`), so it can project the columns a filter reads
-for every event and the rest only for the events the filter keeps.
+(:mod:`repro.store.segments`).  One record walker serves both readers:
+:func:`decode_trace_file` builds events, and :func:`read_records`
+returns the walker's raw records for a reader that projects per-field
+columns from them without building events (:func:`project`), so the
+archive scan can project the columns a filter reads for every event and
+the rest only for the events the filter keeps.
 
 The walker refuses a record whose timestamp or duration is not a
 finite float (or whose duration is negative), as the text decoder
@@ -57,7 +57,6 @@ __all__ = [
     "encode_event_record",
     "decode_event_record",
     "project",
-    "read_columns",
     "read_records",
 ]
 
@@ -86,7 +85,7 @@ _LAYER_CODE = {layer: i for i, layer in enumerate(EventLayer)}
 _CODE_LAYER = {i: layer for layer, i in _LAYER_CODE.items()}
 _CODE_LAYER_VALUE = {i: layer.value for i, layer in _CODE_LAYER.items()}
 
-#: The logical fields :func:`read_columns` projects.
+#: The logical fields :func:`project` projects.
 FIELDS = ("timestamp", "duration", "layer", "name", "args", "result", "pid",
           "rank", "hostname", "user", "path", "fd", "nbytes", "offset")
 
@@ -426,8 +425,9 @@ def _walk(data: bytes) -> Tuple[Dict[str, Any], List[tuple]]:
     """Validate a whole trace and return ``(header, raw records)``.
 
     The one record walker: :func:`decode_trace_file` builds events from
-    its rows and :func:`read_columns` projects them, so both check
-    framing, checksums, counts and record bounds the same way.
+    its rows and :func:`read_records` hands them to :func:`project`, so
+    both readers check framing, checksums, counts and record bounds the
+    same way.
     """
     if data[: len(MAGIC)] != MAGIC:
         raise TraceFormatError(
@@ -518,14 +518,3 @@ def project(rows: Sequence[tuple], field: str) -> List[Any]:
     if bit is not None:
         return [v if row[_FLAGS] & bit else None for v, row in zip(col, rows)]
     return col
-
-
-def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
-    """Project logical per-event columns without building events.
-
-    Each column is :func:`project` over every record of the trace.
-    Validation matches decode (same walker), except that string fields
-    (their UTF-8, the args JSON) are only checked when projected.
-    """
-    rows = read_records(data)
-    return {field: project(rows, field) for field in fields}

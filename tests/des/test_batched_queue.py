@@ -1,5 +1,5 @@
 """Direct tests of the calendar-bucket :class:`EventQueue` and the
-batched fast paths built on it.
+simulator's batched drain built on it.
 
 The queue contract under test is the classic ``(time, sequence)``
 discipline: distinct times drain in heap order, same-time events drain
@@ -97,7 +97,8 @@ class TestBucketClaiming:
         for i in range(3):
             q.push(1.0, seen.append, (i,))
         q.push(2.0, seen.append, ("later",))
-        t, bucket = q.claim_bucket()
+        t = q.peek_time()
+        bucket = q._buckets[t]
         assert t == 1.0
         cursor = bucket[0]
         while cursor < len(bucket):
@@ -114,7 +115,8 @@ class TestBucketClaiming:
         seen = []
         for i in range(4):
             q.push(1.0, seen.append, (i,))
-        t, bucket = q.claim_bucket()
+        t = q.peek_time()
+        bucket = q._buckets[t]
         cursor = bucket[0]
         for _ in range(2):  # drain only half the bucket
             cb, args = bucket[cursor], bucket[cursor + 1]
@@ -129,7 +131,8 @@ class TestBucketClaiming:
     def test_same_time_push_lands_in_claimed_bucket(self):
         q = EventQueue()
         q.push(1.0, lambda: None)
-        t, bucket = q.claim_bucket()
+        t = q.peek_time()
+        bucket = q._buckets[t]
         before = len(bucket)
         q.push(1.0, lambda: None)
         assert len(bucket) == before + 2  # cb + args slots, same live list
@@ -202,8 +205,8 @@ class TestBareNumberSleeps:
 class TestMidBatchExceptions:
     def test_exception_mid_batch_leaves_queue_consistent(self):
         # Three same-time processes; the middle one explodes inside a
-        # run_fast() batch drain.  The queue must stay consistent so a
-        # plain run() afterwards finishes the survivors.
+        # run() batch drain.  The queue must stay consistent so the
+        # survivors still finish.
         sim = Simulator()
         seen = []
 
@@ -218,7 +221,7 @@ class TestMidBatchExceptions:
         sim.spawn(ok("a"))
         proc = sim.spawn(boom(), name="boom")
         sim.spawn(ok("b"))
-        sim.run_fast()
+        sim.run()
         assert proc.completion.done and not proc.completion.ok
         assert seen == ["a", "b"]
         assert sim.pending_events == 0
@@ -241,12 +244,12 @@ class TestMidBatchExceptions:
 
         sim.spawn(watcher(), daemon=True)
         proc = sim.spawn(boom(), name="boom")
-        sim.run_fast()
+        sim.run()
         assert proc.completion.done and not proc.completion.ok
         assert isinstance(proc.completion.exception, ValueError)
         assert seen == [pytest.approx(t) for t in (1.0, 2.0, 3.0)]
 
-    def test_run_fast_until_peeks_without_popping_boundary(self):
+    def test_run_until_peeks_without_popping_boundary(self):
         sim = Simulator()
         seen = []
 
@@ -256,9 +259,9 @@ class TestMidBatchExceptions:
                 seen.append(sim.now)
 
         sim.spawn(body(), daemon=True)
-        assert sim.run_fast(until=2.5) == 2.5
+        assert sim.run(until=2.5) == 2.5
         assert seen == [pytest.approx(1.0), pytest.approx(2.0)]
         # The 3.0 event was peeked, not popped: still pending, runs next.
         assert sim.pending_events == 1
-        assert sim.run_fast() == pytest.approx(4.0)
+        assert sim.run() == pytest.approx(4.0)
         assert seen[-1] == pytest.approx(4.0)

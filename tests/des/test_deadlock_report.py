@@ -83,7 +83,7 @@ class TestFaultKilledCollective:
 
         job = mpirun(tb.cluster, tb.vfs, app, nprocs=4, run=False)
         with pytest.raises(DeadlockError) as err:
-            tb.cluster.sim.run_fast()
+            tb.cluster.sim.run()
         return err.value, job, plane
 
     def test_every_surviving_rank_named_with_wait_reason(self):

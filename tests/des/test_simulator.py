@@ -417,25 +417,9 @@ def test_run_resumes_after_until_stop():
     assert proc.completion.value == pytest.approx(10.0)
 
 
-def test_run_fast_matches_run_exactly():
-    def history(fast):
-        sim = Simulator(seed=3)
-        log = []
-
-        def worker(n, dt):
-            for i in range(n):
-                yield Timeout(dt)
-                log.append((sim.now, n, i))
-
-        for i in range(4):
-            sim.spawn(worker(i + 1, 0.5 + 0.25 * i), name="w%d" % i)
-        end = sim.run_fast() if fast else sim.run()
-        return log, end, sim.events_executed
-
-    assert history(fast=True) == history(fast=False)
-
-
 def test_run_fast_honors_until_and_resumes():
+    # The name predates the fold of the old fast loop into run(); the
+    # contract it checks (stop at until, keep the event, resume) is run's.
     sim = Simulator()
 
     def body():
@@ -444,17 +428,15 @@ def test_run_fast_honors_until_and_resumes():
         return sim.now
 
     proc = sim.spawn(body())
-    assert sim.run_fast(until=5.0) == 5.0
+    assert sim.run(until=5.0) == 5.0
     assert sim.pending_events == 1
-    assert sim.run_fast() == pytest.approx(10.0)
+    assert sim.run() == pytest.approx(10.0)
     assert proc.completion.value == pytest.approx(10.0)
 
 
-@pytest.mark.parametrize("loop", ["run", "run_fast", "observed"])
+@pytest.mark.parametrize("loop", ["run", "observed"])
 def test_until_in_the_past_is_refused_not_rewound(loop):
     def drain(sim, until):
-        if loop == "run_fast":
-            return sim.run_fast(until=until)
         return sim.run(until=until)
 
     def sleeper():
@@ -477,26 +459,14 @@ def test_until_in_the_past_is_refused_not_rewound(loop):
         assert sim.is_idle
 
 
-def test_run_fast_still_checks_warmup_window():
+def test_run_refuses_backwards_time():
     sim = Simulator()
     # Schedule an event, advance time past it manually, then corrupt the
-    # clock: the warm-up window must still catch backwards time.
+    # clock: the batch check must catch backwards time.
     sim._queue.push(1.0, lambda: None, ())
     sim._now = 2.0
     with pytest.raises(SimTimeError):
-        sim.run_fast(check_first=10)
-
-
-def test_run_fast_skips_check_after_window():
-    sim = Simulator()
-    for i in range(5):
-        sim._queue.push(float(i), lambda: None, ())
-    sim._now = 100.0  # all events are "in the past"
-    # check_first=0 disables the backwards-time check entirely: the loop
-    # must dispatch anyway (and rewind now), demonstrating the check is
-    # really gone from the hot path.
-    assert sim.run_fast(check_first=0) == 4.0
-    assert sim.events_executed == 5
+        sim.run()
 
 
 def test_wall_time_rates_exposed_after_run():
@@ -530,10 +500,10 @@ def test_wall_time_accumulates_across_runs():
         yield Timeout(9.0)
 
     sim.spawn(body())
-    sim.run_fast(until=5.0)
+    sim.run(until=5.0)
     first = sim.wall_seconds
     assert first > 0.0
-    sim.run_fast()
+    sim.run()
     assert sim.wall_seconds > first
 
 

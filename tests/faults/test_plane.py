@@ -112,7 +112,7 @@ class TestNetworkFaults:
 
         sim.spawn(body(), name="sender")
         with pytest.raises(DeadlockError) as err:
-            sim.run_fast()
+            sim.run()
         assert "partition:node0" in str(err.value)
 
     def test_link_drops_cost_backoff_retransmits(self):

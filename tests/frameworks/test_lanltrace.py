@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.casestudy import FRAMEWORK_CARDS
 from repro.errors import FrameworkError
-from repro.frameworks.base import FRAMEWORK_REGISTRY
 from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.frameworks.lanltrace.outputs import (
     render_aggregate_timing,
@@ -37,7 +37,7 @@ def traced_run(config=None, nprocs=4, args=ARGS):
 
 class TestConfig:
     def test_registered(self):
-        assert FRAMEWORK_REGISTRY["lanl-trace"] is LANLTrace
+        assert LANLTrace.name == "lanl-trace" and LANLTrace.name in FRAMEWORK_CARDS
 
     def test_bad_mode_rejected(self):
         with pytest.raises(FrameworkError):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.casestudy import FRAMEWORK_CARDS
 from repro.core.features import Feature
 from repro.core.summary_table import render_summary_table
 from repro.core.values import EventKind
-from repro.frameworks.base import FRAMEWORK_REGISTRY
 from repro.frameworks.netmsg import MsgTrace, MsgTraceConfig
 from repro.harness.experiment import measure_overhead, run_traced
 from repro.trace.events import EventLayer
@@ -28,7 +28,7 @@ def ring_app(mpi, args):
 
 class TestCapture:
     def test_registered(self):
-        assert FRAMEWORK_REGISTRY["msgtrace"] is MsgTrace
+        assert MsgTrace.name == "msgtrace" and MsgTrace.name in FRAMEWORK_CARDS
 
     def test_records_net_layer_events(self):
         _, traced = run_traced(MsgTrace, ring_app, {}, nprocs=4)

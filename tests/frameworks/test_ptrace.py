@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.casestudy import FRAMEWORK_CARDS
 from repro.errors import FrameworkError
-from repro.frameworks.base import FRAMEWORK_REGISTRY
 from repro.frameworks.ptrace.depmap import DependencyMap
 from repro.frameworks.ptrace.framework import PTrace, PTraceConfig
 from repro.frameworks.ptrace.replaygen import build_replayable
@@ -121,8 +121,9 @@ class TestThrottleScheduleUnit:
 
 class TestInterposition:
     def test_registered(self):
-        assert FRAMEWORK_REGISTRY["ptrace"] is PTrace
-        assert FRAMEWORK_REGISTRY["ptrace-collector"] is PTraceCollector
+        assert PTrace.name == "ptrace" and PTrace.name in FRAMEWORK_CARDS
+        assert PTraceCollector.name == "ptrace-collector"
+        assert PTraceCollector.name in FRAMEWORK_CARDS
 
     def test_near_zero_overhead(self):
         """§4.3: overhead '~0%' without throttling."""

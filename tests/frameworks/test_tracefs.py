@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.casestudy import FRAMEWORK_CARDS
 from repro.errors import NotTraceable, PermissionDenied
-from repro.frameworks.base import FRAMEWORK_REGISTRY
 from repro.frameworks.tracefs.counters import EventCounters
 from repro.frameworks.tracefs.framework import Tracefs, TracefsConfig
 from repro.harness.experiment import measure_overhead, run_traced
@@ -33,7 +33,7 @@ def traced(config=None, args=IO_ARGS, workload=io_intensive, nprocs=1):
 
 class TestMounting:
     def test_registered(self):
-        assert FRAMEWORK_REGISTRY["tracefs"] is Tracefs
+        assert Tracefs.name == "tracefs" and Tracefs.name in FRAMEWORK_CARDS
 
     def test_requires_root(self):
         """§2.2: kernel module => 'dealing with root permissions'."""

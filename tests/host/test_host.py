@@ -6,7 +6,7 @@ import tempfile
 import pytest
 
 from repro.errors import HostTracingError, StraceNotAvailable
-from repro.host.parser import parse_strace_line, parse_strace_output
+from repro.host.parser import parse_strace
 from repro.host.pyio import PyIOTracer
 from repro.host.strace_wrapper import run_under_strace, strace_available
 
@@ -23,16 +23,16 @@ SAMPLE = """\
 
 class TestParser:
     def test_parses_known_calls(self):
-        events = parse_strace_output(SAMPLE)
+        events = parse_strace(SAMPLE).events
         names = [e.name for e in events]
         assert names == ["SYS_open", "SYS_read", "SYS_write", "SYS_close", "SYS_stat64"]
 
     def test_unknown_calls_skipped(self):
-        events = parse_strace_output(SAMPLE)
+        events = parse_strace(SAMPLE).events
         assert all("clock_gettime" not in e.name for e in events)
 
     def test_fields_extracted(self):
-        events = parse_strace_output(SAMPLE)
+        events = parse_strace(SAMPLE).events
         open_ev = events[0]
         assert open_ev.path == "/etc/hosts"
         assert open_ev.result == 3
@@ -43,7 +43,7 @@ class TestParser:
         assert read_ev.nbytes == 212
 
     def test_errno_results(self):
-        events = parse_strace_output(SAMPLE)
+        events = parse_strace(SAMPLE).events
         stat_ev = [e for e in events if e.name == "SYS_stat64"][0]
         assert stat_ev.result == "-1 ENOENT"
 
@@ -53,7 +53,7 @@ class TestParser:
             "101 5.000100 read(5, \"x\", 1) = 1 <0.000010>\n"
             "100 5.002000 <... write resumed>) = 1024 <0.002000>\n"
         )
-        events = parse_strace_output(text)
+        events = parse_strace(text).events
         writes = [e for e in events if e.name == "SYS_write"]
         assert len(writes) == 1
         assert writes[0].timestamp == pytest.approx(5.0)
@@ -61,12 +61,12 @@ class TestParser:
         assert writes[0].nbytes == 1024
 
     def test_single_line_helper(self):
-        e = parse_strace_line('1.5 close(7) = 0 <0.001>')
+        (e,) = parse_strace('1.5 close(7) = 0 <0.001>').events
         assert e.name == "SYS_close" and e.fd == 7
-        assert parse_strace_line("garbage") is None
+        assert parse_strace("garbage").events == []
 
     def test_empty_input(self):
-        assert parse_strace_output("") == []
+        assert parse_strace("").events == []
 
 
 class TestPyIOTracer:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.host.parser import StraceParseResult, parse_strace, parse_strace_output
+from repro.host.parser import StraceParseResult, parse_strace
 
 CORPUS = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS.iterdir())
@@ -53,7 +53,7 @@ class TestCleanCapture:
         assert "SYS_fsync" in names
 
     def test_io_sizes_come_from_results(self):
-        events = parse_strace_output((CORPUS / "basic.strace").read_text())
+        events = parse_strace((CORPUS / "basic.strace").read_text()).events
         by_name = {e.name: e for e in reversed(events)}  # first occurrence wins
         assert by_name["SYS_read"].nbytes == 4096
         assert by_name["SYS_pread64"].nbytes == 512
@@ -98,6 +98,16 @@ class TestInterruptedAndNoise:
         # the `--- SIGTERM ---` and `+++ exited +++` lines are expected
         # noise; only exit_group (unmapped) and `<detached ...>` warn
         assert result.warnings == {"unmapped_syscall": 1, "unparsed_line": 1}
+
+
+class TestNonFiniteTimes:
+    def test_overflowing_times_are_skipped_and_counted(self):
+        # 401-digit timestamps and <durations> parse to inf, on complete
+        # lines and on either half of an unfinished/resumed pair; a
+        # finite 1e308 timestamp plus a 1e308 duration ends past any float.
+        result = parse_strace((CORPUS / "non_finite.strace").read_bytes())
+        assert [e.name for e in result.events] == ["SYS_open", "SYS_close"]
+        assert result.warnings == {"non_finite_time": 5}
 
 
 class TestGarbage:

@@ -54,8 +54,7 @@ class TestCollectorDomains:
 
     def test_os_call_feeds_metrics_and_spans(self):
         col = TelemetryCollector()
-        col.os_track(0, "n0", 2, "rank 2")
-        col.os_call(0, 2, "vfs", "write", 1.0, 0.25, 4096)
+        col.os_call(0, "n0", 2, "rank 2", "vfs", "write", 1.0, 0.25, 4096)
         snap = col.metrics.snapshot()
         assert snap["counters"]["os.calls.vfs"] == 1
         assert snap["counters"]["os.vfs.write"] == 1
@@ -65,7 +64,7 @@ class TestCollectorDomains:
 
     def test_os_call_without_spans(self):
         col = TelemetryCollector(TelemetryConfig(spans=False))
-        col.os_call(0, 2, "vfs", "read", 0.0, 0.1, None)
+        col.os_call(0, "n0", 2, "rank 2", "vfs", "read", 0.0, 0.1, None)
         assert col.spans.spans == []
         assert col.metrics.snapshot()["counters"]["os.vfs.read"] == 1
 
@@ -142,8 +141,7 @@ class TestExport:
 
         col = TelemetryCollector()
         col.des_events(3)
-        col.os_track(0, "n0", 0, "rank 0")
-        col.os_call(0, 0, "vfs", "open", 0.0, 0.001, None)
+        col.os_call(0, "n0", 0, "rank 0", "vfs", "open", 0.0, 0.001, None)
         payload = col.export(end_time=1.5)
         assert payload["schema"] == "repro/telemetry/v1"
         assert payload["metrics"]["end_time"] == 1.5

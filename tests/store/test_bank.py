@@ -95,7 +95,7 @@ class TestReads:
         monkeypatch.setattr(bank_mod, "content_address", counting)
         reads = (
             lambda: bank.read_segment(shas[0]),
-            lambda: bank.read_columns(shas[0], ["name"]),
+            lambda: bank.read_records(shas[0]),
             lambda: bank.load_run_bundle(m),
             lambda: list(bank.iter_run_events(m)),
         )
@@ -119,7 +119,7 @@ class TestReads:
             with pytest.raises(StoreCorruptionError):
                 bank.read_segment(target)
             with pytest.raises(StoreCorruptionError):
-                bank.read_columns(target, ["name"])
+                bank.read_records(target)
 
     def test_stats_and_summary_render(self, bank):
         bank.ingest_bundle(make_bundle(nranks=2, n=4))

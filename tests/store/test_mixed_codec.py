@@ -32,7 +32,7 @@ from repro.obs.metrics import canonical_json
 from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
 from repro.store.query import Query, run_query
-from repro.store.segments import decode_segment, segment_columns
+from repro.trace.binary_format import decode_trace_file, project, read_records
 
 #: What every read of an RTCF segment says.
 RTCF_ERROR = r"RTCF.*bf847e2"
@@ -66,20 +66,20 @@ class TestCodecSelection:
         sha = bank.manifest(expected["runs"]["rtbf"]).segments[0].sha256
         blob = b"RTXF" + bank.read_segment_blob(sha)[4:]
         with pytest.raises(TraceFormatError, match="bad magic"):
-            segment_columns(blob, ["name"])
+            project(read_records(blob), "name")
         with pytest.raises(TraceFormatError, match="bad magic"):
-            decode_segment(blob)
+            decode_trace_file(blob)
 
     def test_rtcf_segment_names_the_last_reader(self, tmp_path):
         bank, _expected = corpus_bank(tmp_path)
         run_id, sha = plant_rtcf_run(bank)
         blob = bank.read_segment_blob(sha)
         with pytest.raises(TraceFormatError, match=RTCF_ERROR):
-            segment_columns(blob, ["name"])
+            project(read_records(blob), "name")
         with pytest.raises(TraceFormatError, match=RTCF_ERROR):
-            decode_segment(blob)
+            decode_trace_file(blob)
         with pytest.raises(StoreCorruptionError, match=sha[:12] + ".*" + RTCF_ERROR):
-            bank.read_columns(sha, ["name"])
+            bank.read_records(sha)
         with pytest.raises(StoreCorruptionError, match=RTCF_ERROR):
             bank.load_run_bundle(bank.manifest(run_id))
 

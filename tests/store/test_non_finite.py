@@ -4,7 +4,9 @@ NaN and infinities have no JSON rendering, so a trace holding one could
 be archived but never reported on.  Both decoders refuse them (the RTBF
 record walker and the text decoder), so every ingest path turns them
 away before anything is written, and a segment archived before the rule
-existed reads as corrupt.
+existed reads as corrupt.  Finite times whose sums overflow (an event's
+end, a file's total duration) are refused where outside trace files and
+uploads are decoded (``decode_trace_bytes``).
 """
 
 import asyncio
@@ -22,6 +24,7 @@ from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
 from repro.store.query import Query, run_query
 from repro.trace import binary_format, text_format
+from repro.trace.decode import decode_trace_bytes
 from repro.trace.records import TraceBundle, TraceFile
 
 BAD = [("timestamp", math.nan), ("timestamp", math.inf),
@@ -62,31 +65,76 @@ def test_text_decoder_refuses(line):
         text_format.decode_event(line)
 
 
+def _overflowing():
+    """Finite times whose sums are not: a trace whose second event ends
+    past the largest float, and one whose durations sum past it."""
+    end = make_trace_file(n=3)
+    end.events[1] = end.events[1].with_fields(timestamp=1.5e308, duration=1.5e308)
+    total = make_trace_file(n=3)
+    for i in (0, 1):
+        total.events[i] = total.events[i].with_fields(duration=1e308)
+    return end, total
+
+
 @pytest.fixture
 def bad_files(tmp_path):
     """A text trace with an infinite timestamp and an RTBF trace with a
-    NaN one."""
+    NaN one; then a text trace whose end time and an RTBF trace whose
+    total duration overflow."""
     text = tmp_path / "inf.trace"
     text.write_text(_inf_text())
     rtbf = tmp_path / "nan.rtb"
     rtbf.write_bytes(binary_format.encode_trace_file(_trace("timestamp", math.nan)))
-    return [text, rtbf]
+    end, total = _overflowing()
+    end_text = tmp_path / "end.trace"
+    end_text.write_text(text_format.encode_trace_file(end))
+    total_rtbf = tmp_path / "total.rtb"
+    total_rtbf.write_bytes(binary_format.encode_trace_file(total))
+    return [text, rtbf, end_text, total_rtbf]
+
+
+def _one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+
+
+def test_decode_refuses_overflowing_sums():
+    # The walkers keep their per-record rule; the sums are checked once,
+    # where outside trace files and uploads are decoded.
+    end, total = _overflowing()
+    end_text = text_format.encode_trace_file(end)
+    total_rtbf = binary_format.encode_trace_file(total)
+    text_format.decode_trace_file(end_text)
+    binary_format.decode_trace_file(total_rtbf)
+    with pytest.raises(TraceFormatError, match="non-finite end time: event 1's"):
+        decode_trace_bytes(end_text.encode())
+    with pytest.raises(TraceFormatError, match="non-finite total duration"):
+        decode_trace_bytes(total_rtbf)
 
 
 def test_store_ingest_archives_nothing(bad_files, tmp_path, capsys):
     store = tmp_path / "bank"
     for path in bad_files:
         assert main(["store", "ingest", "--store", str(store), str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        _one_error_line(capsys)
     assert not store.exists()
 
 
 def test_zoo_replay_refuses(bad_files, capsys):
     for path in bad_files:
         assert main(["zoo", "replay", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["summarize", "convert", "anonymize"])
+def test_trace_commands_refuse(command, bad_files, tmp_path, capsys):
+    out = [] if command == "summarize" else [str(tmp_path / "out.trace")]
+    for path in bad_files:
+        assert main([command, str(path)] + out) == 1
+        _one_error_line(capsys)
+    assert not (tmp_path / "out.trace").exists()
 
 
 def test_service_ingest_400_before_the_wal(bad_files, tmp_path):
@@ -108,6 +156,7 @@ def test_service_ingest_400_before_the_wal(bad_files, tmp_path):
         assert "non-finite" in json.loads(resp.body)["error"]["message"]
     assert list((tmp_path / "svc" / "wal").glob("*.wal")) == []
     assert list((tmp_path / "svc").glob("tenants/*/manifests/*.json")) == []
+    assert list((tmp_path / "svc").rglob("*.seg")) == []
 
 
 def test_an_archived_nan_segment_reads_as_corrupt(tmp_path, capsys):

@@ -30,6 +30,7 @@ from repro.store.query import (
     run_query,
     select_shards,
 )
+from repro.trace.binary_format import project
 from repro.trace.events import EventLayer
 
 NAMES = ("SYS_write", "SYS_read", "SYS_open", "vfs_write")
@@ -47,7 +48,8 @@ JSON_TYPES = (dict, list, str, int, float, bool, type(None))
 def reference_scan(bank, sha, plan):
     """The full-projection scan: every column of every event, then the
     per-event filter loop."""
-    cols = bank.read_columns(sha, ALL_COLUMNS)
+    rows = bank.read_records(sha)
+    cols = {f: project(rows, f) for f in ALL_COLUMNS}
     names = set(plan["names"]) if plan["names"] is not None else None
     layers = set(plan["layers"]) if plan["layers"] is not None else None
     since, until, glob = plan["since"], plan["until"], plan["path_glob"]

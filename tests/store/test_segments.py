@@ -11,12 +11,10 @@ from repro.store.segments import (
     archive_errors,
     check_address,
     content_address,
-    decode_segment,
     encode_segment,
-    segment_columns,
     summarize_segment,
 )
-from repro.trace.binary_format import encode_trace_file
+from repro.trace.binary_format import decode_trace_file, encode_trace_file, project, read_records
 from repro.trace.events import EventLayer
 from repro.trace.records import TraceFile
 
@@ -26,7 +24,7 @@ class TestEncodeDecode:
         tf = make_trace_file(rank=1, n=5)
         blob, sha = encode_segment(tf)
         assert sha == content_address(blob)
-        out = decode_segment(blob)
+        out = decode_trace_file(blob)
         assert out.events == tf.events
         assert out.rank == 1
 
@@ -41,8 +39,9 @@ class TestEncodeDecode:
         # read back whatever Tracefs flags encoded them.
         tf = make_trace_file(n=4)
         blob = encode_trace_file(tf, compressed=compressed, checksum=checksum)
-        assert decode_segment(blob).events == tf.events
-        cols = segment_columns(blob, ["name", "offset", "result"])
+        assert decode_trace_file(blob).events == tf.events
+        rows = read_records(blob)
+        cols = {f: project(rows, f) for f in ("name", "offset", "result")}
         assert cols == {
             "name": [e.name for e in tf.events],
             "offset": [e.offset for e in tf.events],
@@ -73,11 +72,11 @@ class TestEncodeDecode:
         bad = b"not a trace at all"
         with pytest.raises(StoreCorruptionError):
             with archive_errors(content_address(bad)):
-                decode_segment(bad)
+                decode_trace_file(bad)
 
     def test_undecodable_without_sha_stays_trace_error(self):
         with pytest.raises(TraceError):
-            decode_segment(b"not a trace at all")
+            decode_trace_file(b"not a trace at all")
 
 
 class TestSegmentMeta:

@@ -2,8 +2,8 @@
 
 Importing the simulated stack (the DES kernel, the cluster, simos,
 simfs, simmpi, the frameworks and the harness, plus numpy) costs about
-0.35 s, several times what ``repro table2``, an archive query or a sweep
-served from a warm run cache need.  Parsing arguments loads no command's
+0.35 s, several times what ``repro table2``, ``repro classify``, an
+archive query or a sweep served from a warm run cache need.  Parsing arguments loads no command's
 code either, so ``repro --help`` imports neither the taxonomy
 (``repro.core``) nor the trace codecs.  These tests run commands in a
 fresh interpreter and check which modules they loaded.
@@ -91,6 +91,14 @@ class TestNoSimulatorImports:
 
     def test_table2(self, tmp_path):
         assert _loaded(["table2"], tmp_path) == (0, [])
+
+    def test_table2_with_extensions(self, tmp_path):
+        assert _loaded(["table2", "--include-extensions"], tmp_path) == (0, [])
+
+    @pytest.mark.parametrize("name", ["lanl-trace", "tracefs", "ptrace", "//trace",
+                                      "ptrace-collector", "msgtrace"])
+    def test_classify(self, tmp_path, name):
+        assert _loaded(["classify", name], tmp_path) == (0, [])
 
     def test_store_query_on_a_tiny_archive(self, tmp_path):
         store = str(_tiny_archive(tmp_path / "bank"))

@@ -10,7 +10,8 @@ from repro.trace.binary_format import (
     decode_trace_file,
     encode_event_record,
     encode_trace_file,
-    read_columns,
+    project,
+    read_records,
 )
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
@@ -174,8 +175,8 @@ class TestFailureInjection:
             decode_trace_file(blob + blob[start : start + size])
 
 
-# Column projection: read_columns must agree field for field with a full
-# decode.  Results include numeric-looking strings on purpose: RTBF
+# Column projection: project over read_records must agree field for field
+# with a full decode.  Results include numeric-looking strings on purpose: RTBF
 # re-parses them as ints, and the projection must do exactly the same.
 LAYERS = tuple(EventLayer)
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -229,6 +230,12 @@ def _raw_blob(records):
             + frame(body, with_checksum=False))
 
 
+def _columns(blob, fields):
+    """``fields`` projected over every record of ``blob``."""
+    rows = read_records(blob)
+    return {f: project(rows, f) for f in fields}
+
+
 class TestReadColumns:
     @given(
         tf=tracefile_strategy,
@@ -241,7 +248,7 @@ class TestReadColumns:
         blob = encode_trace_file(tf, compressed=compressed, checksum=checksum,
                                  block_records=block)
         events = decode_trace_file(blob).events
-        cols = read_columns(blob, FIELDS)
+        cols = _columns(blob, FIELDS)
         assert sorted(cols) == sorted(FIELDS)
         for f in FIELDS:
             want = [getattr(e, f) for e in events]
@@ -254,8 +261,8 @@ class TestReadColumns:
     @settings(max_examples=30, deadline=None)
     def test_projection_returns_just_the_asked_fields(self, tf, fields):
         blob = encode_trace_file(tf)
-        full = read_columns(blob, FIELDS)
-        assert read_columns(blob, fields) == {f: full[f] for f in fields}
+        full = _columns(blob, FIELDS)
+        assert _columns(blob, fields) == {f: full[f] for f in fields}
 
     @given(tf=tracefile_strategy, data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -263,20 +270,20 @@ class TestReadColumns:
         blob = encode_trace_file(tf, block_records=4)
         cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         with pytest.raises((TraceTruncatedError, TraceFormatError)):
-            read_columns(blob[:cut], ["name", "duration"])
+            _columns(blob[:cut], ["name", "duration"])
 
     def test_bad_magic_and_unknown_field(self):
         blob = encode_trace_file(TraceFile([sample_event()]))
         with pytest.raises(TraceFormatError):
-            read_columns(b"NOPE" + blob[4:], ["name"])
+            _columns(b"NOPE" + blob[4:], ["name"])
         with pytest.raises(TraceFormatError):
-            read_columns(blob, ["name", "flags"])
+            _columns(blob, ["name", "flags"])
 
     def test_unknown_layer_code(self):
         rec = bytearray(encode_event_record(sample_event()))
         rec[16] = 0xEE  # the layer byte follows two f8 fields
         blob = _raw_blob([bytes(rec)])
-        for read in (decode_trace_file, lambda b: read_columns(b, ["duration"])):
+        for read in (decode_trace_file, lambda b: _columns(b, ["duration"])):
             with pytest.raises(TraceFormatError):
                 read(blob)
 
@@ -284,6 +291,6 @@ class TestReadColumns:
         rec = encode_event_record(sample_event())
         # after the last frame, and inside a block past its last record
         for bad in (_raw_blob([rec]) + b"\x01", _raw_blob([rec + b"\x00\x00"])):
-            for read in (decode_trace_file, lambda b: read_columns(b, ["name"])):
+            for read in (decode_trace_file, lambda b: _columns(b, ["name"])):
                 with pytest.raises((TraceTruncatedError, TraceFormatError)):
                     read(bad)

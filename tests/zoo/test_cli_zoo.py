@@ -95,6 +95,20 @@ class TestZooReplay:
         out = capsys.readouterr().out
         assert "exact: yes" in out
 
+    def test_strace_line_with_an_infinite_timestamp_is_skipped(self, tmp_path, capsys):
+        # A 401-digit timestamp parses to inf: that line is skipped under
+        # a counted warning and the rest of the capture replays.
+        path = tmp_path / "cap.strace"
+        path.write_text(
+            '4242 1700000000.000100 write(1, "hello", 5) = 5 <0.000010>\n'
+            '4242 %s.000200 write(1, "hello", 5) = 5 <0.000010>\n' % ("1" * 401)
+        )
+        out_path = tmp_path / "fid.json"
+        assert main(["zoo", "replay", str(path), "--report-out", str(out_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out_path.read_text())
+        assert report["resolution"]["parse_warnings"] == {"non_finite_time": 1}
+
     def test_missing_source_fails_cleanly(self, tmp_path, capsys):
         assert main(["zoo", "replay", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
