@@ -1,28 +1,29 @@
 """Bandwidth and event-rate arithmetic over traces and runs.
 
 Small, well-named helpers for the quantities the paper's figures plot:
-aggregate bandwidth, traced-event density ("a constant number of traced
-events are generated for each block.  The number of such events is
-inversely proportional to block size", §4.1.2), and overhead percentages.
+aggregate bandwidth and traced-event density ("a constant number of
+traced events are generated for each block.  The number of such events
+is inversely proportional to block size", §4.1.2).  The §3.1 overheads
+of a run pair are :class:`repro.harness.parallel.Overheads`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.simos import syscalls as sc
-from repro.trace.events import TraceEvent
+from repro.trace.events import IO_DATA_SYSCALLS, TraceEvent
 from repro.trace.records import TraceBundle
 
 __all__ = [
     "trace_bandwidth",
     "events_per_byte",
-    "overhead_percent",
     "payload_bytes",
 ]
 
 
-def payload_bytes(events: Iterable[TraceEvent], names: frozenset = sc.IO_DATA_SYSCALLS) -> int:
+def payload_bytes(
+    events: Iterable[TraceEvent], names: frozenset = IO_DATA_SYSCALLS
+) -> int:
     """Total payload moved by data syscalls in an event stream."""
     return sum(
         e.nbytes or 0
@@ -57,9 +58,3 @@ def events_per_byte(bundle: TraceBundle) -> float:
         return 0.0
     return len(events) / nbytes
 
-
-def overhead_percent(untraced: float, traced: float) -> float:
-    """The paper's elapsed-time-overhead formula, in percent."""
-    if untraced <= 0:
-        return 0.0
-    return 100.0 * (traced - untraced) / untraced

@@ -11,6 +11,11 @@ library, matching the paper's discussion of "Reveals Dependencies"
   the traces alone (cheap, but only sees dependencies that manifest as
   shared-file access, and inherits clock-skew ordering risk unless a
   skew-corrected timeline is supplied).
+
+A call writes or reads as the op table
+(:data:`repro.trace.events.OP_KINDS`) says, at any capture layer, so a
+nonblocking ``MPI_File_iwrite_at`` is a write here as it is to the
+replayer.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.skew import ClockEstimate, correct_timestamp
+from repro.trace.events import calls_of
 from repro.trace.records import TraceBundle
 
 __all__ = ["infer_data_dependencies", "dependency_summary"]
 
-_WRITE_NAMES = {"SYS_write", "SYS_pwrite64", "MPI_File_write_at", "vfs_write"}
-_READ_NAMES = {"SYS_read", "SYS_pread64", "MPI_File_read_at", "vfs_read"}
+_WRITES = calls_of("write")
+_READS = calls_of("read")
 
 
 def infer_data_dependencies(
@@ -43,9 +49,9 @@ def infer_data_dependencies(
         for e in tf.events:
             if e.path is None:
                 continue
-            if e.name in _WRITE_NAMES:
+            if e.name in _WRITES:
                 kind = "w"
-            elif e.name in _READ_NAMES:
+            elif e.name in _READS:
                 kind = "r"
             else:
                 continue

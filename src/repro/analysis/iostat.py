@@ -3,7 +3,9 @@
 Buckets a trace's data events into fixed time intervals and reports, per
 interval: operation count, bytes moved, bandwidth, and mean latency — the
 rolling view an operator watches while a job runs, derived after the fact
-from any framework's trace.
+from any framework's trace.  The data events are the op table's system
+and VFS reads and writes (:data:`repro.trace.events.OP_KINDS`); library
+calls are left out, since they duplicate the transfers beneath them.
 """
 
 from __future__ import annotations
@@ -12,19 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, List, Union
 
 from repro.errors import TraceError
-from repro.trace.events import TraceEvent
+from repro.trace.events import EventLayer, TraceEvent, calls_of
 from repro.trace.records import TraceBundle, TraceFile
 
 __all__ = ["Interval", "iostat", "render_iostat"]
 
-_IO_NAMES = {
-    "SYS_read",
-    "SYS_write",
-    "SYS_pread64",
-    "SYS_pwrite64",
-    "vfs_read",
-    "vfs_write",
-}
+_DATA_CALLS = calls_of("read", "write", layers=(EventLayer.SYSCALL, EventLayer.VFS))
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ def iostat(
         events = source.events
     else:
         events = list(source)
-    io = [e for e in events if e.name in _IO_NAMES and e.nbytes is not None]
+    io = [e for e in events if e.name in _DATA_CALLS and e.nbytes is not None]
     if not io:
         return []
     t0 = min(e.timestamp for e in io)

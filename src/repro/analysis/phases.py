@@ -9,7 +9,9 @@ than ``gap_threshold``; the gaps between bursts are compute phases.
 Phase structure is what trace *consumers* (replayers, schedulers, burst-
 buffer sizers) actually want from the raw event stream, which makes this
 the natural demo of the taxonomy's "Analysis tools" feature beyond call
-counting.
+counting.  The data-moving calls are the op table's reads and writes at
+every layer (:data:`repro.trace.events.OP_KINDS`), nonblocking MPI-IO
+writes included.
 """
 
 from __future__ import annotations
@@ -17,21 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
-from repro.trace.events import TraceEvent
+from repro.trace.events import TraceEvent, calls_of
 from repro.trace.records import TraceFile
 
 __all__ = ["Phase", "detect_phases", "phase_summary"]
 
-_IO_NAMES = {
-    "SYS_read",
-    "SYS_write",
-    "SYS_pread64",
-    "SYS_pwrite64",
-    "vfs_read",
-    "vfs_write",
-    "MPI_File_write_at",
-    "MPI_File_read_at",
-}
+_DATA_CALLS = calls_of("read", "write")
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ def detect_phases(
     """
     events = source.events if isinstance(source, TraceFile) else list(source)
     io_events = sorted(
-        (e for e in events if e.name in _IO_NAMES and e.nbytes is not None),
+        (e for e in events if e.name in _DATA_CALLS and e.nbytes is not None),
         key=lambda e: e.timestamp,
     )
     if not io_events:

@@ -20,18 +20,7 @@ from repro.units import MiB
 from repro.workloads.mpi_io_test import mpi_io_test
 from repro.workloads.patterns import AccessPattern
 
-__all__ = ["elapsed_time_overhead", "measure_overhead_report"]
-
-
-def elapsed_time_overhead(untraced_elapsed: float, traced_elapsed: float) -> float:
-    """The paper's formula, as a fraction.
-
-    (elapsed time of traced application - elapsed time of untraced
-    application) / elapsed time of untraced application.
-    """
-    if untraced_elapsed <= 0:
-        raise ValueError("untraced elapsed time must be positive")
-    return (traced_elapsed - untraced_elapsed) / untraced_elapsed
+__all__ = ["measure_overhead_report"]
 
 
 def measure_overhead_report(

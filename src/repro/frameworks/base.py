@@ -22,7 +22,7 @@ Each framework also reports its taxonomy classification via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Dict
 
 from repro.simmpi.runtime import JobResult
 from repro.trace.records import TraceBundle
@@ -73,6 +73,21 @@ class TracingFramework:
         does to the captured trace.  Called at simulated time ``at``,
         after the node is marked down and its ranks interrupted.
         """
+
+    def _drop_crash_tails(self, ranks: Any, window: int, lost: Dict[int, int]) -> None:
+        """Drop up to ``window`` trailing events from each crashed rank's
+        sink (``self._sinks``, rank -> trace file) and add the count to
+        ``lost[rank]``: a per-rank capture's unflushed tail dies with its
+        node.
+        """
+        for rank in ranks:
+            sink = self._sinks.get(rank)
+            if sink is None:
+                continue
+            n = min(len(sink.events), window)
+            if n:
+                del sink.events[-n:]
+            lost[rank] = lost.get(rank, 0) + n
 
     # -- taxonomy ------------------------------------------------------------
 

@@ -142,14 +142,9 @@ class LANLTrace(TracingFramework):
         LANL-Trace loses in-flight data on a crash rather than corrupting
         what was already flushed.
         """
-        for rank in ranks:
-            sink = self._sinks.get(rank)
-            if sink is None:
-                continue
-            lost = min(len(sink.events), self.config.flush_interval_events)
-            if lost:
-                del sink.events[-lost:]
-            self._data_loss[rank] = self._data_loss.get(rank, 0) + lost
+        self._drop_crash_tails(
+            ranks, self.config.flush_interval_events, self._data_loss
+        )
 
     def finalize(self, job: Any) -> TraceBundle:
         """Collect per-rank traces and timing stamps into one bundle."""
@@ -174,7 +169,17 @@ class LANLTrace(TracingFramework):
         return sum(ip.events_intercepted for ip in self._interposers)
 
     def classification(self):
-        """LANL-Trace's taxonomy classification (Table 2, column 1)."""
-        from repro.frameworks.lanltrace.classification import classify_lanl_trace
+        """LANL-Trace's taxonomy classification (Table 2, column 1).
 
-        return classify_lanl_trace(self.config)
+        In strace mode only system calls are captured ("system calls only
+        when using strace", §4.1.1); ltrace mode adds library calls.
+        """
+        from repro.core.casestudy import lanl_trace_classification
+
+        c = lanl_trace_classification()
+        if self.config.mode == "strace":
+            from repro.core.features import Feature
+            from repro.core.values import EventKind, EventTypes
+
+            c = c.with_value(Feature.EVENT_TYPES, EventTypes({EventKind.SYSTEM_CALLS}))
+        return c

@@ -20,10 +20,10 @@ from typing import Any, Dict, List, Optional
 from repro.frameworks.base import TracingFramework
 from repro.simos import syscalls as sc
 from repro.simos.interpose import Interposer
-from repro.trace.events import EventLayer
+from repro.trace.events import SYNC_CALLS, EventLayer
 from repro.trace.records import TraceBundle, TraceFile
 
-__all__ = ["PTrace", "PTraceConfig", "IO_TRACED_CALLS", "MPI_SYNC_CALLS"]
+__all__ = ["PTrace", "PTraceConfig", "IO_TRACED_CALLS"]
 
 #: The I/O system calls //TRACE interposes (everything file-related).
 IO_TRACED_CALLS = frozenset(
@@ -41,11 +41,6 @@ IO_TRACED_CALLS = frozenset(
         sc.SYS_UNLINK,
         sc.SYS_STATFS,
     }
-)
-
-#: MPI synchronization points, wrapped for replay-script sync markers.
-MPI_SYNC_CALLS = frozenset(
-    {"MPI_Barrier", "MPI_Bcast", "MPI_Allreduce", "MPI_Allgather", "MPI_Gather"}
 )
 
 
@@ -104,7 +99,7 @@ class PTrace(TracingFramework):
                 sink,
                 per_event_cost=self.config.per_event_cost,
                 cpu_factor=1.0,
-                filter=lambda name: name in MPI_SYNC_CALLS,
+                filter=lambda name: name in SYNC_CALLS,
                 charge_filtered_only=True,
             )
             proc.attach(sync_ip, EventLayer.LIBCALL)
@@ -118,14 +113,7 @@ class PTrace(TracingFramework):
         reports :class:`~repro.errors.ReplayDivergence` instead of
         deadlocking on a sync point the crashed rank never recorded.
         """
-        for rank in ranks:
-            sink = self._sinks.get(rank)
-            if sink is None:
-                continue
-            lost = min(len(sink.events), self.config.event_window)
-            if lost:
-                del sink.events[-lost:]
-            self._partial_ranks[rank] = self._partial_ranks.get(rank, 0) + lost
+        self._drop_crash_tails(ranks, self.config.event_window, self._partial_ranks)
 
     def finalize(self, job: Any) -> TraceBundle:
         """Collect per-rank I/O traces into one bundle."""
@@ -147,6 +135,6 @@ class PTrace(TracingFramework):
 
     def classification(self):
         """//TRACE's taxonomy classification (Table 2, column 3)."""
-        from repro.frameworks.ptrace.classification import classify_ptrace
+        from repro.core.casestudy import ptrace_classification
 
-        return classify_ptrace(self.config)
+        return ptrace_classification()

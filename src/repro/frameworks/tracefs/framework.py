@@ -253,7 +253,11 @@ class Tracefs(TracingFramework):
         return bundle
 
     def classification(self):
-        """Tracefs's taxonomy classification (Table 2, column 2)."""
-        from repro.frameworks.tracefs.classification import classify_tracefs
+        """Tracefs's taxonomy classification (Table 2, column 2).
 
-        return classify_tracefs(self.config)
+        Configuration changes no cell: granularity and anonymization are
+        *capabilities*, scored whether or not a mount enables them.
+        """
+        from repro.core.casestudy import tracefs_classification
+
+        return tracefs_classification()

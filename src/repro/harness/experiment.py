@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import DeadlockError, NodeCrashed, ReproError, SimOSError, SimTimeoutError
 from repro.frameworks.base import TracedRun, TracingFramework
-from repro.harness.parallel import RunStats
+from repro.harness.parallel import Overheads, RunStats
 # perfbench imports sweep_args_for_block_size from here.
 from repro.harness.parallel import sweep_args_for_block_size  # noqa: F401
 from repro.harness.testbed import build_testbed
@@ -78,9 +78,7 @@ class RunOutcome:
     @property
     def aggregate_bandwidth(self) -> float:
         """Total payload bytes over true elapsed seconds."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.bytes_moved / self.elapsed
+        return self.stats.aggregate_bandwidth
 
     @property
     def stats(self) -> RunStats:
@@ -237,28 +235,14 @@ def run_traced(
 
 
 @dataclass(frozen=True)
-class OverheadMeasurement:
-    """Paired traced/untraced measurement with the paper's two overheads."""
+class OverheadMeasurement(Overheads):
+    """Paired traced/untraced measurement with the paper's two overheads
+    (:class:`~repro.harness.parallel.Overheads`)."""
 
     untraced: RunOutcome
     traced: RunOutcome
     traced_run: TracedRun
     params: Dict[str, Any]
-
-    @property
-    def elapsed_overhead(self) -> float:
-        """The paper's §3.1 formula: (T_traced - T_untraced) / T_untraced."""
-        if self.untraced.elapsed <= 0:
-            return 0.0
-        return (self.traced.elapsed - self.untraced.elapsed) / self.untraced.elapsed
-
-    @property
-    def bandwidth_overhead(self) -> float:
-        """Fractional bandwidth loss: (BW_u - BW_t) / BW_u, in [0, 1)."""
-        bw_u = self.untraced.aggregate_bandwidth
-        if bw_u <= 0:
-            return 0.0
-        return (bw_u - self.traced.aggregate_bandwidth) / bw_u
 
 
 def measure_overhead(

@@ -4,9 +4,9 @@
   the paper's 32-processor cluster (§4.1.2);
 * :func:`run_figures` — Figures 2/3/4 as one flat sweep: LANL-Trace
   bandwidth and bandwidth-overhead versus block size per access pattern
-  (:func:`figure_series` is one figure of it);
-* :func:`elapsed_overhead_range` — the §4.1.1 headline "24% to 222%"
-  elapsed-time overhead span across patterns and block sizes.
+  (:func:`figure_series` is one figure of it); the sweep's
+  ``overhead_range`` is the §4.1.1 headline "24% to 222%" elapsed-time
+  overhead span across patterns and block sizes.
 
 Calibration notes (see DESIGN.md §4): the network's per-client effective
 bandwidth is set to 2007-era TCP-over-GigE goodput (~40 MiB/s) rather
@@ -39,7 +39,6 @@ __all__ = [
     "paper_testbed",
     "figure_series",
     "run_figures",
-    "elapsed_overhead_range",
     "PAPER_BLOCK_SIZES",
     "FIGURE_PATTERNS",
 ]
@@ -249,29 +248,3 @@ def figure_series(
         store=store,
     ).series[figure_number]
 
-
-def elapsed_overhead_range(
-    block_sizes: Optional[Iterable[int]] = None,
-    total_bytes_per_rank: int = 32 * MiB,
-    nprocs: int = 32,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[Any] = None,
-) -> Dict[str, float]:
-    """The §4.1.1 headline: min/max elapsed-time overhead across patterns
-    and block sizes ("observed to be highly variable ranging from 24% to
-    222% ... related directly to the block size").
-
-    ``jobs``/``cache`` parallelize and memoize the 24-simulation sweep
-    exactly as in :func:`run_figures`, with identical results.
-    """
-    sweep = run_figures(
-        figures=tuple(FIGURE_PATTERNS),
-        block_sizes=block_sizes,
-        total_bytes_per_rank=total_bytes_per_rank,
-        nprocs=nprocs,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-    )
-    return sweep.overhead_range

@@ -38,6 +38,7 @@ __all__ = [
     "FrameworkSpec",
     "RunSpec",
     "RunStats",
+    "Overheads",
     "PointResult",
     "SweepReport",
     "SweepResult",
@@ -262,14 +263,43 @@ class RunStats:
         return self.bytes_moved / self.elapsed
 
 
+class Overheads:
+    """The paper's two overheads of a traced/untraced pair of runs.
+
+    A base for records that hold an ``untraced`` and a ``traced`` run,
+    each with ``elapsed`` and ``aggregate_bandwidth``: a sweep's
+    :class:`PointResult` and
+    :class:`~repro.harness.experiment.OverheadMeasurement`.  An untraced
+    run with no elapsed time or bandwidth gives an overhead of 0.0.
+    """
+
+    __slots__ = ()
+
+    @property
+    def elapsed_overhead(self) -> float:
+        """The paper's §3.1 formula: (T_traced - T_untraced) / T_untraced."""
+        if self.untraced.elapsed <= 0:
+            return 0.0
+        return (self.traced.elapsed - self.untraced.elapsed) / self.untraced.elapsed
+
+    @property
+    def bandwidth_overhead(self) -> float:
+        """Fractional bandwidth loss: (BW_u - BW_t) / BW_u, in [0, 1)."""
+        bw_u = self.untraced.aggregate_bandwidth
+        if bw_u <= 0:
+            return 0.0
+        return (bw_u - self.traced.aggregate_bandwidth) / bw_u
+
+
 @dataclass(frozen=True)
-class PointResult:
+class PointResult(Overheads):
     """One measured sweep point, reduced to pickle-safe numbers.
 
-    Mirrors :class:`~repro.harness.experiment.OverheadMeasurement`'s
-    overhead properties so figure assembly treats them interchangeably.
-    ``wall_seconds`` is the real (host) time the measurement took;
-    ``cached`` marks results served from a :class:`RunCache`.
+    Shares :class:`Overheads` with
+    :class:`~repro.harness.experiment.OverheadMeasurement`, so figure
+    assembly treats the two interchangeably.  ``wall_seconds`` is the
+    real (host) time the measurement took; ``cached`` marks results
+    served from a :class:`RunCache`.
 
     ``telemetry``, present when the spec asked for it, is
     ``{"untraced": payload, "traced": payload}`` where each payload is a
@@ -296,21 +326,6 @@ class PointResult:
     #: TraceBank run id of the traced run's archived bundle, for points
     #: executed with ``spec.store`` set (content-derived, so cache-stable).
     store_run_id: Optional[str] = None
-
-    @property
-    def elapsed_overhead(self) -> float:
-        """The paper's §3.1 formula: (T_traced - T_untraced) / T_untraced."""
-        if self.untraced.elapsed <= 0:
-            return 0.0
-        return (self.traced.elapsed - self.untraced.elapsed) / self.untraced.elapsed
-
-    @property
-    def bandwidth_overhead(self) -> float:
-        """Fractional bandwidth loss: (BW_u - BW_t) / BW_u, in [0, 1)."""
-        bw_u = self.untraced.aggregate_bandwidth
-        if bw_u <= 0:
-            return 0.0
-        return (bw_u - self.traced.aggregate_bandwidth) / bw_u
 
     @property
     def events_executed(self) -> int:

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.trace.events import EventLayer, TraceEvent
+from repro.trace.events import IO_DATA_SYSCALLS, EventLayer, TraceEvent
 
 __all__ = [
     "StraceParseResult",
@@ -96,7 +96,6 @@ _NAME_MAP = {
 }
 
 _PATH_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
-_IO_NAMES = {"SYS_read", "SYS_write", "SYS_pread64", "SYS_pwrite64"}
 
 
 @dataclass
@@ -144,8 +143,9 @@ def _extract_path(name: str, argtext: str) -> Optional[str]:
 
 
 def _extract_fd(name: str, argtext: str) -> Optional[int]:
-    if name in _IO_NAMES or name in ("SYS_close", "SYS_fstat64", "SYS_fcntl64",
-                                     "SYS__llseek", "SYS_fsync"):
+    if name in IO_DATA_SYSCALLS or name in ("SYS_close", "SYS_fstat64",
+                                            "SYS_fcntl64", "SYS__llseek",
+                                            "SYS_fsync"):
         first = argtext.split(",", 1)[0].strip()
         try:
             return int(first)
@@ -181,7 +181,7 @@ def _build_event(
     if not math.isfinite(ts + duration):  # either is inf, or the end is
         return None
     nbytes: Optional[int] = None
-    if name in _IO_NAMES and isinstance(result, int) and result >= 0:
+    if name in IO_DATA_SYSCALLS and isinstance(result, int) and result >= 0:
         nbytes = result
     return TraceEvent(
         timestamp=ts,

@@ -37,6 +37,7 @@ from repro.errors import TelemetryError
 from repro.obs.metrics import canonical_json
 from repro.obs.perfetto import _US
 from repro.obs.spans import KERNEL_PID
+from repro.trace.events import EventLayer, calls_of
 
 __all__ = [
     "CRITPATH_SCHEMA",
@@ -68,9 +69,7 @@ STACK_LAYERS: Tuple[str, ...] = (
 
 #: Syscalls whose service time is dominated by the filesystem/blockdev
 #: data path — their self time is charged to the ``simfs`` layer.
-DATA_SYSCALLS = frozenset(
-    {"SYS_read", "SYS_write", "SYS_pread64", "SYS_pwrite64", "SYS_fsync"}
-)
+DATA_SYSCALLS = calls_of("read", "write", "fsync", layers=(EventLayer.SYSCALL,))
 
 _K = TypeVar("_K")
 

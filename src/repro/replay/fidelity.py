@@ -12,10 +12,12 @@ Beyond the paper's two scalars, the zoo's replay pipeline needs a
 *per-op-class* account: a replay that writes the right bytes but drops
 every stat/unlink is not faithful to a metadata storm.  Ops are split
 into three classes — ``read``, ``write``, ``metadata`` (open/close/
-fsync/stat/unlink/mkdir) — and :func:`fidelity_report` compares the
-compiled source schedule against the executed replay class by class,
-with byte and count deltas that are exact integers (no ratios that
-divide by zero on an empty source trace).
+fsync/stat/unlink/mkdir), the op table's
+:data:`~repro.trace.events.KIND_CLASS` — and :func:`fidelity_report`
+compares the compiled source schedule against the executed replay class
+by class, with byte and count deltas that are exact integers (no ratios
+that divide by zero on an empty source trace).  :func:`compare_traces`
+classes each traced call through the same table.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.trace.events import KIND_CLASS, OP_CLASSES, OP_KINDS, EventLayer
 from repro.trace.records import TraceBundle
 
 __all__ = [
     "FidelityResult",
-    "OP_CLASSES",
-    "classify_kind",
     "compare_end_to_end",
     "compare_profiles",
     "compare_traces",
@@ -37,26 +38,6 @@ __all__ = [
     "replay_profile",
     "schedule_profile",
 ]
-
-#: The fidelity account's op classes, in report order.
-OP_CLASSES = ("read", "write", "metadata")
-
-#: replay op kind -> op class (``sync`` is control flow, not an I/O op).
-_KIND_CLASS = {
-    "read": "read",
-    "write": "write",
-    "open": "metadata",
-    "close": "metadata",
-    "fsync": "metadata",
-    "stat": "metadata",
-    "unlink": "metadata",
-    "mkdir": "metadata",
-}
-
-
-def classify_kind(kind: str) -> Optional[str]:
-    """The op class of a replay op kind, or None for control ops."""
-    return _KIND_CLASS.get(kind)
 
 
 @dataclass(frozen=True)
@@ -85,29 +66,17 @@ def compare_end_to_end(original_elapsed: float, replay_elapsed: float) -> Fideli
     )
 
 
-_WRITE_LIKE = {"SYS_write", "SYS_pwrite64", "vfs_write"}
-_READ_LIKE = {"SYS_read", "SYS_pread64", "vfs_read"}
-_METADATA_LIKE = {
-    "SYS_open", "SYS_close", "SYS_fsync", "SYS_stat64", "SYS_fstat64",
-    "SYS_unlink", "SYS_mkdir",
-    "vfs_open", "vfs_fsync",
+#: The layers :func:`compare_traces` counts at (library calls duplicate
+#: the transfers beneath them), and the op class of each call there.
+#: Classes fold equivalent calls: a replayer legitimately substitutes
+#: ``pwrite`` for ``seek+write``, and the I/O signature the paper cares
+#: about is direction, offset and size, not the syscall spelling.
+_TRACE_LAYERS = (EventLayer.SYSCALL, EventLayer.VFS)
+_CALL_CLASS = {
+    name: KIND_CLASS[kind]
+    for layer in _TRACE_LAYERS
+    for name, kind in OP_KINDS[layer].items()
 }
-
-
-def _normalize_name(name: str) -> str:
-    """Fold equivalent I/O calls into one class.
-
-    A replayer legitimately substitutes ``pwrite`` for ``seek+write``; the
-    I/O *signature* the paper cares about is direction, offset, and size —
-    not the syscall spelling.
-    """
-    if name in _WRITE_LIKE:
-        return "write"
-    if name in _READ_LIKE:
-        return "read"
-    if name in _METADATA_LIKE:
-        return "metadata"
-    return name
 
 
 def _empty_profile() -> Dict[str, Dict[str, int]]:
@@ -130,7 +99,7 @@ def schedule_profile(app: Any) -> Dict[str, Any]:
                 syncs += 1
                 continue
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
-            cls = _KIND_CLASS.get(op.kind)
+            cls = KIND_CLASS.get(op.kind)
             if cls is None:
                 continue
             classes[cls]["count"] += 1
@@ -157,7 +126,7 @@ def replay_profile(result: Any) -> Dict[str, Any]:
     syncs = kinds.pop("sync", 0)
     issued = result.issued_bytes()
     for kind, n in kinds.items():
-        cls = _KIND_CLASS.get(kind)
+        cls = KIND_CLASS.get(kind)
         if cls is not None:
             classes[cls]["count"] += n
     classes["read"]["bytes"] = issued["read"]
@@ -283,24 +252,22 @@ def compare_traces(original: TraceBundle, replayed: TraceBundle) -> Dict[str, An
     * ``byte_similarity`` — min/max ratio of payload bytes moved;
     * ``offset_coverage`` — overlap of the (offset, size) sets accessed.
     """
-    from repro.trace.events import EventLayer
-
     def _io_events(bundle: TraceBundle):
         return [
             e
             for e in bundle.all_events()
             if e.nbytes is not None
-            and e.layer in (EventLayer.SYSCALL, EventLayer.VFS)
-            and _normalize_name(e.name) in ("read", "write")
+            and e.layer in _TRACE_LAYERS
+            and _CALL_CLASS.get(e.name) in ("read", "write")
         ]
 
     def _class_profile(bundle: TraceBundle) -> Dict[str, Dict[str, int]]:
         classes = _empty_profile()
         for e in bundle.all_events():
-            if e.layer not in (EventLayer.SYSCALL, EventLayer.VFS):
+            if e.layer not in _TRACE_LAYERS:
                 continue
-            cls = _normalize_name(e.name)
-            if cls not in classes:
+            cls = _CALL_CLASS.get(e.name)
+            if cls is None:
                 continue
             if cls in ("read", "write") and e.nbytes is None:
                 continue
@@ -310,8 +277,8 @@ def compare_traces(original: TraceBundle, replayed: TraceBundle) -> Dict[str, An
         return classes
 
     a, b = _io_events(original), _io_events(replayed)
-    names_a = Counter(_normalize_name(e.name) for e in a)
-    names_b = Counter(_normalize_name(e.name) for e in b)
+    names_a = Counter(_CALL_CLASS[e.name] for e in a)
+    names_b = Counter(_CALL_CLASS[e.name] for e in b)
     inter = sum((names_a & names_b).values())
     union = sum((names_a | names_b).values())
     op_count_similarity = inter / union if union else 1.0

@@ -17,53 +17,23 @@ Two subtleties handled here, both from //TRACE's design:
   Barrier-like events in the trace become ``sync`` ops, which the
   replayer executes as barriers *if* the dependency map says ranks are
   actually coupled.
+
+Which traced call becomes which op is :data:`repro.trace.events.OP_KINDS`:
+the scripting layer's table gives each event its op kind, and the MPI
+sync calls (:data:`~repro.trace.events.SYNC_CALLS`) script as ``sync``
+from any layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReplayError
-from repro.trace.events import EventLayer, TraceEvent
+from repro.trace.events import OP_KINDS, SYNC_CALLS, EventLayer, TraceEvent
 from repro.trace.records import TraceBundle
 
 __all__ = ["ReplayOp", "RankScript", "PseudoApp", "build_pseudoapp"]
-
-#: event name -> replay op kind
-_SYSCALL_KINDS = {
-    "SYS_open": "open",
-    "SYS_close": "close",
-    "SYS_write": "write",
-    "SYS_pwrite64": "write",
-    "SYS_read": "read",
-    "SYS_pread64": "read",
-    "SYS_fsync": "fsync",
-    # Metadata ops: without them a metadata-heavy trace (create/stat/
-    # unlink storms) would replay as an empty schedule.
-    "SYS_stat64": "stat",
-    "SYS_fstat64": "stat",
-    "SYS_unlink": "unlink",
-    "SYS_mkdir": "mkdir",
-}
-_LIBCALL_KINDS = {
-    "MPI_File_open": "open",
-    "MPI_File_close": "close",
-    "MPI_File_write_at": "write",
-    "MPI_File_iwrite_at": "write",
-    "MPI_File_read_at": "read",
-    "MPI_File_sync": "fsync",
-}
-# Tracefs-style VFS traces are replayable too — the Tracefs authors'
-# stated future work ("the framework's developers report replayable trace
-# generation as a focus of future work", §4.2), realized here.
-_VFS_KINDS = {
-    "vfs_open": "open",
-    "vfs_write": "write",
-    "vfs_read": "read",
-    "vfs_fsync": "fsync",
-}
-_SYNC_LIBCALLS = {"MPI_Barrier", "MPI_Bcast", "MPI_Allreduce", "MPI_Allgather", "MPI_Gather"}
 
 
 @dataclass(frozen=True)
@@ -118,16 +88,6 @@ class PseudoApp:
     def total_io_bytes(self) -> int:
         """Payload bytes scripted across all ranks."""
         return sum(s.io_bytes for s in self.scripts.values())
-
-
-def _event_kind(event: TraceEvent, layer: EventLayer) -> Optional[str]:
-    if layer is EventLayer.LIBCALL:
-        if event.name in _SYNC_LIBCALLS:
-            return "sync"
-        return _LIBCALL_KINDS.get(event.name)
-    if layer is EventLayer.VFS:
-        return _VFS_KINDS.get(event.name)
-    return _SYSCALL_KINDS.get(event.name)
 
 
 class _FdState:
@@ -192,15 +152,12 @@ def build_pseudoapp(
     event name — the fidelity report surfaces them so a lossy compile is
     never mistaken for an exact one.
     """
+    kinds = OP_KINDS[layer]
     scripts: Dict[int, RankScript] = {}
     unreplayable: Dict[str, int] = {}
     for key in sorted(bundle.files):
         tf = bundle.files[key]
         rank = tf.rank if tf.rank is not None else key
-        events = [e for e in tf.events if e.layer is layer]
-        if not events and tf.events:
-            # Fall back to whatever layer the bundle has (e.g. Tracefs VFS).
-            events = list(tf.events)
         script = RankScript(rank=rank)
         fd_state = _FdState()
         prev_end: Optional[float] = None
@@ -210,20 +167,15 @@ def build_pseudoapp(
                 pending_gap += max(0.0, e.timestamp - prev_end)
                 pending_gap -= per_event_overhead
             prev_end = e.end_timestamp
-            if e.layer is not layer and events is not tf.events:
+            if e.layer is layer:
+                kind = kinds.get(e.name)
+            elif e.layer is EventLayer.LIBCALL and e.name in SYNC_CALLS:
                 # Synchronization calls become sync ops regardless of the
                 # scripting layer: a syscall-level script still needs to
                 # know where the application barriered.
-                if e.layer is EventLayer.LIBCALL and e.name in _SYNC_LIBCALLS:
-                    kind: Optional[str] = "sync"
-                else:
-                    continue
-            elif e.layer is EventLayer.LIBCALL and e.name in _SYNC_LIBCALLS:
                 kind = "sync"
             else:
-                kind = _event_kind(e, layer) or (
-                    _event_kind(e, EventLayer.SYSCALL) if events is tf.events else None
-                )
+                continue
             if kind is None:
                 unreplayable[e.name] = unreplayable.get(e.name, 0) + 1
                 continue

@@ -8,7 +8,9 @@ appear with an ``SYS_`` prefix and Linux-2.6-era names::
     10:59:47.105913 SYS_fcntl64(3, 1, 0, 0, 0xbd3ff4) = 0 <0.000017>
 
 These helpers centralize the spelling so traces, codecs, summaries, and
-replayers all agree on names.
+replayers all agree on names; what each call *is* (its replay op kind,
+and so whether it moves payload bytes) is the op table in
+:mod:`repro.trace.events`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "SYS_FCNTL",
     "SYS_MMAP",
     "ALL_SYSCALLS",
-    "IO_DATA_SYSCALLS",
     "format_open_flags",
 ]
 
@@ -85,10 +86,6 @@ ALL_SYSCALLS = frozenset(
         SYS_MMAP,
     }
 )
-
-#: Syscalls that move payload bytes — the ones whose per-event tracing cost
-#: scales inversely with block size in the paper's overhead model.
-IO_DATA_SYSCALLS = frozenset({SYS_READ, SYS_WRITE, SYS_PREAD, SYS_PWRITE})
 
 _FLAG_NAMES = [
     (O_CREAT, "O_CREAT"),

@@ -8,6 +8,16 @@ future-work "single trace-data API": every framework in
 :mod:`repro.frameworks` emits these, and every codec, anonymizer, analysis
 tool, and replayer consumes them.
 
+The same goes for what each event *is*: :data:`OP_KINDS` is the one
+table naming every syscall, libcall and VFS call's replay op kind
+(``sync`` marks the MPI calls where ranks synchronize), and
+:data:`KIND_CLASS` puts each op kind in its fidelity class (read, write
+or metadata).  Every name set the replayer, the fidelity account, the
+analysis tools, the strace parser, critical-path attribution and
+//TRACE's sync markers use is a projection of these two tables
+(:func:`calls_of`).  The module imports only the standard library, so
+readers of the table never load the simulator.
+
 Timestamps are **node-local** (from :class:`repro.cluster.clock.Clock`),
 exactly as a real tracer records them; converting to a global timeline
 requires the skew/drift machinery in :mod:`repro.analysis.skew`.
@@ -17,9 +27,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields, replace
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-__all__ = ["EventLayer", "TraceEvent"]
+__all__ = [
+    "EventLayer",
+    "TraceEvent",
+    "OP_KINDS",
+    "OP_CLASSES",
+    "KIND_CLASS",
+    "calls_of",
+    "SYNC_CALLS",
+    "IO_DATA_SYSCALLS",
+]
 
 
 class EventLayer(str, enum.Enum):
@@ -170,3 +189,84 @@ class TraceEvent:
     _SET_RESULT, _SET_PID, _SET_RANK, _SET_HOSTNAME, _SET_USER, _SET_PATH,
     _SET_FD, _SET_NBYTES, _SET_OFFSET,
 ) = (TraceEvent.__dict__[f.name].__set__ for f in fields(TraceEvent))
+
+
+#: What each traced call is: its replay op kind, per capture layer.  A
+#: name missing from its layer's table is not replayed; messages
+#: (``NET``) never are.
+OP_KINDS: Dict[EventLayer, Dict[str, str]] = {
+    EventLayer.SYSCALL: {
+        "SYS_open": "open",
+        "SYS_close": "close",
+        "SYS_write": "write",
+        "SYS_pwrite64": "write",
+        "SYS_read": "read",
+        "SYS_pread64": "read",
+        "SYS_fsync": "fsync",
+        # Metadata ops: without them a metadata-heavy trace (create/stat/
+        # unlink storms) would replay as an empty schedule.
+        "SYS_stat64": "stat",
+        "SYS_fstat64": "stat",
+        "SYS_unlink": "unlink",
+        "SYS_mkdir": "mkdir",
+    },
+    EventLayer.LIBCALL: {
+        "MPI_File_open": "open",
+        "MPI_File_close": "close",
+        "MPI_File_write_at": "write",
+        "MPI_File_iwrite_at": "write",
+        "MPI_File_read_at": "read",
+        "MPI_File_sync": "fsync",
+        # Where ranks synchronize: a replay must too, or ranks drift apart.
+        "MPI_Barrier": "sync",
+        "MPI_Bcast": "sync",
+        "MPI_Allreduce": "sync",
+        "MPI_Allgather": "sync",
+        "MPI_Gather": "sync",
+    },
+    # Tracefs-style VFS traces are replayable too — the Tracefs authors'
+    # stated future work (§4.2), realized here.
+    EventLayer.VFS: {
+        "vfs_open": "open",
+        "vfs_write": "write",
+        "vfs_read": "read",
+        "vfs_fsync": "fsync",
+    },
+    EventLayer.NET: {},
+}
+
+#: The fidelity account's op classes, in report order.
+OP_CLASSES = ("read", "write", "metadata")
+
+#: Op kind -> op class (``sync`` is control flow, not an I/O op).
+KIND_CLASS: Dict[str, str] = {
+    "read": "read",
+    "write": "write",
+    "open": "metadata",
+    "close": "metadata",
+    "fsync": "metadata",
+    "stat": "metadata",
+    "unlink": "metadata",
+    "mkdir": "metadata",
+}
+
+
+def calls_of(
+    *kinds: str, layers: Tuple[EventLayer, ...] = tuple(EventLayer)
+) -> FrozenSet[str]:
+    """The call names, over ``layers``, whose op kind is one of ``kinds``."""
+    return frozenset(
+        name
+        for layer in layers
+        for name, kind in OP_KINDS[layer].items()
+        if kind in kinds
+    )
+
+
+#: The MPI calls where ranks synchronize: replay scripts them as ``sync``
+#: ops and //TRACE records them as sync markers.
+SYNC_CALLS = calls_of("sync")
+
+#: Syscalls that move payload bytes — the ones whose per-event tracing cost
+#: scales inversely with block size in the paper's overhead model.
+IO_DATA_SYSCALLS = calls_of("read", "write", layers=(EventLayer.SYSCALL,))

@@ -30,10 +30,10 @@ from repro.harness.testbed import build_testbed
 from repro.machine import TestbedConfig
 from repro.obs.metrics import canonical_json
 from repro.replay.fidelity import fidelity_report
-from repro.replay.pseudoapp import _LIBCALL_KINDS, _SYNC_LIBCALLS, build_pseudoapp
+from repro.replay.pseudoapp import build_pseudoapp
 from repro.replay.replayer import replay
 from repro.trace.decode import decode_trace_bytes
-from repro.trace.events import EventLayer
+from repro.trace.events import OP_KINDS, EventLayer
 from repro.trace.records import TraceBundle, TraceFile
 
 __all__ = [
@@ -153,8 +153,9 @@ def choose_layer(bundle: TraceBundle) -> EventLayer:
     layers = {e.layer for e in bundle.all_events()}
     if EventLayer.SYSCALL in layers:
         return EventLayer.SYSCALL
+    libcalls = OP_KINDS[EventLayer.LIBCALL]
     if EventLayer.LIBCALL in layers and any(
-        e.name in _LIBCALL_KINDS or e.name in _SYNC_LIBCALLS
+        e.name in libcalls
         for e in bundle.all_events()
         if e.layer is EventLayer.LIBCALL
     ):

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.analysis.bandwidth import (
-    events_per_byte,
-    overhead_percent,
-    payload_bytes,
-    trace_bandwidth,
-)
+from repro.analysis.bandwidth import events_per_byte, payload_bytes, trace_bandwidth
 from repro.analysis.dependencies import dependency_summary, infer_data_dependencies
 from repro.analysis.summary import summarize_calls
 from repro.analysis.timeline import global_timeline
 from repro.analysis.skew import ClockEstimate
+from repro.harness.parallel import PointResult, RunStats
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
@@ -127,8 +123,13 @@ class TestBandwidthHelpers:
         assert density(65536) == pytest.approx(density(131072) * 2)
 
     def test_overhead_percent(self):
-        assert overhead_percent(10.0, 12.4) == pytest.approx(24.0)
-        assert overhead_percent(0.0, 5.0) == 0.0
+        def point(untraced, traced):
+            return PointResult(
+                params=(), untraced=RunStats(untraced, 0, 0), traced=RunStats(traced, 0, 0)
+            )
+
+        assert 100.0 * point(10.0, 12.4).elapsed_overhead == pytest.approx(24.0)
+        assert 100.0 * point(0.0, 5.0).elapsed_overhead == 0.0
 
 
 class TestTimeline:
@@ -159,7 +160,29 @@ class TestTimeline:
         assert merged[0][0] == pytest.approx(1.0)
 
 
+def mpiio_bundle(write_name):
+    """Rank 0 writes ``/pfs/f`` with ``write_name``; rank 1 then reads it."""
+
+    def call(name, ts, rank):
+        return TraceEvent(timestamp=ts, duration=0.001, layer=EventLayer.LIBCALL,
+                          name=name, rank=rank, path="/pfs/f", nbytes=4096, offset=0)
+
+    return TraceBundle(
+        files={
+            0: TraceFile([call(write_name, 1.0, 0)], rank=0),
+            1: TraceFile([call("MPI_File_read_at", 2.0, 1)], rank=1),
+        }
+    )
+
+
 class TestDataDependencies:
+    @pytest.mark.parametrize("write", ["MPI_File_write_at", "MPI_File_iwrite_at"])
+    def test_mpiio_write_then_read_is_an_edge(self, write):
+        # A nonblocking MPI-IO write is as much a write as a blocking one.
+        assert infer_data_dependencies(mpiio_bundle(write)) == {
+            (0, 1): {"path": "/pfs/f", "count": 1}
+        }
+
     def test_writer_reader_edge(self):
         bundle = TraceBundle(
             files={

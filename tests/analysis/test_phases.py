@@ -2,6 +2,8 @@
 
 import pytest
 
+from test_analysis import mpiio_bundle
+
 from repro.analysis.phases import Phase, detect_phases, phase_summary
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
@@ -53,6 +55,11 @@ class TestDetect:
         phases = detect_phases([io_ev(1.0), io_ev(0.0)], gap_threshold=2.0)
         assert len(phases) == 1
         assert phases[0].start == 0.0
+
+    @pytest.mark.parametrize("write", ["MPI_File_write_at", "MPI_File_iwrite_at"])
+    def test_mpiio_write_is_an_io_phase(self, write):
+        (phase,) = detect_phases(mpiio_bundle(write).files[0])
+        assert (phase.kind, phase.bytes_moved, phase.n_events) == ("io", 4096, 1)
 
     def test_accepts_trace_file(self):
         tf = TraceFile([io_ev(0.0), io_ev(0.02)])

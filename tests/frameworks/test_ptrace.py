@@ -139,13 +139,14 @@ class TestInterposition:
         _, traced = run_traced(
             PTrace, mpi_io_test, dict(COUPLED_ARGS, nobj=8), config=tb(), nprocs=NP
         )
-        from repro.frameworks.ptrace.framework import IO_TRACED_CALLS, MPI_SYNC_CALLS
+        from repro.frameworks.ptrace.framework import IO_TRACED_CALLS
+        from repro.trace.events import SYNC_CALLS
 
         for e in traced.bundle.all_events():
             if e.layer is EventLayer.SYSCALL:
                 assert e.name in IO_TRACED_CALLS
             else:
-                assert e.name in MPI_SYNC_CALLS
+                assert e.name in SYNC_CALLS
 
     def test_mpi_sync_markers_optional(self):
         _, traced = run_traced(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.overhead import elapsed_time_overhead, measure_overhead_report
+from repro.core.overhead import measure_overhead_report
 from repro.frameworks.lanltrace.framework import LANLTrace, LANLTraceConfig
 from repro.harness.experiment import (
     OverheadMeasurement,
@@ -16,7 +16,7 @@ from repro.harness.figures import (
     figure_series,
     paper_testbed,
 )
-from repro.harness.parallel import sweep_args_for_block_size
+from repro.harness.parallel import PointResult, RunStats, sweep_args_for_block_size
 from repro.harness.report import (
     render_figure,
     render_measurements,
@@ -80,9 +80,10 @@ class TestOverheadProtocol:
         assert m.params["block_size"] == 64 * KiB
 
     def test_overhead_formula(self):
-        assert elapsed_time_overhead(10.0, 12.4) == pytest.approx(0.24)
-        with pytest.raises(ValueError):
-            elapsed_time_overhead(0.0, 1.0)
+        point = PointResult(
+            params=(), untraced=RunStats(10.0, 0, 0), traced=RunStats(12.4, 0, 0)
+        )
+        assert point.elapsed_overhead == pytest.approx(0.24)
 
     def test_sweep_holds_bytes_constant(self):
         ms = [

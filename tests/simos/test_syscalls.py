@@ -2,6 +2,7 @@
 
 from repro.simfs.vfs import O_APPEND, O_CREAT, O_EXCL, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
 from repro.simos import syscalls as sc
+from repro.trace.events import IO_DATA_SYSCALLS, OP_KINDS, EventLayer
 
 
 def test_figure1_spellings():
@@ -19,9 +20,11 @@ def test_all_syscalls_is_complete():
 
 
 def test_io_data_subset():
-    assert sc.IO_DATA_SYSCALLS <= sc.ALL_SYSCALLS
-    assert sc.SYS_WRITE in sc.IO_DATA_SYSCALLS
-    assert sc.SYS_OPEN not in sc.IO_DATA_SYSCALLS
+    assert IO_DATA_SYSCALLS <= sc.ALL_SYSCALLS
+    assert sc.SYS_WRITE in IO_DATA_SYSCALLS
+    assert sc.SYS_OPEN not in IO_DATA_SYSCALLS
+    # Every syscall the op table names is one the simulated OS has.
+    assert set(OP_KINDS[EventLayer.SYSCALL]) <= sc.ALL_SYSCALLS
 
 
 class TestFormatOpenFlags:

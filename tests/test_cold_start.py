@@ -125,14 +125,29 @@ def test_a_warm_sweep_runs_nothing(argv, sweep_dir, monkeypatch, capsys):
     assert _loaded(argv, sweep_dir, SIMULATION) == (0, [])
 
 
-def test_the_kernel_loads_only_the_telemetry_it_calls():
-    probe = "import json, sys, repro.des.simulator; print(json.dumps(list(sys.modules)))"
+def _imported_by(module):
+    """The modules a fresh interpreter holds after ``import module``."""
+    probe = "import json, sys, %s; print(json.dumps(list(sys.modules)))" % module
     proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    obs = {m for m in json.loads(proc.stdout) if m.startswith("repro.obs.")}
+    return json.loads(proc.stdout)
+
+
+def test_the_kernel_loads_only_the_telemetry_it_calls():
+    obs = {m for m in _imported_by("repro.des.simulator") if m.startswith("repro.obs.")}
     assert obs <= {"repro.obs.metrics", "repro.obs.perfetto", "repro.obs.spans",
                    "repro.obs.tracepoints"}
+
+
+@pytest.mark.parametrize("module", ["repro.host.parser", "repro.obs.critpath"])
+def test_op_table_readers_load_no_simulator(module):
+    # The op table lives in repro.trace.events, which imports only the
+    # standard library.
+    heavy = [m for m in _imported_by(module)
+             if any(m == p or m.startswith(p + ".")
+                    for p in ("repro.simos", "repro.simfs", "repro.des"))]
+    assert heavy == []
 
 
 def test_chaos_matrix_choices_match_the_chaos_module():

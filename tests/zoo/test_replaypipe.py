@@ -5,10 +5,10 @@ import pytest
 from repro.errors import ReplayError
 from repro.harness.parallel import run_sweep
 from repro.obs.metrics import canonical_json
-from repro.replay.fidelity import OP_CLASSES, schedule_profile
+from repro.replay.fidelity import schedule_profile
 from repro.replay.pseudoapp import build_pseudoapp
 from repro.store.bank import TraceBank
-from repro.trace.events import EventLayer, TraceEvent
+from repro.trace.events import OP_CLASSES, EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 from repro.trace.text_format import encode_trace_file
 from repro.zoo.registry import get
