@@ -11,10 +11,17 @@ sweeps and the zoo actually archive (about 60 and 200 events) and over
 one 50,000-event synthetic segment, and recorded into
 ``BENCH_codec.json``:
 
-* projecting the ``ops`` aggregate's two columns (``name``,
-  ``duration``) beats a full decode by >= 3x at every size;
+* the cost of a full decode and of projecting the ``ops`` aggregate's
+  two columns (``name``, ``duration``), and their ratio;
 * the bytes per stored event of each segment, the archive-size number
   the ``bytes_per_event`` baseline metric gates.
+
+No floor is asserted on the ratio: it moves whenever either side gets
+faster, and a wall-clock ratio on a noisy host fails at random.  What
+the projection stands for, that a scan never builds events, is checked
+exactly in ``tests/store/test_read_paths.py`` (``TestScansBuildNoEvents``
+counts zero event builds per query and DFG), and the scan's own speed
+is gated by perfbench's ``query_*`` and ``dfg_*`` bounds.
 
 Timings use min-of-N over interleaved repetitions — this box jitters by
 +/-20%, and the minimum is the least-noisy estimator of the true cost.
@@ -127,7 +134,7 @@ def _write_bench(record):
 
 
 @pytest.mark.parametrize("n_events", SIZES)
-def test_projection_beats_full_decode_3x(n_events):
+def test_projection_and_full_decode_costs(n_events):
     blob, _sha = encode_segment(synthetic_trace_file(n_events))
     assert ops_from_columns(ops_columns(blob)) == ops_from_events(
         decode_trace_file(blob)
@@ -166,4 +173,3 @@ def test_projection_beats_full_decode_3x(n_events):
             }
         }
     )
-    assert speedup >= 3.0, "ops projection only %.2fx faster" % speedup

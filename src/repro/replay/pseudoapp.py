@@ -26,7 +26,8 @@ from any layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.errors import ReplayError
@@ -36,12 +37,19 @@ from repro.trace.records import TraceBundle
 __all__ = ["ReplayOp", "RankScript", "PseudoApp", "build_pseudoapp"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayOp:
     """One scripted operation.
 
     ``think_time`` is the CPU gap *before* this op; ``kind`` is one of
     open/close/write/read/fsync/stat/unlink/mkdir/sync.
+
+    A compile builds one per scripted event, so, as for
+    :class:`~repro.trace.events.TraceEvent`, the constructor is written
+    out and fills the slots through their member descriptors
+    (``_SET_*`` below) instead of the frozen ``__setattr__``.  A
+    negative think time, or a read or write without ``nbytes``, raises
+    :class:`~repro.errors.ReplayError`.
     """
 
     kind: str
@@ -50,11 +58,28 @@ class ReplayOp:
     offset: Optional[int] = None
     nbytes: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.think_time < 0:
+    def __init__(
+        self,
+        kind: str,
+        think_time: float,
+        path: Optional[str] = None,
+        offset: Optional[int] = None,
+        nbytes: Optional[int] = None,
+    ) -> None:
+        if think_time < 0:
             raise ReplayError("negative think time")
-        if self.kind in ("write", "read") and self.nbytes is None:
-            raise ReplayError("%s op needs nbytes" % self.kind)
+        if nbytes is None and kind in ("write", "read"):
+            raise ReplayError("%s op needs nbytes" % kind)
+        _SET_KIND(self, kind)
+        _SET_THINK_TIME(self, think_time)
+        _SET_PATH(self, path)
+        _SET_OFFSET(self, offset)
+        _SET_NBYTES(self, nbytes)
+
+
+_SET_KIND, _SET_THINK_TIME, _SET_PATH, _SET_OFFSET, _SET_NBYTES = (
+    ReplayOp.__dict__[f.name].__set__ for f in fields(ReplayOp)
+)
 
 
 @dataclass
@@ -150,11 +175,15 @@ def build_pseudoapp(
     the scripting layer that could not be compiled into ops (unknown
     names, fd-addressed events whose open predates the capture), per
     event name — the fidelity report surfaces them so a lossy compile is
-    never mistaken for an exact one.
+    never mistaken for an exact one.  For the same reason a bundle with
+    events but none at ``layer`` (and no sync call) raises
+    :class:`~repro.errors.ReplayError` naming the layers it holds: its
+    empty schedule would pass as an exact replay.
     """
     kinds = OP_KINDS[layer]
     scripts: Dict[int, RankScript] = {}
     unreplayable: Dict[str, int] = {}
+    scriptable = 0
     for key in sorted(bundle.files):
         tf = bundle.files[key]
         rank = tf.rank if tf.rank is not None else key
@@ -176,6 +205,7 @@ def build_pseudoapp(
                 kind = "sync"
             else:
                 continue
+            scriptable += 1
             if kind is None:
                 unreplayable[e.name] = unreplayable.get(e.name, 0) + 1
                 continue
@@ -188,15 +218,7 @@ def build_pseudoapp(
             offset = fd_state.offset_for(e, kind)
             think = max(min_think_time, pending_gap)
             pending_gap = 0.0
-            script.ops.append(
-                ReplayOp(
-                    kind=kind,
-                    think_time=think,
-                    path=path,
-                    offset=offset,
-                    nbytes=e.nbytes,
-                )
-            )
+            script.ops.append(ReplayOp(kind, think, path, offset, e.nbytes))
             if kind == "open":
                 fd_state.opened(e)
             elif kind == "close":
@@ -204,6 +226,14 @@ def build_pseudoapp(
         scripts[rank] = script
     if not scripts:
         raise ReplayError("bundle has no trace files to script from")
+    if not scriptable:
+        held = Counter(e.layer for tf in bundle.files.values() for e in tf.events)
+        if held:
+            raise ReplayError(
+                "bundle has no %s events to script from (it holds %s)"
+                % (layer.value, ", ".join(
+                    "%s=%d" % (l.value, held[l]) for l in EventLayer if held[l]))
+            )
     return PseudoApp(
         scripts=scripts,
         source_framework=str(bundle.metadata.get("framework", "")),

@@ -131,7 +131,7 @@ class RunManifest:
         """Parse a manifest file's text."""
         try:
             obj = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise StoreCorruptionError("manifest is not JSON: %s" % exc) from None
         if not isinstance(obj, dict):
             raise StoreCorruptionError("manifest is not a JSON object")

@@ -21,11 +21,12 @@ where each block is ``compress(count u32 | record*)``.
 
 The same format is the trace archive's segment format
 (:mod:`repro.store.segments`).  One record walker serves both readers:
-:func:`decode_trace_file` builds events, and :func:`read_records`
-returns the walker's raw records for a reader that projects per-field
-columns from them without building events (:func:`project`), so the
-archive scan can project the columns a filter reads for every event and
-the rest only for the events the filter keeps.
+:func:`decode_trace_file` builds a segment's events in one batch
+(:func:`_build_events`), and :func:`read_records` returns the walker's
+raw records for a reader that projects per-field columns from them
+without building events (:func:`project`), so the archive scan can
+project the columns a filter reads for every event and the rest only
+for the events the filter keeps.
 
 The walker refuses a record whose timestamp or duration is not a
 finite float (or whose duration is negative), as the text decoder
@@ -359,38 +360,89 @@ def _parse_result(text: str) -> Any:
 def _parse_args(text: str) -> Tuple[Any, ...]:
     try:
         return tuple(json.loads(text))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):
         # TypeError covers corrupt-but-valid JSON scalars (e.g. "5"):
-        # tuple(5) is not an args list, it is a damaged record.
+        # tuple(5) is not an args list, it is a damaged record.  A list
+        # nested past the recursion limit is damage too, not a crash.
         raise TraceFormatError("corrupt args JSON in record") from None
 
 
-def _to_event(row: tuple) -> TraceEvent:
-    ts, dur, layer_code, pid, fd, nbytes, off, flags, rank = row[:_NAME]
-    name, hostname, user, path, result, args = _texts(row[_NAME:])
-    return TraceEvent(
-        timestamp=ts,
-        duration=dur,
-        layer=_CODE_LAYER[layer_code],
-        name=name,
-        args=_parse_args(args),
-        result=_parse_result(result) if flags & _F_RESULT else None,
-        pid=pid,
-        rank=rank if flags & _F_RANK else None,
-        hostname=hostname,
-        user=user,
-        path=path if flags & _F_PATH else None,
-        fd=fd if flags & _F_FD else None,
-        nbytes=nbytes if flags & _F_NBYTES else None,
-        offset=off if flags & _F_OFFSET else None,
-    )
+class _Texts(dict):
+    """The decoder's :class:`_Frames` for the bodies a segment's records
+    repeat: a segment is one rank's stream, so one hostname and one user,
+    naming a few distinct calls.  Each is decoded once per batch, and the
+    batch's events share the strings."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = _texts((raw,))[0]
+        return text
+
+
+# The C scanner behind json.loads, called without json.loads' three
+# Python frames; _build_events hands anything it does not take whole
+# back to _parse_args.
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def _build_events(rows: Sequence[tuple]) -> List[TraceEvent]:
+    """Build the events of a batch of the walker's raw records.
+
+    Names, hostnames and users go through a memo that dies with the
+    call; paths, results and args, which may all differ, are decoded
+    directly.  Args JSON goes straight to the C scanner; whatever the
+    scanner does not consume whole as one list (leading or trailing
+    whitespace, a BOM, a non-list, a syntax error) is parsed again by
+    :func:`_parse_args`, so every input is accepted or refused, with the
+    same message, exactly as ``json.loads`` would.  Each record's strings
+    are checked before its args are parsed, so a batch is refused with
+    the first error of its first bad record.
+    """
+    texts = _Texts()
+    layers = _CODE_LAYER
+    scan = _SCAN_JSON
+    event = TraceEvent
+    events: List[TraceEvent] = []
+    append = events.append
+    for (ts, dur, code, pid, fd, nbytes, off, flags, rank,
+         name, host, user, path, result, args) in rows:
+        name = texts[name]
+        host = texts[host]
+        user = texts[user]
+        try:
+            path = path.decode("utf-8")
+            result = result.decode("utf-8")
+            args = args.decode("utf-8")
+        except UnicodeDecodeError:
+            raise TraceFormatError("corrupt UTF-8 in string field") from None
+        try:
+            value, end = scan(args, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(args) and type(value) is list:
+            args = tuple(value)
+        else:
+            args = _parse_args(args)
+        append(event(
+            ts, dur, layers[code], name, args,
+            _parse_result(result) if flags & _F_RESULT else None,
+            pid,
+            rank if flags & _F_RANK else None,
+            host, user,
+            path if flags & _F_PATH else None,
+            fd if flags & _F_FD else None,
+            nbytes if flags & _F_NBYTES else None,
+            off if flags & _F_OFFSET else None,
+        ))
+    return events
 
 
 def decode_event_record(data: bytes, offset: int = 0) -> Tuple[TraceEvent, int]:
     """Deserialize one event at ``offset``; returns ``(event, next_offset)``."""
     rows: List[tuple] = []
     pos = _read_records(data, offset, 1, rows)
-    return _to_event(rows[0]), pos
+    return _build_events(rows)[0], pos
 
 
 def encode_trace_file(
@@ -443,7 +495,7 @@ def _walk(data: bytes) -> Tuple[Dict[str, Any], List[tuple]]:
     header_raw, pos = unframe(data, pos)
     try:
         header = json.loads(header_raw.decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):
         raise TraceFormatError("corrupt header JSON") from None
     if not isinstance(header, dict):
         # json.loads happily returns lists/scalars; header.get on one
@@ -470,7 +522,7 @@ def decode_trace_file(data: bytes) -> TraceFile:
     """Invert :func:`encode_trace_file`, verifying checksums."""
     header, rows = _walk(data)
     return TraceFile(
-        [_to_event(row) for row in rows],
+        _build_events(rows),
         hostname=header.get("hostname", ""),
         pid=header.get("pid", 0),
         rank=header.get("rank"),

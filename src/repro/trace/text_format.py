@@ -191,7 +191,9 @@ def decode_event(line: str) -> TraceEvent:
                 nbytes=annot.get("nbytes"),
                 offset=annot.get("offset"),
             )
-        except ValueError:
+        except (ValueError, RecursionError):
+            # A value nested past the recursion limit is as bad as any
+            # other malformed annotation.
             raise TraceFormatError("bad annotation on line: %r" % line) from None
         _check_annotation(fields, line)
     try:

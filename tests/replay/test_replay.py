@@ -1,5 +1,8 @@
 """Pseudo-app generation, replay engine, and fidelity tests."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ReplayError
@@ -38,8 +41,62 @@ class TestReplayOpValidation:
             ReplayOp(kind="write", think_time=0.0)
         ReplayOp(kind="sync", think_time=0.0)  # fine
 
+    def test_a_slotted_frozen_value(self):
+        op = ReplayOp("write", 0.5, "/pfs/f", 4096, 8192)
+        assert op == ReplayOp(kind="write", think_time=0.5, path="/pfs/f",
+                              offset=4096, nbytes=8192)
+        assert hash(op) == hash(ReplayOp("write", 0.5, "/pfs/f", 4096, 8192))
+        assert op != ReplayOp("write", 0.5, "/pfs/f", 4096, 8191)
+        assert pickle.loads(pickle.dumps(op)) == op
+        moved = dataclasses.replace(op, path="/pfs/replay/f")
+        assert (moved.kind, moved.path, moved.nbytes) == ("write", "/pfs/replay/f", 8192)
+        with pytest.raises(ReplayError):
+            dataclasses.replace(op, think_time=-0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.path = "/elsewhere"
+        assert not hasattr(op, "__dict__")
+        assert ReplayOp("sync", 0.0) == ReplayOp("sync", 0.0, None, None, None)
+
 
 class TestBuildPseudoApp:
+    def test_no_events_at_the_scripting_layer_is_an_error(self):
+        # An empty schedule with nothing unreplayable would pass as an
+        # exact replay of a trace it never looked at.
+        tf = TraceFile(
+            [
+                ev("vfs_open", 0.0, layer=EventLayer.VFS, path="/pfs/f", result=3),
+                ev("vfs_write", 1.0, layer=EventLayer.VFS, path="/pfs/f", fd=3,
+                   nbytes=4096, offset=0),
+                ev("vfs_read", 2.0, layer=EventLayer.VFS, path="/pfs/f", fd=3,
+                   nbytes=4096, offset=0),
+            ],
+            rank=0,
+        )
+        bundle = TraceBundle(files={0: tf})
+        with pytest.raises(ReplayError, match=r"^bundle has no libcall events "
+                           r"to script from \(it holds vfs=3\)$"):
+            build_pseudoapp(bundle, layer=EventLayer.LIBCALL)
+        app = build_pseudoapp(bundle, layer=EventLayer.VFS)
+        assert [op.kind for op in app.scripts[0].ops] == ["open", "write", "read"]
+
+    def test_the_error_lists_every_layer_held(self):
+        files = {
+            0: TraceFile([ev("SYS_write", 0.0), ev("MPI_Send", 1.0, layer=EventLayer.NET)],
+                         rank=0),
+            1: TraceFile([ev("MPI_Recv", 0.5, layer=EventLayer.NET)], rank=1),
+        }
+        with pytest.raises(ReplayError, match=r"no vfs events .*\(it holds "
+                           r"syscall=1, net=2\)$"):
+            build_pseudoapp(TraceBundle(files=files), layer=EventLayer.VFS)
+
+    def test_an_empty_or_sync_only_bundle_still_compiles(self):
+        empty = build_pseudoapp(TraceBundle(files={0: TraceFile([], rank=0)}),
+                                layer=EventLayer.SYSCALL)
+        assert empty.scripts[0].ops == []
+        sync = TraceFile([ev("MPI_Barrier", 0.0, layer=EventLayer.LIBCALL)], rank=0)
+        app = build_pseudoapp(TraceBundle(files={0: sync}), layer=EventLayer.VFS)
+        assert [op.kind for op in app.scripts[0].ops] == ["sync"]
+
     def test_syscall_script_from_events(self):
         tf = TraceFile(
             [

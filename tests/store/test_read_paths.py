@@ -1,8 +1,9 @@
 """The archive's read paths: the manifest files are its only index.
 
 A run id is looked up by its file name, no read writes into the archive,
-one opened bank serves a whole query, DFG, verify or diagnosis, and a
-report is rendered to JSON once.
+one opened bank serves a whole query, DFG, verify or diagnosis, a
+report is rendered to JSON once, and a query or DFG scan builds no
+events.
 """
 
 import asyncio
@@ -23,6 +24,7 @@ from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
 from repro.store.manifest import RunManifest
 from repro.store.query import AGGREGATES, Query, run_query
+from repro.trace import binary_format
 from repro.zoo.replaypipe import load_source
 
 
@@ -87,6 +89,29 @@ def renders(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("repro") and getattr(module, "canonical_json", None) is real:
             monkeypatch.setattr(module, "canonical_json", counting)
+    return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every event build from here on: a call of the batch event builder,
+    or of ``decode_trace_file`` through any module's binding of it."""
+    calls = []
+    real_build = binary_format._build_events
+    real_decode = binary_format.decode_trace_file
+
+    def building(rows):
+        calls.append("build")
+        return real_build(rows)
+
+    def decoding(data):
+        calls.append("decode")
+        return real_decode(data)
+
+    monkeypatch.setattr(binary_format, "_build_events", building)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "decode_trace_file", None) is real_decode:
+            monkeypatch.setattr(module, "decode_trace_file", decoding)
     return calls
 
 
@@ -178,12 +203,17 @@ class TestLookupByName:
         # Its segments stay pinned: renaming the file back restores the run.
         assert bank.gc(tmp_ttl_seconds=0.0)["removed_segments"] == []
 
-    @pytest.mark.parametrize("corrupt", ["not-utf8", "ops-not-a-mapping"])
+    @pytest.mark.parametrize("corrupt", ["not-utf8", "ops-not-a-mapping", "nested-json"])
     def test_malformed_manifest_is_skipped_and_reported(self, archive, corrupt):
         bank, ids = archive
         path = bank.manifest_path(ids[4])
         if corrupt == "not-utf8":
             path.write_bytes(b"\xff\xfe{")
+        elif corrupt == "nested-json":
+            # Nested past the recursion limit: corrupt, not a crash.
+            # 20,001 lists pass every interpreter's limit; CPython 3.12+
+            # parses up to 10,000 (its C recursion limit).
+            path.write_text('{"x":%s%s}' % ("[" * 20_001, "]" * 20_001))
         else:
             body = json.loads(path.read_text("utf-8"))
             body["segments"][0]["ops"] = ["SYS_write"]
@@ -332,3 +362,24 @@ class TestOneBankPerOperation:
         report = diagnose_archive(str(bank.root), jobs=1)
         assert report["outliers"][0]["slice"] is not None
         assert len(opened) == 1  # the bank it opens on the root it was given
+
+
+class TestScansBuildNoEvents:
+    @pytest.mark.parametrize("where", [{}, {"since": 0.035, "path_glob": "/pfs/*"}],
+                             ids=["every-event", "event-filter"])
+    def test_queries_and_dfgs_project_without_building_events(
+        self, archive, reads, builds, where
+    ):
+        # The scan projects columns from the walker's raw records; it
+        # never builds a TraceEvent, whatever the aggregate or filter.
+        bank, ids = archive
+        for agg in AGGREGATES:
+            matched = run_query(bank, Query.create(agg=agg, **where))["scan"]["events_matched"]
+            assert 0 < matched <= 80
+            assert (matched < 80) == bool(where)
+        assert build_dfg(bank, Query.create(**where))["scan"]["events_matched"] == matched
+        assert len(reads) == 5 * 10
+        assert builds == []
+        # A full read is counted: it decodes through the batch builder.
+        bank.read_segment(bank.manifest(ids[0]).segments[0].sha256)
+        assert builds == ["decode", "build"]

@@ -1,4 +1,4 @@
-"""Reference implementations of the RTBF encoder and the segment summary.
+"""Reference implementations of the RTBF codec and the segment summary.
 
 These are the straightforward per-event, per-field versions that the
 archive's segment bytes were first defined by.  Segment bytes feed run
@@ -6,6 +6,12 @@ ids, dedup and the ``events`` aggregate's tie order, so the optimized
 :mod:`repro.trace.binary_format` encoder and
 :func:`repro.store.segments.summarize_segment` must agree with these
 exactly; ``test_rtbf_identity.py`` checks that they do.
+
+:func:`to_event` is the row-at-a-time event builder the decoder used
+before it built a segment's events in one batch: six UTF-8 decodes, one
+``json.loads`` and one keyword constructor per record.  The batch
+builder must give the same events, and refuse the same records with the
+same errors; ``test_event_builder.py`` checks that it does.
 """
 
 from __future__ import annotations
@@ -135,4 +141,50 @@ def summarize_segment(tf: TraceFile, rank: int, sha256: str, encoded_bytes: int)
         encoded_bytes=encoded_bytes,
         ops=tuple(sorted(ops.items())),
         layers=tuple(sorted(layers.items())),
+    )
+
+
+_CODE_LAYER = {i: layer for layer, i in _LAYER_CODE.items()}
+
+
+def _texts(raws):
+    try:
+        return [raw.decode("utf-8") for raw in raws]
+    except UnicodeDecodeError:
+        raise TraceFormatError("corrupt UTF-8 in string field") from None
+
+
+def _parse_result(text):
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _parse_args(text):
+    try:
+        return tuple(json.loads(text))
+    except (ValueError, TypeError):
+        raise TraceFormatError("corrupt args JSON in record") from None
+
+
+def to_event(row: tuple) -> TraceEvent:
+    """One event from one of the walker's raw record rows."""
+    ts, dur, layer_code, pid, fd, nbytes, off, flags, rank = row[:9]
+    name, hostname, user, path, result, args = _texts(row[9:])
+    return TraceEvent(
+        timestamp=ts,
+        duration=dur,
+        layer=_CODE_LAYER[layer_code],
+        name=name,
+        args=_parse_args(args),
+        result=_parse_result(result) if flags & _F_RESULT else None,
+        pid=pid,
+        rank=rank if flags & _F_RANK else None,
+        hostname=hostname,
+        user=user,
+        path=path if flags & _F_PATH else None,
+        fd=fd if flags & _F_FD else None,
+        nbytes=nbytes if flags & _F_NBYTES else None,
+        offset=off if flags & _F_OFFSET else None,
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReplayError
 from repro.harness.parallel import run_sweep
 from repro.obs.metrics import canonical_json
@@ -11,7 +12,8 @@ from repro.store.bank import TraceBank
 from repro.trace.events import OP_CLASSES, EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 from repro.trace.text_format import encode_trace_file
-from repro.zoo.registry import get
+from repro.zoo.matrix import run_zoo_matrix
+from repro.zoo.registry import get, names
 from repro.zoo.replaypipe import (
     choose_layer,
     load_source,
@@ -211,3 +213,65 @@ class TestRendering:
         assert "exact: yes" in text
         for cls in OP_CLASSES:
             assert cls in text
+
+
+class TestNothingToScript:
+    """A compile that finds no event at its scripting layer is an error,
+    not an empty schedule reported as an exact replay."""
+
+    def test_wrong_layer_fails_require_exact(self, tmp_path, capsys):
+        tf = TraceFile(
+            [
+                TraceEvent(1.0 + i, 0.00001, EventLayer.VFS, name, path="/pfs/x",
+                           fd=None if name == "vfs_open" else 3,
+                           nbytes=None if name == "vfs_open" else 4096,
+                           offset=None if name == "vfs_open" else 0,
+                           result=3 if name == "vfs_open" else 4096)
+                for i, name in enumerate(("vfs_open", "vfs_write", "vfs_read"))
+            ],
+            rank=0,
+            framework="tracefs",
+        )
+        path = tmp_path / "vfs3.trace"
+        path.write_text(encode_trace_file(tf))
+        argv = ["zoo", "replay", str(path), "--require-exact"]
+        assert main(argv + ["--layer", "libcall"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: bundle has no libcall events to script from "
+                       "(it holds vfs=3)\n")
+        assert main(argv + ["--layer", "vfs"]) == 0
+        assert "ops=3 bytes=8192" in capsys.readouterr().out
+
+    def test_net_only_bundle_takes_the_syscall_fallback_and_fails(self, tmp_path):
+        tf = TraceFile(
+            [TraceEvent(1.0 + i, 0.001, EventLayer.NET, "MPI_Send", nbytes=64)
+             for i in range(2)],
+            rank=0,
+        )
+        path = tmp_path / "net.trace"
+        path.write_text(encode_trace_file(tf))
+        bundle, _resolution = load_source([str(path)])
+        assert choose_layer(bundle) is EventLayer.SYSCALL
+        with pytest.raises(ReplayError, match=r"no syscall events .*\(it holds net=2\)"):
+            replay_pipeline([str(path)])
+
+    def test_auto_layer_on_every_zoo_scenario_is_unchanged(self, tmp_path):
+        # Every scenario's smoke run compiles at the syscall layer into
+        # these schedules: the no-events error never fires on a capture.
+        store = str(tmp_path / "bank")
+        report = run_zoo_matrix(smoke=True, store=store)
+        scripted = {}
+        for row in report["rows"]:
+            fid = replay_pipeline([row["store_run_id"]], store=store, layer="auto")
+            assert fid["exact"] is True
+            src = fid["source"]
+            scripted[row["scenario"]] = (src["layer"], src["profile"]["total_ops"],
+                                         src["profile"]["total_bytes"])
+        assert sorted(scripted) == sorted(names())
+        assert scripted == {
+            "ckpt-tiered": ("syscall", 164, 1835008),
+            "ml-epoch": ("syscall", 90, 786432),
+            "log-append": ("syscall", 164, 655360),
+            "md-storm": ("syscall", 164, 0),
+        }
