@@ -13,9 +13,11 @@ library, matching the paper's discussion of "Reveals Dependencies"
   skew-corrected timeline is supplied).
 
 A call writes or reads as the op table
-(:data:`repro.trace.events.OP_KINDS`) says, at any capture layer, so a
-nonblocking ``MPI_File_iwrite_at`` is a write here as it is to the
-replayer.
+(:data:`repro.trace.events.OP_KINDS`) says, so a nonblocking
+``MPI_File_iwrite_at`` is a write here as it is to the replayer.  Each
+trace's accesses come from the lowest layer it holds any at
+(:func:`repro.trace.events.lowest_layer`), so a transfer captured as an
+MPI-IO call and as the system call beneath it counts once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.skew import ClockEstimate, correct_timestamp
-from repro.trace.events import calls_of
+from repro.trace.events import calls_of, lowest_layer
 from repro.trace.records import TraceBundle
 
 __all__ = ["infer_data_dependencies", "dependency_summary"]
@@ -46,15 +48,11 @@ def infer_data_dependencies(
     accesses: List[Tuple[float, int, str, str]] = []  # (t, rank, kind, path)
     for key, tf in bundle.files.items():
         rank = tf.rank if tf.rank is not None else key
-        for e in tf.events:
-            if e.path is None:
-                continue
-            if e.name in _WRITES:
-                kind = "w"
-            elif e.name in _READS:
-                kind = "r"
-            else:
-                continue
+        for e in lowest_layer([
+            e for e in tf.events
+            if e.path is not None and (e.name in _WRITES or e.name in _READS)
+        ]):
+            kind = "w" if e.name in _WRITES else "r"
             t = (
                 correct_timestamp(estimates, rank, e.timestamp)
                 if estimates is not None

@@ -9,9 +9,11 @@ than ``gap_threshold``; the gaps between bursts are compute phases.
 Phase structure is what trace *consumers* (replayers, schedulers, burst-
 buffer sizers) actually want from the raw event stream, which makes this
 the natural demo of the taxonomy's "Analysis tools" feature beyond call
-counting.  The data-moving calls are the op table's reads and writes at
-every layer (:data:`repro.trace.events.OP_KINDS`), nonblocking MPI-IO
-writes included.
+counting.  The data-moving calls are the op table's reads and writes
+(:data:`repro.trace.events.OP_KINDS`), nonblocking MPI-IO writes
+included, at the lowest layer the trace holds any of them
+(:func:`repro.trace.events.lowest_layer`), so a transfer captured as an
+MPI-IO call and as the system call beneath it counts once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
-from repro.trace.events import TraceEvent, calls_of
+from repro.trace.events import TraceEvent, calls_of, lowest_layer
 from repro.trace.records import TraceFile
 
 __all__ = ["Phase", "detect_phases", "phase_summary"]
@@ -54,13 +56,16 @@ def detect_phases(
 ) -> List[Phase]:
     """Segment one rank's events into alternating io/compute phases.
 
-    Only data-moving events (reads/writes at any layer) count as I/O;
-    metadata calls inside a burst do not break it, and gaps longer than
-    ``gap_threshold`` between I/O events become compute phases.
+    Only data-moving events (reads/writes, at the lowest layer holding
+    any) count as I/O; metadata calls inside a burst do not break it,
+    and gaps longer than ``gap_threshold`` between I/O events become
+    compute phases.
     """
     events = source.events if isinstance(source, TraceFile) else list(source)
     io_events = sorted(
-        (e for e in events if e.name in _DATA_CALLS and e.nbytes is not None),
+        lowest_layer(
+            [e for e in events if e.name in _DATA_CALLS and e.nbytes is not None]
+        ),
         key=lambda e: e.timestamp,
     )
     if not io_events:

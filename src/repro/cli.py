@@ -478,12 +478,18 @@ def _cmd_zoo_replay(args: argparse.Namespace) -> int:
 def _read_telemetry_artifact(path: Path):
     """One ``--telemetry`` artifact: ``(payloads, None)`` for a
     ``repro/telemetry/v1`` payload (labelled ``""``) or an ``{untraced,
-    traced}`` pair, ``(None, trace)`` for a bare Chrome trace."""
+    traced}`` pair, ``(None, trace)`` for a bare Chrome trace.  A file
+    that is not UTF-8 JSON, or is nested past the parser's recursion
+    limit, is a :class:`~repro.errors.TelemetryError` naming it."""
     import json
 
     from repro.errors import TelemetryError
 
-    obj = json.loads(path.read_text("utf-8"))
+    try:
+        obj = json.loads(path.read_text("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are both ValueErrors.
+        raise TelemetryError("%s is not JSON: %s" % (path, exc)) from None
     if isinstance(obj, dict) and obj.get("schema") == "repro/telemetry/v1":
         return {"": obj}, None
     if isinstance(obj, dict) and {"untraced", "traced"} <= set(obj):
@@ -668,6 +674,7 @@ def _cmd_obs_slice(args: argparse.Namespace) -> int:
         report, payload = slice_from_store(
             bank, args.source, anchor=anchor, value=value,
             max_roots=args.max_roots,
+            with_payload=bool(args.perfetto or args.flame),
         )
     if args.json:
         print(canonical_json(report))

@@ -113,23 +113,6 @@ def robust_threshold(
 # -- fingerprints ------------------------------------------------------------
 
 
-def _segment_seq(bank, sha: str) -> List[Tuple[str, str, float, float]]:
-    """One segment's ``(name, layer, ts, dur)`` sequence, capture order,
-    projected from the four columns the fingerprint needs."""
-    from repro.store.segments import archive_errors
-    from repro.trace.binary_format import project
-
-    rows = bank.read_records(sha)
-    with archive_errors(sha):
-        return [
-            (name, layer, ts or 0.0, dur or 0.0)
-            for name, layer, ts, dur in zip(
-                project(rows, "name"), project(rows, "layer"),
-                project(rows, "timestamp"), project(rows, "duration"),
-            )
-        ]
-
-
 def fingerprint_run(bank, manifest) -> Dict[str, Any]:
     """One run's diagnosis fingerprint, straight from archived segments.
 
@@ -142,11 +125,17 @@ def fingerprint_run(bank, manifest) -> Dict[str, Any]:
     :class:`~repro.errors.StoreCorruptionError` for a segment that is
     missing, mis-hashed or undecodable.
     """
+    from repro.store.query import run_columns
+
     per_rank: Dict[int, List[Tuple[str, str, float, float]]] = {}
     edges: Dict[str, int] = {}
-    for seg in manifest.segments:
-        seq = _segment_seq(bank, seg.sha256)
-        per_rank.setdefault(seg.rank, []).extend(seq)
+    fields = ("name", "layer", "timestamp", "duration")
+    for rank, _sha, cols in run_columns(bank, manifest, fields):
+        seq = [
+            (name, layer, ts or 0.0, dur or 0.0)
+            for name, layer, ts, dur in zip(*(cols[f] for f in fields))
+        ]
+        per_rank.setdefault(rank, []).extend(seq)
         names = [step[0] for step in seq]
         for a, b in zip(names, names[1:]):
             key = "%s->%s" % (a, b)

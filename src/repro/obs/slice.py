@@ -22,11 +22,14 @@ attributes it across the simulated stack (``des`` / ``simos`` /
   overlap.
 
 Reports are canonical ``repro/obs/slice/v1`` JSON — a pure function of
-the payload (plus the optional fault/event context), so byte-identical
-across ``jobs`` counts and cache temperature.  Renderings: text
+the spans and track names (plus the optional fault/event context), so
+byte-identical across ``jobs`` counts and cache temperature.  The core
+(:func:`slice_spans`) takes spans; :func:`causal_slice` reads them from
+a telemetry payload, and :func:`slice_from_store` from an archived run's
+columns, with no payload built.  Renderings: text
 (:func:`render_slice`), a Perfetto-loadable Chrome trace of just the
 slice (:func:`slice_trace`), and collapsed-stack flamegraph lines
-(:func:`slice_flamegraph_lines`).
+(:func:`slice_flamegraph_lines`), both read from a payload.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "FAULT_SUSPECT_LAYER",
     "MAX_CHAIN_ROOTS",
     "causal_slice",
+    "slice_spans",
     "slice_from_store",
     "render_slice",
     "slice_trace",
@@ -256,6 +260,26 @@ def _dfg_context(dfg: Optional[Dict[str, Any]], op: Optional[str], top: int = 8)
 
 def causal_slice(
     payload: Dict[str, Any],
+    source: Optional[Dict[str, Any]] = None,
+    **options: Any,
+) -> Dict[str, Any]:
+    """Extract the causal slice explaining the anchor's latency.
+
+    ``payload`` is a ``repro/telemetry/v1`` payload, sliced as its spans
+    and track names by :func:`slice_spans`, which takes ``options``;
+    ``source`` defaults to the payload's own.
+    """
+    return slice_spans(
+        payload_spans(payload),
+        track_names(payload),
+        source=source if source is not None else payload.get("source"),
+        **options,
+    )
+
+
+def slice_spans(
+    spans: List[Tuple[int, int, str, str, float, float]],
+    labels: Dict[Tuple[int, int], str],
     anchor: str = "straggler",
     value: Any = None,
     fault_events: Optional[List[Dict[str, Any]]] = None,
@@ -265,24 +289,23 @@ def causal_slice(
     source: Optional[Dict[str, Any]] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Extract the causal slice explaining the anchor's latency.
+    """The causal slice over ``(pid, tid, name, cat, ts, dur)`` spans
+    (seconds, record order) and ``(pid, tid) -> label`` track names.
 
-    ``payload`` is a ``repro/telemetry/v1`` payload; ``anchor`` one of
-    :data:`ANCHOR_KINDS` with ``value`` its parameter (rank number, op
-    name, path glob).  ``fault_events`` are plain-JSON fault descriptions
+    ``anchor`` is one of :data:`ANCHOR_KINDS` with ``value`` its
+    parameter (rank number, op name, path glob).  ``fault_events`` are
+    plain-JSON fault descriptions
     (:meth:`~repro.faults.schedule.FaultSchedule.to_json` events);
     ``events`` per-event dicts with ``rank``/``ts``/``dur``/``path``
     (needed only for path anchors); ``dfg`` an optional
     ``repro/store/dfg/v1`` report for directly-follows context.  Returns
     the canonical ``repro/obs/slice/v1`` report.
     """
-    spans = payload_spans(payload)
     if not spans:
         raise TelemetryError(
             "no spans in payload — was the run captured with --telemetry?"
         )
     forest = build_forest(spans)
-    labels = track_names(payload)
     ends = {track: span_rollup(roots)["end"] for track, roots in forest.items()}
     origin = min(s[4] for s in spans)
     elapsed = max(ends.values()) - origin
@@ -350,7 +373,7 @@ def causal_slice(
     report = {
         "schema": SLICE_SCHEMA,
         "anchor": {"kind": anchor, "value": value},
-        "source": source if source is not None else payload.get("source"),
+        "source": source,
         "meta": meta,
         "origin": origin,
         "elapsed": elapsed,
@@ -387,33 +410,44 @@ def slice_from_store(
     anchor: str = "straggler",
     value: Any = None,
     max_roots: int = MAX_CHAIN_ROOTS,
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Slice a store-archived run: resolve the prefix, synthesize the
-    telemetry view, and thread in everything only the archive knows —
-    the injected fault schedule from the manifest, per-event paths for
-    path anchors, and the run's directly-follows graph.
+    with_payload: bool = False,
+) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """Slice a store-archived run: resolve the prefix, read the run's
+    spans, and thread in everything only the archive knows — the
+    injected fault schedule from the manifest, per-event paths for path
+    anchors, and the run's directly-follows graph.
 
-    Returns ``(report, payload)``.  Each segment is read and decoded
-    once: the telemetry view, the path events and the DFG (merged in
-    :func:`~repro.store.dfg.build_dfg`'s ``(rank, sha)`` shard order)
-    all come from that decode, and renderings of the slice
-    (:func:`slice_trace`, :func:`slice_flamegraph_lines`) reuse the
-    payload.
+    Returns ``(report, payload)``.  Each segment is read once, as the
+    columns the slice needs (:func:`~repro.store.query.run_columns`):
+    the spans (:func:`~repro.store.query.column_spans`), the path events
+    and the DFG (merged in :func:`~repro.store.dfg.build_dfg`'s ``(rank,
+    sha)`` shard order) all come from that read.  The run's telemetry
+    payload, which the renderings of the slice (:func:`slice_trace`,
+    :func:`slice_flamegraph_lines`) read, is built from the same columns
+    only ``with_payload``; otherwise ``payload`` is ``None``.
     """
     from repro.store.dfg import merge_shard_graphs, shard_graph
-    from repro.store.query import events_telemetry
+    from repro.store.query import (
+        SPAN_FIELDS,
+        column_spans,
+        events_telemetry,
+        run_columns,
+    )
 
     manifest = bank.manifest(run_prefix)
-    rows: List[Tuple[int, Any]] = []
-    shards = []
-    for seg in manifest.segments:
-        events = bank.read_segment(seg.sha256).events
-        rows.extend((seg.rank, e) for e in events)
-        seq = [(e.name, e.timestamp, e.duration) for e in events]
-        shards.append(((seg.rank, seg.sha256), shard_graph(seq)))
+    fields = SPAN_FIELDS
+    if anchor == "path":
+        fields += ("path",)
+    if with_payload:
+        fields += ("nbytes",)
+    segments = run_columns(bank, manifest, fields)
+    shards = [
+        ((rank, sha), shard_graph(list(zip(
+            cols["name"], cols["timestamp"], cols["duration"]))))
+        for rank, sha, cols in segments
+    ]
     shards.sort(key=lambda shard: shard[0])
     graph, _matched = merge_shard_graphs(partial for _key, partial in shards)
-    payload = events_telemetry(manifest.run_id, rows)
     fault_events = None
     faults = manifest.meta.get("faults")
     if isinstance(faults, dict):
@@ -421,18 +455,16 @@ def slice_from_store(
     events = None
     if anchor == "path":
         events = [
-            {
-                "rank": rank,
-                "ts": e.timestamp,
-                "dur": e.duration or 0.0,
-                "path": e.path,
-            }
-            for rank, e in rows
+            {"rank": rank, "ts": ts, "dur": dur or 0.0, "path": path}
+            for rank, _sha, cols in segments
+            for ts, dur, path in zip(cols["timestamp"], cols["duration"], cols["path"])
         ]
     meta_keys = ("kind", "scenario", "status", "framework", "workload", "nprocs", "seed")
     meta = {k: manifest.meta[k] for k in meta_keys if k in manifest.meta}
-    report = causal_slice(
-        payload,
+    spans, labels = column_spans(segments)
+    report = slice_spans(
+        spans,
+        labels,
         anchor=anchor,
         value=value,
         fault_events=fault_events,
@@ -442,6 +474,7 @@ def slice_from_store(
         source={"kind": "store", "run_id": manifest.run_id},
         meta=meta,
     )
+    payload = events_telemetry(manifest.run_id, segments) if with_payload else None
     return report, payload
 
 

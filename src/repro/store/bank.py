@@ -50,7 +50,6 @@ from repro.store.segments import (
     summarize_segment,
 )
 from repro.trace.binary_format import decode_trace_file, read_records
-from repro.trace.events import TraceEvent
 from repro.trace.records import TraceBundle, TraceFile
 
 __all__ = [
@@ -307,17 +306,6 @@ class TraceBank:
             ) from None
         check_address(blob, sha)
         return blob
-
-    def iter_run_events(self, manifest: RunManifest) -> Iterator[Tuple[int, TraceEvent]]:
-        """Yield ``(rank, event)`` for one run, rank-major, capture order.
-
-        Takes the manifest the caller resolved (:meth:`manifest`), so a
-        command resolves its run once however many readers it feeds.
-        """
-        for seg in manifest.segments:
-            tf = self.read_segment(seg.sha256)
-            for e in tf.events:
-                yield seg.rank, e
 
     def load_run_bundle(self, manifest: RunManifest) -> TraceBundle:
         """Reassemble one run as a :class:`TraceBundle` (analysis entry),

@@ -40,18 +40,21 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import StoreQueryError
 from repro.fanout import parallel_map
 from repro.obs.metrics import canonical_json
+from repro.obs.perfetto import _US
 from repro.obs.tracepoints import STATE, record_call
 from repro.store.bank import TraceBank
 from repro.store.manifest import RunManifest
 from repro.store.segments import archive_errors
 from repro.trace.binary_format import project
-from repro.trace.events import TraceEvent
 
 __all__ = [
     "AGGREGATES",
     "Query",
     "run_query",
     "scan_events",
+    "SPAN_FIELDS",
+    "run_columns",
+    "column_spans",
     "telemetry_view",
     "events_telemetry",
 ]
@@ -562,50 +565,117 @@ def scan_events(
     return report["result"]["events"]
 
 
+#: The columns an archived run's spans are built from
+#: (:func:`column_spans`); a path anchor adds ``path`` and a telemetry
+#: payload ``nbytes`` (:func:`events_telemetry`).
+SPAN_FIELDS: Tuple[str, ...] = ("name", "layer", "timestamp", "duration", "hostname")
+
+
+def run_columns(
+    bank: TraceBank, manifest: RunManifest, fields: Sequence[str] = SPAN_FIELDS
+) -> List[Tuple[int, str, Dict[str, List[Any]]]]:
+    """One archived run as ``(rank, sha, columns)`` per segment, in
+    manifest order: each segment's records walked once
+    (:meth:`~repro.store.bank.TraceBank.read_records`) and ``fields``
+    projected from them, so no event is built.  Raises
+    :class:`~repro.errors.StoreCorruptionError` for a segment that is
+    missing, mis-hashed or undecodable."""
+    out = []
+    for seg in manifest.segments:
+        rows = bank.read_records(seg.sha256)
+        with archive_errors(seg.sha256):
+            out.append((seg.rank, seg.sha256, {f: project(rows, f) for f in fields}))
+    return out
+
+
+def _host_columns(
+    segments: Sequence[Tuple[int, str, Dict[str, List[Any]]]],
+) -> Tuple[List[List[str]], Dict[str, int]]:
+    """Each segment's host column (``rank%d`` for a record that names no
+    host) and the node numbering: one node per host, in sorted order."""
+    hosts = [
+        [host or "rank%d" % rank for host in cols["hostname"]]
+        for rank, _sha, cols in segments
+    ]
+    names = sorted({host for col in hosts for host in col})
+    return hosts, {host: i for i, host in enumerate(names)}
+
+
+def column_spans(
+    segments: Sequence[Tuple[int, str, Dict[str, List[Any]]]],
+) -> Tuple[List[Tuple[int, int, str, str, float, float]], Dict[Tuple[int, int], str]]:
+    """A run's ``(pid, tid, name, cat, ts, dur)`` spans and track labels
+    from its :data:`SPAN_FIELDS` columns (:func:`run_columns`).
+
+    Equal to :func:`~repro.obs.critpath.payload_spans` and
+    :func:`~repro.obs.critpath.track_names` of the run's
+    :func:`events_telemetry` payload, without building it: a node per
+    host in sorted order, one track per ``(node, rank)`` labelled
+    ``node<i> <host> rank <r>``, spans in record order, and times scaled
+    to the trace's microseconds and back, as the payload stores them.
+    """
+    hosts, node_index = _host_columns(segments)
+    spans = []
+    labels: Dict[Tuple[int, int], str] = {}
+    for (rank, _sha, cols), host_col in zip(segments, hosts):
+        for host, name, layer, ts, dur in zip(
+            host_col, cols["name"], cols["layer"], cols["timestamp"], cols["duration"]
+        ):
+            node = node_index[host]
+            if (node, rank) not in labels:
+                labels[node, rank] = "node%d %s rank %d" % (node, host, rank)
+            spans.append((node, rank, name, layer, ts * _US / _US, dur * _US / _US))
+    return spans, labels
+
+
 def telemetry_view(bank: TraceBank, run_id: str) -> Dict[str, Any]:
     """Synthesize a ``repro/telemetry/v1`` payload from an archived run.
 
     Lets ``repro obs diff``/``critpath`` address runs by TraceBank run-id
     prefix even when they were archived without ``--telemetry``: the
-    archived :class:`~repro.trace.events.TraceEvent` records are replayed
-    into a fresh metrics registry and span recorder through the live
-    ``os_call`` tracepoint's own recording
-    (:func:`~repro.obs.tracepoints.record_call`: per-layer call
-    counters, call-seconds and request-bytes histograms, one span per
-    call on a ``(node, rank)`` track).  Only what the trace captured is
+    archived records are replayed into a fresh metrics registry and span
+    recorder (:func:`events_telemetry`).  Only what the trace captured is
     reconstructed — DES/network/disk internals of the original run are
     absent, which is fine for diffing what the *frameworks* saw.
 
     Purely content-derived, so the payload is byte-identical wherever
-    and whenever the view is built.  Resolves the run once.  Raises
-    :class:`~repro.errors.StoreError` on unknown/ambiguous prefixes.
+    and whenever the view is built.  Resolves the run once and reads
+    each segment once.  Raises :class:`~repro.errors.StoreError` on
+    unknown/ambiguous prefixes.
     """
     m = bank.manifest(run_id)
-    return events_telemetry(m.run_id, list(bank.iter_run_events(m)))
+    return events_telemetry(m.run_id, run_columns(bank, m, SPAN_FIELDS + ("nbytes",)))
 
 
 def events_telemetry(
-    run_id: str, rows: Sequence[Tuple[int, TraceEvent]]
+    run_id: str, segments: Sequence[Tuple[int, str, Dict[str, List[Any]]]]
 ) -> Dict[str, Any]:
-    """:func:`telemetry_view`'s payload from a run's decoded
-    ``(rank, event)`` rows, for callers that read the events for
-    something else too."""
+    """:func:`telemetry_view`'s payload from a run's :data:`SPAN_FIELDS`
+    and ``nbytes`` columns (:func:`run_columns`), for callers that read
+    the columns for something else too.
+
+    Each record goes through the live ``os_call`` tracepoint's own
+    recording (:func:`~repro.obs.tracepoints.record_call`: per-layer call
+    counters, call-seconds and request-bytes histograms, one span per
+    call on a ``(node, rank)`` track).
+    """
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.perfetto import to_chrome_trace
     from repro.obs.spans import SpanRecorder
 
-    hostnames = sorted({e.hostname or ("rank%d" % rank) for rank, e in rows})
-    node_index = {h: i for i, h in enumerate(hostnames)}
-
+    hosts, node_index = _host_columns(segments)
     registry = MetricsRegistry()
     recorder = SpanRecorder()
     end_time = 0.0
-    for rank, e in rows:
-        host = e.hostname or ("rank%d" % rank)
-        record_call(registry, recorder, node_index[host], host, rank,
-                    "rank %d" % rank, e.layer.value, e.name, e.timestamp,
-                    e.duration, e.nbytes)
-        end_time = max(end_time, e.timestamp + e.duration)
+    for (rank, _sha, cols), host_col in zip(segments, hosts):
+        tname = "rank %d" % rank
+        for host, name, layer, ts, dur, nbytes in zip(
+            host_col, cols["name"], cols["layer"], cols["timestamp"],
+            cols["duration"], cols["nbytes"],
+        ):
+            record_call(registry, recorder, node_index[host], host, rank,
+                        tname, layer, name, ts, dur, nbytes)
+            end_time = max(end_time, ts + dur)
     payload = {
         "schema": "repro/telemetry/v1",
         "metrics": registry.snapshot(end_time=end_time),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EventLayer",
@@ -38,6 +38,7 @@ __all__ = [
     "calls_of",
     "SYNC_CALLS",
     "IO_DATA_SYSCALLS",
+    "lowest_layer",
 ]
 
 
@@ -270,3 +271,23 @@ SYNC_CALLS = calls_of("sync")
 #: Syscalls that move payload bytes — the ones whose per-event tracing cost
 #: scales inversely with block size in the paper's overhead model.
 IO_DATA_SYSCALLS = calls_of("read", "write", layers=(EventLayer.SYSCALL,))
+
+#: The layers a call moves data at, from the bottom of the I/O stack up:
+#: a library call reaches storage through the system calls beneath it,
+#: and a system call through the VFS operations beneath that.
+_LAYERS_BOTTOM_UP = (EventLayer.VFS, EventLayer.SYSCALL, EventLayer.LIBCALL)
+
+
+def lowest_layer(events: Sequence[TraceEvent]) -> List[TraceEvent]:
+    """The ``events`` captured at the lowest layer
+    (VFS, then syscall, then libcall) that holds any of them.
+
+    A trace that captures a transfer at two layers (an
+    ``MPI_File_write_at`` and the ``SYS_write`` beneath it) holds it
+    twice; reading one layer counts it once.
+    """
+    present = {e.layer for e in events}
+    for layer in _LAYERS_BOTTOM_UP:
+        if layer in present:
+            return [e for e in events if e.layer == layer]
+    return []

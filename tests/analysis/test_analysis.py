@@ -175,7 +175,33 @@ def mpiio_bundle(write_name):
     )
 
 
+def ltrace_bundle(pattern, read_back=False):
+    """A 2-rank ``mpi_io_test`` (16 x 64 KiB per rank) traced by LANL-Trace
+    in ltrace mode: each MPI-IO transfer is captured as a libcall and as
+    the syscall beneath it."""
+    from repro.frameworks.lanltrace.framework import LANLTrace
+    from repro.harness.experiment import run_traced
+    from repro.units import KiB
+    from repro.workloads.mpi_io_test import mpi_io_test
+
+    _, traced = run_traced(
+        LANLTrace, mpi_io_test,
+        {"pattern": pattern, "path": "/pfs/t", "block_size": 64 * KiB,
+         "nobj": 16, "read_back": read_back},
+        nprocs=2,
+    )
+    return traced.bundle
+
+
 class TestDataDependencies:
+    def test_ltrace_counts_each_transfer_once(self):
+        # Rank 0 reads back its half of the shared file 16 times after
+        # rank 1's writes: one edge per MPI_File_read_at, not two.
+        bundle = ltrace_bundle("n-to-1-strided", read_back=True)
+        assert infer_data_dependencies(bundle) == {
+            (1, 0): {"path": "/pfs/t", "count": 16}
+        }
+
     @pytest.mark.parametrize("write", ["MPI_File_write_at", "MPI_File_iwrite_at"])
     def test_mpiio_write_then_read_is_an_edge(self, write):
         # A nonblocking MPI-IO write is as much a write as a blocking one.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from test_analysis import mpiio_bundle
+from test_analysis import ltrace_bundle, mpiio_bundle
 
 from repro.analysis.phases import Phase, detect_phases, phase_summary
 from repro.trace.events import EventLayer, TraceEvent
@@ -80,6 +80,14 @@ class TestDetect:
 
 
 class TestOnRealWorkload:
+    def test_ltrace_counts_each_transfer_once(self):
+        # Each MPI_File_write_at and the SYS_write beneath it are one
+        # transfer: rank 0 wrote 16 x 64 KiB.
+        phases = detect_phases(ltrace_bundle("n-to-n").files[0])
+        io_phases = [p for p in phases if p.kind == "io"]
+        assert sum(p.bytes_moved for p in io_phases) == 16 * 65536
+        assert sum(p.n_events for p in io_phases) == 16
+
     def test_checkpoint_workload_alternates(self):
         """The checkpoint workload's compute/write structure is visible."""
         from repro.frameworks.ptrace.framework import PTrace

@@ -8,6 +8,7 @@ from repro.errors import StoreCorruptionError, StoreError, StoreNotFound
 from repro.faults.corrupt import bit_flip
 from repro.store.bank import TraceBank, render_store_summary
 from repro.store.manifest import RunManifest
+from repro.store.query import run_columns
 
 
 @pytest.fixture
@@ -72,9 +73,10 @@ class TestReads:
         with pytest.raises(StoreError):
             bank.manifest("zzzz")
 
-    def test_iter_run_events_rank_major(self, bank):
+    def test_run_columns_rank_major(self, bank):
         r = bank.ingest_bundle(make_bundle(nranks=2, n=3))
-        ranks = [rank for rank, _e in bank.iter_run_events(bank.manifest(r.run_id))]
+        segments = run_columns(bank, bank.manifest(r.run_id))
+        ranks = [rank for rank, _sha, cols in segments for _name in cols["name"]]
         assert ranks == [0, 0, 0, 1, 1, 1]
 
     def test_each_segment_read_hashes_once(self, bank, monkeypatch):
@@ -97,7 +99,7 @@ class TestReads:
             lambda: bank.read_segment(shas[0]),
             lambda: bank.read_records(shas[0]),
             lambda: bank.load_run_bundle(m),
-            lambda: list(bank.iter_run_events(m)),
+            lambda: run_columns(bank, m),
         )
         for read, segments_read in zip(reads, (1, 1, 3, 3)):
             del calls[:]

@@ -2,8 +2,8 @@
 
 A run id is looked up by its file name, no read writes into the archive,
 one opened bank serves a whole query, DFG, verify or diagnosis, a
-report is rendered to JSON once, and a query or DFG scan builds no
-events.
+report is rendered to JSON once, and a query, DFG, slice, diagnosis or
+telemetry view builds no events.
 """
 
 import asyncio
@@ -16,30 +16,18 @@ import pytest
 from storeutil import make_bundle
 
 import repro.obs.metrics
+import repro.obs.perfetto
 from repro.cli import main
 from repro.errors import StoreError
 from repro.obs.diagnose import diagnose_archive
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slice import slice_from_store
 from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
 from repro.store.manifest import RunManifest
-from repro.store.query import AGGREGATES, Query, run_query
+from repro.store.query import AGGREGATES, Query, run_query, telemetry_view
 from repro.trace import binary_format
 from repro.zoo.replaypipe import load_source
-
-
-@pytest.fixture
-def archive(tmp_path):
-    """Five same-shaped runs; the last one's calls are 4x slower, so
-    ``diagnose_archive`` flags it and slices it."""
-    bank = TraceBank(tmp_path / "store")
-    ids = [
-        bank.ingest_bundle(
-            make_bundle(dur=0.004 if seed == 4 else 0.001), meta={"seed": seed}
-        ).run_id
-        for seed in range(5)
-    ]
-    return bank, ids
 
 
 @pytest.fixture
@@ -112,6 +100,30 @@ def builds(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("repro") and getattr(module, "decode_trace_file", None) is real_decode:
             monkeypatch.setattr(module, "decode_trace_file", decoding)
+    return calls
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """Every part of a telemetry payload built from here on: a
+    ``MetricsRegistry`` constructed, or a ``to_chrome_trace`` call
+    through any module's binding of it."""
+    calls = []
+    real_init = MetricsRegistry.__init__
+    real_render = repro.obs.perfetto.to_chrome_trace
+
+    def constructing(self):
+        calls.append("registry")
+        real_init(self)
+
+    def rendering(spans):
+        calls.append("chrome-trace")
+        return real_render(spans)
+
+    monkeypatch.setattr(MetricsRegistry, "__init__", constructing)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "to_chrome_trace", None) is real_render:
+            monkeypatch.setattr(module, "to_chrome_trace", rendering)
     return calls
 
 
@@ -383,3 +395,38 @@ class TestScansBuildNoEvents:
         # A full read is counted: it decodes through the batch builder.
         bank.read_segment(bank.manifest(ids[0]).segments[0].sha256)
         assert builds == ["decode", "build"]
+
+    @pytest.mark.parametrize("anchor", [[], ["--rank", "1"], ["--op", "SYS_write"],
+                                        ["--path", "/pfs/*"]],
+                             ids=["straggler", "rank", "op", "path"])
+    @pytest.mark.parametrize("rendered", [False, True], ids=["report", "rendered"])
+    def test_store_slices_build_no_events(
+        self, archive, builds, payloads, tmp_path, anchor, rendered
+    ):
+        # A slice reads its run as columns.  Only the Perfetto and
+        # flamegraph renderings need a telemetry payload, built once from
+        # the same columns.
+        bank, ids = archive
+        argv = ["obs", "slice", "--store", str(bank.root), ids[4]] + anchor
+        if rendered:
+            argv += ["--perfetto", str(tmp_path / "s.json"),
+                     "--flame", str(tmp_path / "s.flame")]
+        assert main(argv) == 0
+        assert builds == []
+        assert payloads == (["registry", "chrome-trace"] if rendered else [])
+
+    def test_diagnose_builds_no_events_and_no_payload(self, archive, builds, payloads):
+        bank, ids = archive
+        report = diagnose_archive(str(bank.root))
+        assert [o["run_id"] for o in report["outliers"]] == [ids[4]]
+        assert report["outliers"][0]["slice"] is not None
+        assert main(["obs", "diagnose", "--store", str(bank.root)]) == 0
+        assert builds == []
+        assert payloads == []
+
+    def test_telemetry_views_build_no_events(self, archive, builds, payloads):
+        bank, ids = archive
+        for run_id in ids:
+            assert telemetry_view(bank, run_id)["source"]["run_id"] == run_id
+        assert builds == []
+        assert payloads == ["registry", "chrome-trace"] * len(ids)

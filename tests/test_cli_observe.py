@@ -68,6 +68,43 @@ def test_observe_rejects_corrupt_trace(tmp_path, capsys):
     assert "bad phase" in capsys.readouterr().err
 
 
+#: The commands that read a telemetry artifact from a file.
+ARTIFACT_READERS = {
+    "observe": ["observe", "{path}"],
+    "obs-diff": ["obs", "diff", "{path}", "{path}"],
+    "obs-critpath": ["obs", "critpath", "{path}"],
+}
+
+
+def _refuses(tmp_path, capsys, command, body):
+    path = tmp_path / "artifact.json"
+    path.write_bytes(body)
+    argv = [a.format(path=path) for a in ARTIFACT_READERS[command]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s is not JSON: " % path)
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_READERS))
+def test_artifact_that_is_not_utf8_is_an_error_line(tmp_path, capsys, command):
+    assert "can't decode byte 0xff" in _refuses(tmp_path, capsys, command, b"\xff\xfe")
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_READERS))
+def test_artifact_that_is_not_json_is_an_error_line(tmp_path, capsys, command):
+    assert "Expecting value" in _refuses(tmp_path, capsys, command, b"not json")
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_READERS))
+def test_artifact_nested_too_deep_is_an_error_line(tmp_path, capsys, command):
+    # 20,001 lists pass every interpreter's limit; CPython 3.12+ parses
+    # up to 10,000 (its C recursion limit).
+    body = b'{"schema":"repro/telemetry/v1","x":' + b"[" * 20_001 + b"]" * 20_001 + b"}"
+    assert "recursion" in _refuses(tmp_path, capsys, command, body)
+
+
 def test_observe_missing_file_reports_error(tmp_path, capsys):
     assert main(["observe", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
